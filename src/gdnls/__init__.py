@@ -7,7 +7,7 @@ derivative NLS, and boundedness probes for the linear estimates.
 
 __version__ = "0.1.0"
 
-from .grid import ComplexField, GridSpec, ResolutionError, Trajectory
+from .grid import ComplexField, GridSpec, ResolutionError, Trajectory, gaussian_field
 from .spectral import (
     MixedNormSpec,
     fractional_derivative,
@@ -22,7 +22,6 @@ from .spectral import (
 )
 from .quadrature import QuadratureError, QuadratureResult, integrate_halfline
 from .solitons import (
-    CaseTwoParams,
     SolitonParams,
     amplitude,
     endpoint_rate,

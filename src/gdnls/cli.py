@@ -1,6 +1,7 @@
 """Command-line experiment runner.
 
-Usage: gdnls <experiment> --config <path> [--out <dir>] [--workers N] [--seed N]
+Usage: gdnls <experiment> --config <path> [--out <dir>] [--seed N]
+       gdnls sweep --config <path> [--config <path> ...] [--out <dir>] [--workers N] [--seed N]
 
 Config files are flat ``key = value`` text; unknown keys are errors.
 Each run writes a CSV (RFC-4180 style, 17 significant digits) and a JSON
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .evolve import EvolutionConfig, StabilityError, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
-from .grid import ComplexField, GridSpec, ResolutionError
+from .grid import ComplexField, GridSpec, ResolutionError, gaussian_field
 from .probes import (
     default_ensemble,
     leibniz_probe,
@@ -259,6 +260,12 @@ def _validate_semantics(experiment: str, p: dict) -> None:
         _require(p["box_length"] > 0, "box_length", "must be positive")
     if "snapshot_stride" in p:
         _require(p["snapshot_stride"] >= 1, "snapshot_stride", "must be >= 1")
+    if "dt" in p:
+        try:
+            EvolutionConfig("gdnls", GridSpec(p["n_points"], p["box_length"]),
+                            p["dt"], p["t_end"])
+        except ValueError as exc:
+            raise ConfigError(f"field 'dt': {exc}") from None
 
     if experiment == "soliton-atlas":
         _require(len(p["c_grid"]) >= 1, "c_grid", "must contain at least one speed")
@@ -297,13 +304,6 @@ def _validate_semantics(experiment: str, p: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # experiment implementations
-
-def _gaussian_datum(grid: GridSpec, delta: float, width: float,
-                    velocity: float = 0.0) -> ComplexField:
-    x = grid.x
-    vals = delta * np.exp(-width * x**2) * np.exp(1j * velocity * x)
-    return ComplexField(grid, vals)
-
 
 def _run_soliton_atlas(p: dict):
     columns = ["c", "alpha", "l2_mass_closed", "l2_mass_grid",
@@ -350,7 +350,7 @@ def _run_evolve(p: dict):
         sp = SolitonParams(p["omega"], p["c"], p["sigma"])
         u0 = full_wave(sp, grid)
     else:
-        u0 = _gaussian_datum(grid, p["delta"], p["width"])
+        u0 = gaussian_field(grid, p["width"], amplitude=p["delta"])
     cfg = EvolutionConfig(p["equation"], grid, dt=p["dt"], t_end=p["t_end"],
                           sigma=p["sigma"], snapshot_stride=p["snapshot_stride"])
     traj, rep = evolve(u0, cfg)
@@ -364,7 +364,7 @@ def _run_evolve(p: dict):
 
 def _run_scatter_probe(p: dict):
     grid = GridSpec(p["n_points"], p["box_length"])
-    u0 = _gaussian_datum(grid, p["delta"], p["width"])
+    u0 = gaussian_field(grid, p["width"], amplitude=p["delta"])
     cfg = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
                           sigma=p["sigma"], snapshot_stride=max(1, int(0.02 / p["dt"])))
     traj, rep = evolve(u0, cfg)
@@ -387,7 +387,7 @@ def _run_scatter_probe(p: dict):
 
 def _run_gauge_check(p: dict):
     grid = GridSpec(p["n_points"], p["box_length"])
-    u0 = _gaussian_datum(grid, p["delta"], p["width"], p["velocity"])
+    u0 = gaussian_field(grid, p["width"], p["velocity"], amplitude=p["delta"])
     stride = 10 ** 9
     cfg1 = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
                            sigma=1.0, snapshot_stride=stride)
@@ -396,8 +396,8 @@ def _run_gauge_check(p: dict):
     cfg2 = EvolutionConfig("dnls", grid, dt=p["dt"], t_end=p["t_end"],
                            snapshot_stride=stride)
     traj2, rep2 = evolve(v0, cfg2)
-    u_back = gauge_transform(traj2.snapshots[-1], INVERSE)
-    diff = l2_norm(ComplexField(grid, traj1.snapshots[-1].values - u_back.values))
+    u_back = gauge_transform(ComplexField(grid, traj2.values[-1]), INVERSE)
+    diff = l2_norm(ComplexField(grid, traj1.values[-1] - u_back.values))
     columns = ["t_end", "l2_difference", "gdnls_mass_drift", "dnls_mass_drift"]
     rows = [[p["t_end"], float(diff), rep1.mass_drift, rep2.mass_drift]]
     checks = {"l2_difference": float(diff)}
@@ -514,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="results")
-        sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
     sw = sub.add_parser("sweep", help="run several configs concurrently")
     sw.add_argument("--config", action="append", required=True,

@@ -8,7 +8,7 @@ the modulus factor is formed pointwise and then truncated spectrally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,12 @@ class EvolutionConfig:
             raise ValueError(f"sigma must be >= 1/2, got {self.sigma}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be a positive integer")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"dt = {self.dt} does not divide t_end = {self.t_end}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -70,10 +76,6 @@ class ConservedReport:
 def _dealias_mask(n: int) -> np.ndarray:
     k = np.fft.fftfreq(n, d=1.0 / n)
     return (np.abs(k) < n / 3.0).astype(float)
-
-
-def _truncate(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(mask * np.fft.fft(vals))
 
 
 def nonlinearity(u: ComplexField, sigma: float, dealias: bool = True) -> ComplexField:
@@ -182,9 +184,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     """March u0 to t_end, storing snapshots every snapshot_stride steps."""
     if u0.grid != cfg.grid:
         raise ValueError("initial datum grid does not match the configured grid")
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ValueError("t_end must be an integer multiple of dt")
+    n_steps = cfg.n_steps
     xi = cfg.grid.xi
     h = cfg.grid.spacing
     sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
@@ -222,7 +222,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
             if linf0 > 0 and m > 10.0 * linf0:
                 linf_flag = True
 
-    traj = Trajectory.from_matrix(cfg.grid, np.asarray(times), np.stack(snaps))
+    traj = Trajectory(cfg.grid, np.asarray(times), np.stack(snaps))
     report = ConservedReport(
         times=np.asarray(times),
         mass=np.asarray(mass),

@@ -8,7 +8,7 @@ working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +82,21 @@ class ComplexField:
             )
 
 
+def gaussian_field(grid: GridSpec, width: float, velocity: float = 0.0,
+                   center: float = 0.0, amplitude: float = 1.0) -> ComplexField:
+    """amplitude * exp(-width (x - center)^2) * exp(i velocity x) on the grid."""
+    x = grid.x
+    vals = amplitude * np.exp(-width * (x - center) ** 2) * np.exp(1j * velocity * x)
+    return ComplexField(grid, vals)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered snapshots of a field on a fixed grid."""
+    """Samples of a field at increasing times: row k of values is the field at times[k]."""
 
     grid: GridSpec
     times: np.ndarray
-    snapshots: tuple = field(default=())
+    values: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -98,23 +106,15 @@ class Trajectory:
             raise ValueError("times must start at 0")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        snaps = tuple(self.snapshots)
-        if len(snaps) != t.size:
-            raise ValueError("one snapshot per time required")
-        for s in snaps:
-            if s.grid != self.grid:
-                raise ValueError("all snapshots must share the trajectory grid")
+        v = np.asarray(self.values, dtype=np.complex128)
+        if v.shape != (t.size, self.grid.n_points):
+            raise ValueError(
+                f"values must have shape ({t.size}, {self.grid.n_points}), got {v.shape}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "snapshots", snaps)
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def matrix(self) -> np.ndarray:
-        """Snapshots stacked as a (n_times, n_points) array."""
-        return np.stack([s.values for s in self.snapshots])
-
-    @staticmethod
-    def from_matrix(grid: GridSpec, times, matrix) -> "Trajectory":
-        snaps = tuple(ComplexField(grid, row) for row in np.asarray(matrix))
-        return Trajectory(grid, np.asarray(times, dtype=float), snaps)
+        return len(self.times)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, Trajectory
+from .grid import ComplexField, GridSpec, Trajectory, gaussian_field
 from .spectral import (
     MixedNormSpec,
-    free_propagate,
+    free_group,
     l2_norm,
     lebesgue_norm,
     fractional_derivative,
@@ -48,19 +48,13 @@ class ProbeReport:
             raise ValueError(f"worst_ratio must be finite and >= 0, got {self.worst_ratio}")
 
 
-def gaussian_member(grid: GridSpec, width: float, velocity: float, center: float) -> ComplexField:
-    x = grid.x
-    vals = np.exp(-width * (x - center) ** 2) * np.exp(1j * velocity * x)
-    return ComplexField(grid, vals)
-
-
 def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> ProbeEnsemble:
     """5 widths x 5 velocities x 4 centers Gaussians plus 20 seeded random fields."""
     members = []
     for a in (0.5, 1.0, 2.0, 4.0, 8.0):
         for v in (-4.0, -2.0, 0.0, 2.0, 4.0):
             for x0 in (-6.0, -2.0, 2.0, 6.0):
-                members.append(gaussian_member(grid, a, v, x0))
+                members.append(gaussian_field(grid, a, v, x0))
     rng = np.random.default_rng(seed)
     envelope = np.exp(-0.1 * grid.x**2)
     cut = np.abs(grid.xi) <= 8.0
@@ -74,8 +68,7 @@ def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> Prob
 def free_trajectory(f: ComplexField, t_end: float, dt_snap: float = 0.05) -> Trajectory:
     n = int(round(t_end / dt_snap))
     times = dt_snap * np.arange(n + 1)
-    snaps = tuple(free_propagate(f, t) for t in times)
-    return Trajectory(f.grid, times, snaps)
+    return Trajectory(f.grid, times, free_group(f.grid, f.values, times))
 
 
 def _worst(ratios, inequality_id: str, params: dict) -> ProbeReport:
@@ -123,13 +116,6 @@ def maximal_probe(ens: ProbeEnsemble, p: float, s: float, t_end: float) -> Probe
         traj = free_trajectory(f, t_end)
         ratios.append(mixed_norm(traj, spec) / sobolev_norm(f, s))
     return _worst(ratios, "maximal", {"p": p, "s": s, "T": t_end})
-
-
-def maximal_ratio(f: ComplexField, p: float, s: float, t_end: float) -> float:
-    """Single-member maximal-estimate ratio (frequency-sweep diagnostics)."""
-    spec = MixedNormSpec("space", p, np.inf)
-    traj = free_trajectory(f, t_end)
-    return mixed_norm(traj, spec) / sobolev_norm(f, s)
 
 
 def leibniz_probe(pairs, s: float, p: float, p1: float, p2: float,

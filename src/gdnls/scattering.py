@@ -12,7 +12,7 @@ import numpy as np
 
 from .evolve import nonlinearity
 from .grid import ComplexField, Trajectory
-from .spectral import free_propagate, l2_norm, sobolev_norm, xt_norm
+from .spectral import free_group, free_propagate, l2_norm, sobolev_norm, xt_norm
 
 
 @dataclass
@@ -31,23 +31,19 @@ class ScatterReport:
 
 def pullback(traj: Trajectory) -> Trajectory:
     """w(t) = e^{-it Laplacian} u(t) per snapshot."""
-    snaps = [
-        free_propagate(s, -t) for t, s in zip(traj.times, traj.snapshots)
-    ]
-    return Trajectory(traj.grid, traj.times, tuple(snaps))
+    return Trajectory(traj.grid, traj.times,
+                      free_group(traj.grid, traj.values, -traj.times))
 
 
 def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
                     checkpoints=(2.0, 4.0, 8.0)) -> list:
     """H^{s'} distances between pull-backs at consecutive checkpoints."""
-    w = pullback(traj)
     idx = [int(np.argmin(np.abs(traj.times - t))) for t in checkpoints]
-    rows = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        diff = ComplexField(traj.grid, w.snapshots[j].values - w.snapshots[i].values)
-        rows.append((float(traj.times[i]), float(traj.times[j]),
-                     sobolev_norm(diff, s_prime)))
-    return rows
+    t = traj.times[idx]
+    w = free_group(traj.grid, traj.values[idx], -t)  # the checkpoint rows of the pull-back
+    return [(float(t[k]), float(t[k + 1]),
+             sobolev_norm(ComplexField(traj.grid, w[k + 1] - w[k]), s_prime))
+            for k in range(len(idx) - 1)]
 
 
 def uplus_truncated(traj: Trajectory, sigma: float) -> ComplexField:
@@ -64,20 +60,16 @@ def uplus_truncated(traj: Trajectory, sigma: float) -> ComplexField:
             f"snapshot spacing {dt_snap:.4g} too sparse for the Duhamel "
             "quadrature; need <= 0.02"
         )
-    acc = np.zeros(traj.grid.n_points, dtype=np.complex128)
-    prev = None
-    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        term = free_propagate(nonlinearity(snap, sigma), -t).values
-        if prev is not None:
-            acc += 0.5 * (traj.times[k] - traj.times[k - 1]) * (prev + term)
-        prev = term
-    return ComplexField(traj.grid, traj.snapshots[0].values - acc)
+    nonlin = np.stack([nonlinearity(ComplexField(traj.grid, row), sigma).values
+                       for row in traj.values])
+    duhamel = np.trapezoid(free_group(traj.grid, nonlin, -traj.times), traj.times, axis=0)
+    return ComplexField(traj.grid, traj.values[0] - duhamel)
 
 
 def decay_tracker(traj: Trajectory) -> list:
     """Per-snapshot (t, max |u|)."""
-    return [(float(t), float(np.max(np.abs(s.values))))
-            for t, s in zip(traj.times, traj.snapshots)]
+    peaks = np.max(np.abs(traj.values), axis=-1)
+    return [(float(t), float(m)) for t, m in zip(traj.times, peaks)]
 
 
 def decay_exponent(curve, t_min: float = 2.0) -> float:
@@ -96,11 +88,10 @@ def xt_accumulate(traj: Trajectory, s: float, horizons=None) -> list:
         horizons = [t_end * 2.0 ** (-k) for k in reversed(range(4))]
     out = []
     for t_h in horizons:
-        keep = traj.times <= t_h + 1e-12
-        if np.sum(keep) < 2:
+        n = int(np.count_nonzero(traj.times <= t_h + 1e-12))  # times increase
+        if n < 2:
             continue
-        prefix = Trajectory(traj.grid, traj.times[keep],
-                            tuple(traj.snapshots[i] for i in np.nonzero(keep)[0]))
+        prefix = Trajectory(traj.grid, traj.times[:n], traj.values[:n])
         out.append((float(prefix.times[-1]), xt_norm(prefix, s)))
     return out
 
@@ -116,7 +107,7 @@ def scatter_report(traj: Trajectory, sigma: float, s: float = 0.5,
         end = traj.times[-1]
         resid = l2_norm(ComplexField(
             traj.grid,
-            traj.snapshots[-1].values - free_propagate(uplus, end).values,
+            traj.values[-1] - free_propagate(uplus, end).values,
         ))
     except ValueError:
         resid = float("nan")

@@ -7,7 +7,7 @@ profile family phi = phi_{omega, c}; admissibility is c^2 < 4 omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,21 +52,6 @@ class SolitonParams:
     def speed_ratio(self) -> float:
         """c / (2 sqrt(omega)), in (-1, 1)."""
         return self.c / (2.0 * math.sqrt(self.omega))
-
-
-@dataclass(frozen=True)
-class CaseTwoParams:
-    """Near-endpoint parametrization c = -2 z sqrt(omega), z in (z0, 1)."""
-
-    z: float
-    z0: float = 0.99
-    a0: float = field(default=0.0)  # frequency cutoff multiplier; 0 = measure it
-
-    def __post_init__(self):
-        if not 0 < self.z0 < 1:
-            raise ValueError(f"z0 must lie in (0, 1), got {self.z0}")
-        if not self.z0 < self.z < 1:
-            raise ValueError(f"z must lie in ({self.z0}, 1), got {self.z}")
 
 
 def amplitude(p: SolitonParams, x) -> np.ndarray:
@@ -197,25 +182,6 @@ def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
     if grid is None:
         grid = soliton_grid(p)
     return sobolev_norm(full_wave(p, grid), p.s_c, homogeneous=True)
-
-
-def hsc_lower_bound_scan(sigma: float, c_grid, omega: float,
-                         grid: GridSpec | None = None):
-    """Hdot^{s_c} norm of phi_{omega,c} per c; unresolved entries are NaN-flagged.
-
-    Returns (values, resolved) arrays of equal length.
-    """
-    c_grid = np.asarray(c_grid, dtype=float)
-    values = np.empty(c_grid.shape)
-    resolved = np.ones(c_grid.shape, dtype=bool)
-    for i, c in enumerate(c_grid):
-        p = SolitonParams(omega, float(c), sigma)
-        try:
-            values[i] = hsc_norm(p, grid)
-        except Exception:
-            values[i] = np.nan
-            resolved[i] = False
-    return values, resolved
 
 
 _NORM_CHOICES = ("L2", "H1", "Lpc", "Hsc")

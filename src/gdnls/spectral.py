@@ -61,11 +61,30 @@ def spatial_derivative(f: ComplexField) -> ComplexField:
     return apply_multiplier(f, 1j * f.grid.xi)
 
 
+def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
+    """e^{i t_k Laplacian} applied row by row, row k at times[k].
+
+    values is one datum of shape (N,), propagated to every time, or one
+    row per time, shape (len(times), N).  Rows at t = 0 are the datum
+    itself, so the group is exact there.
+    """
+    times = np.asarray(times, dtype=float)
+    phase = np.exp(-1j * grid.xi**2 * times[..., None])
+    # Both factors are named arrays.  Given an unnamed FFT result, numpy
+    # may multiply in place into it, and that path can round the last bit
+    # differently from the product of a single row.
+    vhat = np.fft.fft(values, axis=-1)
+    out = np.fft.ifft(phase * vhat, axis=-1)
+    at_zero = times == 0
+    out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
+    return out
+
+
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """e^{it Laplacian} f, the free Schroedinger group (unitary on L^2)."""
     if t == 0:
         return f
-    return apply_multiplier(f, np.exp(-1j * f.grid.xi**2 * t))
+    return ComplexField(f.grid, free_group(f.grid, f.values, t))
 
 
 def lebesgue_norm(f: ComplexField, p: float) -> float:
@@ -252,9 +271,9 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
         raise ValueError("mixed_norm needs a trajectory with at least 2 snapshots")
     if spec.derivative_order > 0:
         mult = np.abs(traj.grid.xi) ** spec.derivative_order
-        u = np.abs(np.fft.ifft(mult * np.fft.fft(traj.matrix(), axis=-1), axis=-1))
+        u = np.abs(np.fft.ifft(mult * np.fft.fft(traj.values, axis=-1), axis=-1))
     else:
-        u = np.abs(traj.matrix())
+        u = np.abs(traj.values)
     h = traj.grid.spacing
     if spec.outer_variable == "time":
         inner = _space_quadrature(u, h, spec.inner_exponent)  # per-time spatial norm
@@ -284,7 +303,7 @@ def xt_norm(traj: Trajectory, s: float, q_grid=DEFAULT_Q_GRID, n0: float = 16.0)
         raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
 
     grid = traj.grid
-    u = traj.matrix()
+    u = traj.values
     xi = grid.xi
     uhat = np.fft.fft(u, axis=-1)
     ux = np.fft.ifft(1j * xi * uhat, axis=-1)
@@ -292,21 +311,17 @@ def xt_norm(traj: Trajectory, s: float, q_grid=DEFAULT_Q_GRID, n0: float = 16.0)
     dsu = np.fft.ifft(frac * uhat, axis=-1)
     dsux = np.fft.ifft(frac * 1j * xi * uhat, axis=-1)
 
-    def as_traj(m):
-        return Trajectory.from_matrix(grid, traj.times, m)
-
-    t_u = as_traj(u)
-    t_ux = as_traj(ux)
-    t_dsu = as_traj(dsu)
-    t_dsux = as_traj(dsux)
+    t_ux = Trajectory(grid, traj.times, ux)
+    t_dsu = Trajectory(grid, traj.times, dsu)
+    t_dsux = Trajectory(grid, traj.times, dsux)
 
     # L^inf_t H^s_x term directly (H^s is not a Lebesgue inner norm)
-    term1 = max(sobolev_norm(snap, s) for snap in t_u.snapshots)
+    term1 = max(sobolev_norm(ComplexField(grid, row), s) for row in u)
     term2 = mixed_norm(t_ux, MixedNormSpec("space", np.inf, 2.0))
     term3 = max(
-        mixed_norm(t_u, MixedNormSpec("space", q, np.inf)) for q in q_grid
+        mixed_norm(traj, MixedNormSpec("space", q, np.inf)) for q in q_grid
     )
-    term4 = mixed_norm(t_u, MixedNormSpec("time", 4.0, np.inf))
+    term4 = mixed_norm(traj, MixedNormSpec("time", 4.0, np.inf))
     term5 = mixed_norm(t_dsu, MixedNormSpec("space", 4.0, np.inf))
     term6 = mixed_norm(t_dsux, MixedNormSpec("space", np.inf, 2.0))
     term7 = mixed_norm(t_dsu, MixedNormSpec("time", 4.0, np.inf))

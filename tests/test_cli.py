@@ -71,6 +71,12 @@ def test_validate_field_specific_messages():
         validate_config("theorem1-scan", {"sigma": "2", "norm": "L7"})
 
 
+@pytest.mark.parametrize("experiment", ["evolve", "scatter-probe", "gauge-check"])
+def test_validate_rejects_dt_that_does_not_divide_t_end(experiment):
+    with pytest.raises(ConfigError, match="'dt'"):
+        validate_config(experiment, {"dt": "0.3", "t_end": "0.5"})
+
+
 def test_config_hash_is_stable_and_order_free():
     a = validate_config("soliton-atlas", {"sigma": "2", "c_grid": "0, 0.5"})
     b = validate_config("soliton-atlas", {"c_grid": "0, 0.5", "sigma": "2"})
@@ -121,6 +127,19 @@ def test_main_numerical_failure_exit_code(tmp_path):
         "sigma = 2\ndelta = 5\ndt = 1e-2\nt_end = 0.1\nn_points = 1024\n",
     )
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+
+
+def test_main_rejects_dt_that_does_not_divide_t_end(tmp_path, capsys):
+    cfg = write(tmp_path, "dt.cfg", "dt = 0.3\nt_end = 0.5\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "'dt'" in capsys.readouterr().err
+
+
+def test_workers_is_only_a_sweep_option(tmp_path):
+    cfg = write(tmp_path, "e.cfg", "t_end = 0.01\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_run_writes_csv_and_manifest(tmp_path):

@@ -33,9 +33,8 @@ def test_config_validation():
 
 
 def test_t_end_must_be_multiple_of_dt():
-    cfg = EvolutionConfig("gdnls", GRID, dt=3e-3, t_end=1.0, sigma=2.0)
-    with pytest.raises(ValueError):
-        evolve(gaussian(), cfg)
+    with pytest.raises(ValueError, match="dt"):
+        EvolutionConfig("gdnls", GRID, dt=3e-3, t_end=1.0, sigma=2.0)
 
 
 def test_grid_mismatch_rejected():
@@ -50,7 +49,7 @@ def test_linear_only_reproduces_free_group():
                           linear_only=True)
     traj, _ = evolve(gaussian(), cfg)
     exact = free_propagate(gaussian(), 0.5)
-    np.testing.assert_allclose(traj.snapshots[-1].values, exact.values, atol=1e-13)
+    np.testing.assert_allclose(traj.values[-1], exact.values, atol=1e-13)
 
 
 def test_mass_is_conserved():
@@ -89,7 +88,7 @@ def test_step_matches_evolve_single_step():
                           snapshot_stride=1)
     traj, _ = evolve(gaussian(0.3), cfg)
     one = step(gaussian(0.3), cfg)
-    np.testing.assert_allclose(traj.snapshots[-1].values, one.values, atol=1e-14)
+    np.testing.assert_allclose(traj.values[-1], one.values, atol=1e-14)
 
 
 def test_snapshot_times_and_stride():
@@ -133,7 +132,7 @@ def test_soliton_short_time_propagation():
     traj, rep = evolve(phi, cfg)
     shift = np.exp(-1j * grid.xi * p.c * 0.1)
     exact = np.exp(1j * p.omega * 0.1) * np.fft.ifft(shift * np.fft.fft(phi.values))
-    err = l2_norm(ComplexField(grid, traj.snapshots[-1].values - exact))
+    err = l2_norm(ComplexField(grid, traj.values[-1] - exact))
     assert err / l2_norm(phi) < 1e-6
     assert rep.mass_drift < 1e-9
 

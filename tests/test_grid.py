@@ -53,17 +53,24 @@ def test_edge_decay_check():
 
 def test_trajectory_time_axis_validation():
     g = GridSpec(16, 8.0)
-    f = ComplexField(g, np.zeros(16, dtype=complex))
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.5, 1.0]), (f, f))  # must start at 0
+        Trajectory(g, np.array([0.5, 1.0]), np.zeros((2, 16)))  # must start at 0
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 1.0, 1.0]), (f, f, f))  # strictly increasing
+        Trajectory(g, np.array([0.0, 1.0, 1.0]), np.zeros((3, 16)))  # strictly increasing
 
 
-def test_trajectory_matrix_round_trip():
+def test_trajectory_validates_its_array():
     g = GridSpec(16, 8.0)
+    times = np.array([0.0, 0.5, 1.0])
     rng = np.random.default_rng(7)
     mat = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-    traj = Trajectory.from_matrix(g, np.array([0.0, 0.5, 1.0]), mat)
+    traj = Trajectory(g, times, mat)
     assert len(traj) == 3
-    np.testing.assert_array_equal(traj.matrix(), mat)
+    np.testing.assert_array_equal(traj.values, mat)
+    with pytest.raises(ValueError):
+        Trajectory(g, times, mat[:2])  # one row per time
+    with pytest.raises(ValueError):
+        Trajectory(g, times, mat[:, :8])  # one column per grid point
+    mat[1, 4] = np.inf
+    with pytest.raises(ValueError):
+        Trajectory(g, times, mat)

@@ -12,7 +12,7 @@ from gdnls.scattering import (
     uplus_truncated,
     xt_accumulate,
 )
-from gdnls.spectral import free_propagate, l2_norm
+from gdnls.spectral import free_propagate, l2_norm, xt_norm
 
 GRID = GridSpec(1024, 160.0)
 
@@ -24,14 +24,37 @@ def gaussian(delta=0.05):
 def free_traj(f, t_end=4.0, dt=0.02):
     n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
-    return Trajectory(f.grid, times, tuple(free_propagate(f, t) for t in times))
+    return Trajectory(f.grid, times, np.stack([free_propagate(f, t).values for t in times]))
 
 
 def test_pullback_of_free_flow_is_constant():
     f = gaussian()
     w = pullback(free_traj(f))
-    for snap in w.snapshots:
-        np.testing.assert_allclose(snap.values, f.values, atol=1e-13)
+    for row in w.values:
+        np.testing.assert_allclose(row, f.values, atol=1e-13)
+
+
+def test_pullback_rows_equal_one_snapshot_propagation():
+    cfg = EvolutionConfig("gdnls", GRID, dt=2e-3, t_end=1.0, sigma=2.0,
+                          snapshot_stride=10)
+    traj, _ = evolve(gaussian(0.05), cfg)
+    expect = np.stack([free_propagate(ComplexField(GRID, row), -t).values
+                       for t, row in zip(traj.times, traj.values)])
+    np.testing.assert_array_equal(pullback(traj).values, expect)
+
+
+def test_xt_norms_of_an_evolved_trajectory_are_unchanged():
+    # values of the per-snapshot implementation that stored a tuple of fields
+    cfg = EvolutionConfig("gdnls", GRID, dt=2e-3, t_end=1.0, sigma=2.0,
+                          snapshot_stride=10)
+    traj, _ = evolve(gaussian(0.05), cfg)
+    assert xt_norm(traj, 0.5) == pytest.approx(0.2964297960686122, rel=1e-13)
+    assert xt_norm(traj, 0.75) == pytest.approx(0.29842102942745885, rel=1e-13)
+    expect = [(0.12, 0.2496406204817202), (0.24, 0.26923321957307156),
+              (0.5, 0.2867803919736587), (1.0, 0.2964297960686122)]
+    got = xt_accumulate(traj, 0.5)
+    assert [t for t, _ in got] == pytest.approx([t for t, _ in expect], rel=1e-13)
+    assert [v for _, v in got] == pytest.approx([v for _, v in expect], rel=1e-13)
 
 
 def test_pullback_cauchy_vanishes_on_free_flow():
@@ -71,12 +94,12 @@ def test_uplus_recovers_scattering_profile():
     traj, _ = evolve(gaussian(0.05), cfg)
     uplus = uplus_truncated(traj, 2.0)
     resid = l2_norm(ComplexField(
-        GRID, traj.snapshots[-1].values
+        GRID, traj.values[-1]
         - free_propagate(uplus, traj.times[-1]).values,
     ))
     # the Duhamel reconstruction beats the crude free approximation
     crude = l2_norm(ComplexField(
-        GRID, traj.snapshots[-1].values
+        GRID, traj.values[-1]
         - free_propagate(gaussian(0.05), traj.times[-1]).values,
     ))
     assert resid < 0.1 * crude

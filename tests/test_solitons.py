@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, GridSpec, ResolutionError
+from gdnls.grid import ComplexField, ResolutionError
 from gdnls.solitons import (
-    CaseTwoParams,
     SolitonParams,
     amplitude,
     curly_i,
@@ -15,7 +14,6 @@ from gdnls.solitons import (
     full_wave,
     gz_field,
     gz_grid,
-    hsc_lower_bound_scan,
     hz_profile,
     l2_mass_closed,
     measure_a0,
@@ -164,14 +162,6 @@ def test_hz_profile_validation_and_shape():
     assert v[1] == v[2]
 
 
-def test_case_two_params_window():
-    CaseTwoParams(0.995)
-    with pytest.raises(ValueError):
-        CaseTwoParams(0.5)
-    with pytest.raises(ValueError):
-        CaseTwoParams(0.995, z0=1.5)
-
-
 def test_gz_matches_rescaled_wave_pointwise():
     # with omega = 1 and c = -2z, phi = (2(sigma+1))^(1/(2 sigma)) e^{-izx} g_z(x)
     sigma, z = 2.0, 0.995
@@ -190,14 +180,6 @@ def test_measured_frequency_cutoff_multiplier():
 
 
 # -- endpoint scans ----------------------------------------------------------
-
-
-def test_lower_bound_scan_flags_unresolved_entries():
-    vals, resolved = hsc_lower_bound_scan(
-        2.0, [0.0, 1.0], 1.0, grid=GridSpec(16, 8.0)
-    )
-    assert not resolved.any()
-    assert np.isnan(vals).all()
 
 
 def test_endpoint_rate_validation():

@@ -170,7 +170,7 @@ def test_rescale_warns_without_edge_decay():
 
 def constant_trajectory(f, t_end=2.0, n=5):
     times = np.linspace(0.0, t_end, n)
-    return Trajectory(f.grid, times, tuple(f for _ in times))
+    return Trajectory(f.grid, times, np.tile(f.values, (n, 1)))
 
 
 def test_mixed_norm_time_outer_constant_trajectory():
@@ -200,7 +200,7 @@ def test_mixed_norm_sup_sup_is_global_max():
 
 def test_mixed_norm_needs_two_snapshots():
     f = gaussian(1.0)
-    traj = Trajectory(f.grid, np.array([0.0]), (f,))
+    traj = Trajectory(f.grid, np.array([0.0]), f.values[None, :])
     with pytest.raises(ValueError):
         mixed_norm(traj, MixedNormSpec("time", 2.0, 2.0))
 

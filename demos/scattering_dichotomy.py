@@ -16,29 +16,24 @@ from gdnls import (
     EvolutionConfig,
     GridSpec,
     SolitonParams,
-    decay_exponent,
-    decay_tracker,
     evolve,
     full_wave,
-    pullback_cauchy,
+    scatter_report,
     soliton_grid,
-    xt_accumulate,
 )
 
 T_END = 8.0
-CHECKPOINTS = (2.0, 4.0, 8.0)
 
 
 def report(name, traj):
-    cauchy = pullback_cauchy(traj, 0.4, CHECKPOINTS)
-    decay = decay_exponent(decay_tracker(traj), t_min=2.0)
+    rep = scatter_report(traj, s=0.5, s_prime=0.4)
     print(f"--- {name} ---")
-    for t1, t2, d in cauchy:
+    for t1, t2, d in rep.pullback_cauchy:
         print(f"  ||w({t2:.0f}) - w({t1:.0f})||_H^0.4 = {d:.3e}")
-    trend = "decreasing" if cauchy[1][2] < cauchy[0][2] else "NOT decreasing"
+    trend = "decreasing" if rep.cauchy_decreasing else "NOT decreasing"
     print(f"  pull-back Cauchy differences: {trend}")
-    print(f"  sup-norm decay exponent: {decay:+.3f}")
-    return decay
+    print(f"  sup-norm decay exponent on [T/4, T]: {rep.decay_exponent:+.3f}")
+    return rep
 
 
 # dispersing datum: small Gaussian, sigma = 2
@@ -47,9 +42,9 @@ u0 = ComplexField(grid, 0.05 * np.exp(-grid.x**2).astype(complex))
 cfg = EvolutionConfig("gdnls", grid, dt=2e-3, t_end=T_END, sigma=2.0,
                       snapshot_stride=10)
 traj, _ = evolve(u0, cfg)
-report("small Gaussian (disperses)", traj)
+rep = report("small Gaussian (disperses)", traj)
 print("  working-space norm over growing horizons (saturates):")
-for t, v in xt_accumulate(traj, 0.5):
+for t, v in rep.xt_norm_curve:
     print(f"    T = {t:4.1f}:  {v:.5f}")
 
 # non-scattering witness: small sigma = 1 soliton near the endpoint

@@ -7,7 +7,8 @@ derivative NLS, and boundedness probes for the linear estimates.
 
 __version__ = "0.1.0"
 
-from .grid import ComplexField, GridSpec, ResolutionError, Trajectory, gaussian_field
+from .grid import (ComplexField, GridSpec, ParameterError, ResolutionError, Trajectory,
+                   gaussian_field)
 from .spectral import (
     MixedNormSpec,
     fractional_derivative,
@@ -25,12 +26,13 @@ from .solitons import (
     SolitonParams,
     amplitude,
     endpoint_rate,
+    endpoint_sequence,
+    endpoint_slope,
     full_wave,
     gz_field,
     hsc_norm,
     hz_profile,
     l2_mass_closed,
-    measure_a0,
     pc_mass_closed,
     soliton_grid,
     virial_ratio,

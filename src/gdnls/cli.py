@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .evolve import EvolutionConfig, StabilityError, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
-from .grid import ComplexField, GridSpec, ResolutionError, gaussian_field
+from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, gaussian_field
 from .probes import (
     default_ensemble,
     leibniz_probe,
@@ -35,9 +35,13 @@ from .probes import (
     strichartz_probe,
 )
 from .quadrature import QuadratureError
-from .scattering import decay_exponent, decay_tracker, pullback_cauchy, xt_accumulate
+from .scattering import scatter_report
 from .solitons import (
+    ENDPOINT_NORMS,
     SolitonParams,
+    endpoint_sequence,
+    endpoint_slope,
+    endpoint_waves,
     full_wave,
     hsc_norm,
     l2_mass_closed,
@@ -208,7 +212,7 @@ _SCHEMAS = {
 
 
 def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
-    """Check keys and module preconditions eagerly; field-specific messages."""
+    """Check keys, then build the run's domain objects; messages name the field."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
@@ -226,6 +230,11 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
         else:
             params[key] = default
     _validate_semantics(experiment, params)
+    try:
+        _EXPERIMENTS[experiment][0](params)
+    except ParameterError as exc:
+        field_name = "c_grid" if (experiment, exc.name) == ("soliton-atlas", "c") else exc.name
+        raise ConfigError(f"field {field_name!r}: {exc}") from None
     return ExperimentConfig(experiment, params)
 
 
@@ -235,71 +244,66 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 
 
 def _validate_semantics(experiment: str, p: dict) -> None:
+    """The checks that no domain object built by the *_setup functions makes."""
     for key in ("sigma", "omega", "dt", "t_end", "delta", "width",
                 "box_length", "alpha0", "s", "s_prime", "velocity"):
         if key in p:
             _require(math.isfinite(p[key]), key, "must be finite")
-    if "sigma" in p:
-        _require(p["sigma"] > 0, "sigma", "must be positive")
-    if "omega" in p:
-        _require(p["omega"] > 0, "omega", "must be positive")
-    if "dt" in p:
-        _require(p["dt"] > 0, "dt", "must be positive")
-    if "t_end" in p:
-        _require(p["t_end"] > 0, "t_end", "must be positive")
-    if "delta" in p:
-        _require(p["delta"] > 0, "delta", "must be positive")
-    if "width" in p:
-        _require(p["width"] > 0, "width", "must be positive")
-    if "n_points" in p:
-        _require(
-            p["n_points"] >= 16 and (p["n_points"] & (p["n_points"] - 1)) == 0,
-            "n_points", "must be a power of two >= 16",
-        )
-    if "box_length" in p:
-        _require(p["box_length"] > 0, "box_length", "must be positive")
-    if "snapshot_stride" in p:
-        _require(p["snapshot_stride"] >= 1, "snapshot_stride", "must be >= 1")
-    if "dt" in p:
-        try:
-            EvolutionConfig("gdnls", GridSpec(p["n_points"], p["box_length"]),
-                            p["dt"], p["t_end"])
-        except ValueError as exc:
-            raise ConfigError(f"field 'dt': {exc}") from None
+    for key in ("omega", "delta", "width"):  # SolitonParams and EvolutionConfig check sigma
+        if key in p:
+            _require(p[key] > 0, key, "must be positive")
 
     if experiment == "soliton-atlas":
         _require(len(p["c_grid"]) >= 1, "c_grid", "must contain at least one speed")
-        bound = 2.0 * math.sqrt(p["omega"])
-        for c in p["c_grid"]:
-            _require(
-                c * c < 4.0 * p["omega"], "c_grid",
-                f"speed {c} violates the admissible set c in (-{bound:g}, {bound:g})",
-            )
     elif experiment == "theorem1-scan":
-        _require(p["norm"] in ("L2", "H1", "Lpc", "Hsc"), "norm",
-                 "must be one of L2, H1, Lpc, Hsc")
+        _require(p["norm"] in ENDPOINT_NORMS, "norm",
+                 f"must be one of {', '.join(ENDPOINT_NORMS)}")
         _require(p["num_points"] >= 4, "num_points", "must be >= 4 for a slope fit")
         _require(0 < p["alpha0"] <= 2.0 * math.sqrt(p["omega"]), "alpha0",
                  "must lie in (0, 2 sqrt(omega)]")
     elif experiment == "evolve":
-        _require(p["equation"] in ("gdnls", "dnls"), "equation",
-                 "must be 'gdnls' or 'dnls'")
-        _require(p["sigma"] >= 0.5, "sigma", "must be >= 1/2")
         _require(p["datum"] in ("gaussian", "soliton"), "datum",
                  "must be 'gaussian' or 'soliton'")
-        if p["datum"] == "soliton":
-            bound = 2.0 * math.sqrt(p["omega"])
-            _require(
-                p["c"] ** 2 < 4.0 * p["omega"], "c",
-                f"speed violates the admissible set c in (-{bound:g}, {bound:g})",
-            )
     elif experiment == "scatter-probe":
-        _require(p["sigma"] >= 0.5, "sigma", "must be >= 1/2")
         _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
         _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
     elif experiment == "ineq-probe":
         _require(p["probe"] in ("strichartz", "smoothing", "maximal", "leibniz"),
                  "probe", "must be one of strichartz, smoothing, maximal, leibniz")
+        _require(p["t_end"] > 0, "t_end", "must be positive")
+
+
+# ---------------------------------------------------------------------------
+# domain objects: built once by validate_config, again by each run
+
+def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionConfig:
+    return EvolutionConfig(equation, GridSpec(p["n_points"], p["box_length"]),
+                           dt=p["dt"], t_end=p["t_end"], sigma=sigma,
+                           snapshot_stride=stride)
+
+
+def _atlas_setup(p: dict) -> list:
+    return [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
+
+
+def _theorem1_setup(p: dict) -> list:
+    return list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
+
+
+def _evolve_setup(p: dict):
+    cfg = _evolution(p, p["equation"], p["sigma"], p["snapshot_stride"])
+    wave = SolitonParams(p["omega"], p["c"], p["sigma"]) if p["datum"] == "soliton" else None
+    return cfg, wave
+
+
+def _scatter_setup(p: dict) -> EvolutionConfig:
+    cfg = _evolution(p, "gdnls", p["sigma"], 1)  # checks dt > 0 before the division
+    return replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
+
+
+def _gauge_setup(p: dict):
+    stride = 10 ** 9  # only the final state is compared
+    return _evolution(p, "gdnls", 1.0, stride), _evolution(p, "dnls", 1.0, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +313,7 @@ def _run_soliton_atlas(p: dict):
     columns = ["c", "alpha", "l2_mass_closed", "l2_mass_grid",
                "pc_mass_closed", "virial_ratio", "hsc_norm"]
     rows = []
-    for c in p["c_grid"]:
-        sp = SolitonParams(p["omega"], c, p["sigma"])
+    for c, sp in zip(p["c_grid"], _atlas_setup(p)):
         grid = soliton_grid(sp)
         phi = full_wave(sp, grid)
         rows.append([
@@ -322,37 +325,20 @@ def _run_soliton_atlas(p: dict):
 
 
 def _run_theorem1_scan(p: dict):
-    alphas = p["alpha0"] * 2.0 ** (-np.arange(p["num_points"], dtype=float))
-    columns = ["j", "alpha", "c", "norm_value"]
-    rows = []
-    for j, a in enumerate(alphas):
-        c = -math.sqrt(4.0 * p["omega"] - a * a)
-        sp = SolitonParams(p["omega"], c, p["sigma"])
-        if p["norm"] == "L2":
-            v = math.sqrt(l2_mass_closed(sp))
-        elif p["norm"] == "H1":
-            v = math.sqrt((1.0 + p["omega"]) * l2_mass_closed(sp))
-        elif p["norm"] == "Lpc":
-            v = pc_mass_closed(sp)
-        else:
-            v = hsc_norm(sp)
-        rows.append([j, float(a), c, v])
-    vals = [r[3] for r in rows]
-    slope = float(np.polyfit(np.log(alphas), np.log(vals), 1)[0])
-    checks = {"slope": slope, "min_norm": min(vals),
+    seq = endpoint_sequence(p["sigma"], p["omega"], p["norm"], p["num_points"], p["alpha0"])
+    rows = [[j, a, c, v] for j, (a, c, v) in enumerate(seq)]
+    vals = [v for _, _, v in seq]
+    checks = {"slope": endpoint_slope(seq), "min_norm": min(vals),
               "monotone_decreasing": all(b < a for a, b in zip(vals, vals[1:]))}
-    return columns, rows, checks
+    return ["j", "alpha", "c", "norm_value"], rows, checks
 
 
 def _run_evolve(p: dict):
-    grid = GridSpec(p["n_points"], p["box_length"])
-    if p["datum"] == "soliton":
-        sp = SolitonParams(p["omega"], p["c"], p["sigma"])
-        u0 = full_wave(sp, grid)
+    cfg, wave = _evolve_setup(p)
+    if wave is not None:
+        u0 = full_wave(wave, cfg.grid)
     else:
-        u0 = gaussian_field(grid, p["width"], amplitude=p["delta"])
-    cfg = EvolutionConfig(p["equation"], grid, dt=p["dt"], t_end=p["t_end"],
-                          sigma=p["sigma"], snapshot_stride=p["snapshot_stride"])
+        u0 = gaussian_field(cfg.grid, p["width"], amplitude=p["delta"])
     traj, rep = evolve(u0, cfg)
     columns = ["t", "mass", "energy", "linf"]
     rows = [[float(t), float(m), float(e), float(a)]
@@ -363,39 +349,26 @@ def _run_evolve(p: dict):
 
 
 def _run_scatter_probe(p: dict):
-    grid = GridSpec(p["n_points"], p["box_length"])
-    u0 = gaussian_field(grid, p["width"], amplitude=p["delta"])
-    cfg = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
-                          sigma=p["sigma"], snapshot_stride=max(1, int(0.02 / p["dt"])))
-    traj, rep = evolve(u0, cfg)
-    xt_curve = xt_accumulate(traj, p["s"])
-    checkpoints = [t for t in (1.0, 2.0, 4.0, 8.0) if t <= p["t_end"] + 1e-12]
-    cauchy = pullback_cauchy(traj, p["s_prime"], checkpoints)
-    decay = decay_tracker(traj)
-    exponent = decay_exponent(decay, t_min=p["t_end"] / 4.0)
-    columns = ["T", "xt_norm"]
-    rows = [[float(t), float(v)] for t, v in xt_curve]
+    cfg = _scatter_setup(p)
+    traj, rep = evolve(gaussian_field(cfg.grid, p["width"], amplitude=p["delta"]), cfg)
+    report = scatter_report(traj, p["s"], p["s_prime"])
+    rows = [[float(t), float(v)] for t, v in report.xt_norm_curve]
     checks = {
         "mass_drift": rep.mass_drift,
-        "xt_final": xt_curve[-1][1],
-        "decay_exponent": exponent,
-        "cauchy_diffs": [d for _, _, d in cauchy],
-        "cauchy_decreasing": all(b < a for (_, _, a), (_, _, b) in zip(cauchy, cauchy[1:])),
+        "xt_final": report.xt_norm_curve[-1][1],
+        "decay_exponent": report.decay_exponent,
+        "cauchy_diffs": [d for _, _, d in report.pullback_cauchy],
+        "cauchy_decreasing": report.cauchy_decreasing,
     }
-    return columns, rows, checks
+    return ["T", "xt_norm"], rows, checks
 
 
 def _run_gauge_check(p: dict):
-    grid = GridSpec(p["n_points"], p["box_length"])
+    cfg1, cfg2 = _gauge_setup(p)
+    grid = cfg1.grid
     u0 = gaussian_field(grid, p["width"], p["velocity"], amplitude=p["delta"])
-    stride = 10 ** 9
-    cfg1 = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
-                           sigma=1.0, snapshot_stride=stride)
     traj1, rep1 = evolve(u0, cfg1)
-    v0 = gauge_transform(u0, FORWARD)
-    cfg2 = EvolutionConfig("dnls", grid, dt=p["dt"], t_end=p["t_end"],
-                           snapshot_stride=stride)
-    traj2, rep2 = evolve(v0, cfg2)
+    traj2, rep2 = evolve(gauge_transform(u0, FORWARD), cfg2)
     u_back = gauge_transform(ComplexField(grid, traj2.values[-1]), INVERSE)
     diff = l2_norm(ComplexField(grid, traj1.values[-1] - u_back.values))
     columns = ["t_end", "l2_difference", "gdnls_mass_drift", "dnls_mass_drift"]
@@ -430,20 +403,21 @@ def _run_ineq_probe(p: dict):
     return columns, rows, checks
 
 
-_RUNNERS = {
-    "soliton-atlas": _run_soliton_atlas,
-    "theorem1-scan": _run_theorem1_scan,
-    "evolve": _run_evolve,
-    "scatter-probe": _run_scatter_probe,
-    "gauge-check": _run_gauge_check,
-    "ineq-probe": _run_ineq_probe,
+# experiment -> (builder of the domain objects its run uses, runner)
+_EXPERIMENTS = {
+    "soliton-atlas": (_atlas_setup, _run_soliton_atlas),
+    "theorem1-scan": (_theorem1_setup, _run_theorem1_scan),
+    "evolve": (_evolve_setup, _run_evolve),
+    "scatter-probe": (_scatter_setup, _run_scatter_probe),
+    "gauge-check": (_gauge_setup, _run_gauge_check),
+    "ineq-probe": (lambda p: None, _run_ineq_probe),
 }
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRecord:
     """Dispatch a validated config, write CSV + manifest, return the record."""
     t0 = time.time()
-    columns, rows, checks = _RUNNERS[config.experiment](config.parameters)
+    columns, rows, checks = _EXPERIMENTS[config.experiment][1](config.parameters)
     record = ResultRecord(
         experiment=config.experiment,
         config_hash=config.config_hash(),
@@ -567,7 +541,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StabilityError, QuadratureError, ResolutionError, RuntimeError) as exc:
+    except (StabilityError, QuadratureError, ResolutionError, RuntimeError, ValueError) as exc:
+        # ValueError here is a library precondition that only the run's numbers
+        # can break (ConfigError is handled above), e.g. too short a decay fit
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, Trajectory
+from .grid import ComplexField, GridSpec, ParameterError, Trajectory
 
 
 class StabilityError(RuntimeError):
@@ -25,24 +25,25 @@ class EvolutionConfig:
     grid: GridSpec
     dt: float
     t_end: float
-    sigma: float = 1.0  # nonlinearity power for gdnls
+    sigma: float = 1.0  # nonlinearity power for gdnls (>= 1/2 for both equations)
     dealias: bool = True
     snapshot_stride: int = 10
     linear_only: bool = False  # drop the nonlinearity (free evolution check)
 
     def __post_init__(self):
         if self.equation not in ("gdnls", "dnls"):
-            raise ValueError(f"equation must be 'gdnls' or 'dnls', got {self.equation!r}")
+            raise ParameterError(
+                "equation", f"equation must be 'gdnls' or 'dnls', got {self.equation!r}")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ParameterError("dt", f"dt must be positive, got {self.dt}")
         if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.equation == "gdnls" and not self.sigma >= 0.5:
-            raise ValueError(f"sigma must be >= 1/2, got {self.sigma}")
+            raise ParameterError("t_end", f"t_end must be positive, got {self.t_end}")
+        if not self.sigma >= 0.5:
+            raise ParameterError("sigma", f"sigma must be >= 1/2, got {self.sigma}")
         if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be a positive integer")
+            raise ParameterError("snapshot_stride", "snapshot_stride must be a positive integer")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ValueError(f"dt = {self.dt} does not divide t_end = {self.t_end}")
+            raise ParameterError("dt", f"dt = {self.dt} does not divide t_end = {self.t_end}")
 
     @property
     def n_steps(self) -> int:
@@ -181,9 +182,13 @@ def _energy(v: np.ndarray, xi: np.ndarray, h: float, sigma: float) -> float:
 
 
 def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, ConservedReport]:
-    """March u0 to t_end, storing snapshots every snapshot_stride steps."""
+    """March u0 to t_end, storing snapshots every snapshot_stride steps.
+
+    u0 must pass check_edge_decay(), as gauge_transform and full_wave require.
+    """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum grid does not match the configured grid")
+    u0.check_edge_decay()
     n_steps = cfg.n_steps
     xi = cfg.grid.xi
     h = cfg.grid.spacing

@@ -19,6 +19,14 @@ class ResolutionError(RuntimeError):
     """A field does not decay at the box edge / a profile is unresolved."""
 
 
+class ParameterError(ValueError):
+    """A domain object rejected one of its parameters; `name` is that parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -32,9 +40,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_points < 16 or not _is_power_of_two(self.n_points):
-            raise ValueError(f"n_points must be a power of two >= 16, got {self.n_points}")
+            raise ParameterError(
+                "n_points", f"n_points must be a power of two >= 16, got {self.n_points}")
         if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+            raise ParameterError(
+                "box_length", f"box_length must be positive, got {self.box_length}")
 
     @property
     def spacing(self) -> float:

@@ -12,7 +12,9 @@ import numpy as np
 
 from .evolve import nonlinearity
 from .grid import ComplexField, Trajectory
-from .spectral import free_group, free_propagate, l2_norm, sobolev_norm, xt_norm
+from .spectral import free_group, sobolev_norm, xt_norm
+
+CHECKPOINTS = (1.0, 2.0, 4.0, 8.0)  # pull-back comparison times, those <= t_end used
 
 
 @dataclass
@@ -20,13 +22,19 @@ class ScatterReport:
     """Diagnostics of one trajectory.
 
     pullback_cauchy rows are (t1, t2, ||w(t2) - w(t1)||_{H^{s'}}) over
-    consecutive checkpoint pairs; xt_norm_curve is nondecreasing in T.
+    consecutive checkpoint pairs; decay_exponent is the log-log slope of
+    decay_curve over [t_end/4, t_end]; xt_norm_curve is nondecreasing in T.
     """
 
     pullback_cauchy: list
     decay_curve: list
+    decay_exponent: float
     xt_norm_curve: list
-    uplus_residual: float
+
+    @property
+    def cauchy_decreasing(self) -> bool:
+        diffs = [d for _, _, d in self.pullback_cauchy]
+        return all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
 def pullback(traj: Trajectory) -> Trajectory:
@@ -76,7 +84,9 @@ def decay_exponent(curve, t_min: float = 2.0) -> float:
     """Log-log slope of the sup-norm tail; -1/2 in the dispersive regime."""
     pts = [(t, v) for t, v in curve if t >= t_min and v > 0]
     if len(pts) < 4:
-        raise ValueError("too few points above t_min for a decay fit")
+        raise ValueError(
+            f"decay fit needs >= 4 snapshots with t >= t_min = {t_min:g}, got {len(pts)}"
+        )
     t, v = np.array(pts).T
     return float(np.polyfit(np.log(t), np.log(v), 1)[0])
 
@@ -96,19 +106,15 @@ def xt_accumulate(traj: Trajectory, s: float, horizons=None) -> list:
     return out
 
 
-def scatter_report(traj: Trajectory, sigma: float, s: float = 0.5,
-                   s_prime: float = 0.4, checkpoints=(2.0, 4.0, 8.0)) -> ScatterReport:
-    """Full diagnostic bundle for one computed trajectory."""
-    cauchy = pullback_cauchy(traj, s_prime, checkpoints)
+def scatter_report(traj: Trajectory, s: float = 0.5, s_prime: float = 0.4) -> ScatterReport:
+    """Full diagnostic bundle for one computed trajectory, t_end = traj.times[-1].
+
+    Pull-backs are compared at the CHECKPOINTS up to t_end; the sup-norm
+    decay is fitted over [t_end/4, t_end].
+    """
+    t_end = float(traj.times[-1])
     decay = decay_tracker(traj)
-    xt_curve = xt_accumulate(traj, s)
-    try:
-        uplus = uplus_truncated(traj, sigma)
-        end = traj.times[-1]
-        resid = l2_norm(ComplexField(
-            traj.grid,
-            traj.values[-1] - free_propagate(uplus, end).values,
-        ))
-    except ValueError:
-        resid = float("nan")
-    return ScatterReport(cauchy, decay, xt_curve, resid)
+    exponent = decay_exponent(decay, t_min=t_end / 4.0)
+    checkpoints = [t for t in CHECKPOINTS if t <= t_end + 1e-12]
+    return ScatterReport(pullback_cauchy(traj, s_prime, checkpoints), decay, exponent,
+                         xt_accumulate(traj, s))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec
+from .grid import ComplexField, GridSpec, ParameterError
 from .quadrature import integrate_halfline, cumulative_integral
 from .spectral import l2_norm, sobolev_norm, spatial_derivative
 
@@ -28,12 +28,12 @@ class SolitonParams:
 
     def __post_init__(self):
         if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise ParameterError("omega", f"omega must be positive, got {self.omega}")
         if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise ParameterError("sigma", f"sigma must be positive, got {self.sigma}")
         if not self.c**2 < 4.0 * self.omega:
-            raise ValueError(
-                f"need c^2 < 4*omega (speed {self.c} vs omega {self.omega})"
+            raise ParameterError(
+                "c", f"need c^2 < 4*omega (speed {self.c} vs omega {self.omega})"
             )
 
     @property
@@ -158,25 +158,6 @@ def gz_grid(sigma: float, z: float, h_target: float = 0.25) -> GridSpec:
     return GridSpec(n, length)
 
 
-def measure_a0(sigma: float, z: float, z_sweep=None) -> float:
-    """Frequency-cutoff multiplier from measured stand-ins for the profile constants.
-
-    a0 = sqrt(2) * (||d/dx g_z|| * (1-z^2)^(-1/(2 sigma)-1/4)) / min_z ||h_z||_L2.
-    """
-    if z_sweep is None:
-        z_sweep = np.linspace(0.99, 1.0 - 1e-6, 25)
-    grid = gz_grid(sigma, z)
-    gz = gz_field(sigma, z, grid)
-    c4 = l2_norm(spatial_derivative(gz)) * (1.0 - z * z) ** (-1.0 / (2.0 * sigma) - 0.25)
-    c1 = min(_hz_l2_norm(sigma, zz) for zz in z_sweep)
-    return math.sqrt(2.0) * c4 / c1
-
-
-def _hz_l2_norm(sigma: float, z: float) -> float:
-    res = integrate_halfline(lambda x: hz_profile(sigma, z, x) ** 2)
-    return math.sqrt(2.0 * res.value)
-
-
 def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
     """Scale-critical homogeneous Sobolev norm of phi on an auto-sized grid."""
     if grid is None:
@@ -184,41 +165,57 @@ def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
     return sobolev_norm(full_wave(p, grid), p.s_c, homogeneous=True)
 
 
-_NORM_CHOICES = ("L2", "H1", "Lpc", "Hsc")
+ENDPOINT_NORMS = ("L2", "H1", "Lpc", "Hsc")
 
 
-def endpoint_rate(sigma: float, omega: float, norm: str,
-                  n_points: int = 11, alpha0: float = 1.0) -> float:
-    """Log-log slope of a norm of phi along the endpoint sequence alpha_j = alpha0 2^-j.
+def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float = 1.0):
+    """Yield (alpha_j, params) for alpha_j = alpha0 2^-j, c_j = -sqrt(4 omega - alpha_j^2).
+
+    Lazy: if c_j rounds onto the endpoint -2 sqrt(omega), a
+    ParameterError naming alpha0 is raised at that j.
+    """
+    for j in range(n_points):
+        a = alpha0 * 2.0 ** -j
+        try:
+            p = SolitonParams(omega, -math.sqrt(4.0 * omega - a * a), sigma)
+        except ParameterError as exc:
+            if exc.name != "c":
+                raise
+            raise ParameterError("alpha0", f"alpha_{j} = {a:.3g} is too small: {exc}") from None
+        yield a, p
+
+
+def endpoint_sequence(sigma: float, omega: float, norm: str,
+                      n_points: int = 11, alpha0: float = 1.0) -> list:
+    """Rows (alpha_j, c_j, value) of one norm of phi along endpoint_waves.
 
     L2 and H1 use the closed mass formula (the virial identity gives
     ||phi||_H1^2 = (1+omega) ||phi||_L2^2); Lpc is the p_c-th power of
     the L^{p_c} norm; Hsc is grid-computed.
     """
-    if norm not in _NORM_CHOICES:
-        raise ValueError(f"norm must be one of {_NORM_CHOICES}, got {norm!r}")
-    alphas = alpha0 * 2.0 ** (-np.arange(n_points, dtype=float))
-    values = []
-    used = []
-    for a in alphas:
-        c = -math.sqrt(4.0 * omega - a * a)
-        p = SolitonParams(omega, c, sigma)
-        try:
-            if norm == "L2":
-                v = math.sqrt(l2_mass_closed(p))
-            elif norm == "H1":
-                v = math.sqrt((1.0 + omega) * l2_mass_closed(p))
-            elif norm == "Lpc":
-                v = pc_mass_closed(p)
-            else:
-                v = hsc_norm(p)
-        except Exception:
-            continue
-        values.append(v)
-        used.append(a)
-    if len(values) < 4:
-        raise RuntimeError(
-            f"only {len(values)} usable points on the endpoint sequence; need >= 4"
-        )
-    slope = np.polyfit(np.log(used), np.log(values), 1)[0]
-    return float(slope)
+    if norm not in ENDPOINT_NORMS:
+        raise ValueError(f"norm must be one of {ENDPOINT_NORMS}, got {norm!r}")
+    rows = []
+    for a, p in endpoint_waves(sigma, omega, n_points, alpha0):
+        if norm == "L2":
+            v = math.sqrt(l2_mass_closed(p))
+        elif norm == "H1":
+            v = math.sqrt((1.0 + omega) * l2_mass_closed(p))
+        elif norm == "Lpc":
+            v = pc_mass_closed(p)
+        else:
+            v = hsc_norm(p)
+        rows.append((a, p.c, v))
+    return rows
+
+
+def endpoint_slope(rows) -> float:
+    """Log-log slope of value against alpha over endpoint_sequence rows."""
+    alphas, _, values = zip(*rows)
+    return float(np.polyfit(np.log(alphas), np.log(values), 1)[0])
+
+
+def endpoint_rate(sigma: float, omega: float, norm: str,
+                  n_points: int = 11, alpha0: float = 1.0) -> float:
+    """endpoint_slope of endpoint_sequence: how fast the norm vanishes as alpha -> 0."""
+    return endpoint_slope(endpoint_sequence(sigma, omega, norm, n_points, alpha0))

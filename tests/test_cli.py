@@ -17,6 +17,10 @@ from gdnls.cli import (
     sweep,
     validate_config,
 )
+from gdnls.evolve import EvolutionConfig, evolve
+from gdnls.grid import GridSpec, gaussian_field
+from gdnls.scattering import scatter_report
+from gdnls.solitons import endpoint_rate, endpoint_sequence
 
 ATLAS = "sigma = 2\nc_grid = -0.5, 0, 0.5\n"
 
@@ -60,15 +64,24 @@ def test_validate_missing_required_field():
         validate_config("soliton-atlas", {"c_grid": "0"})
 
 
-def test_validate_field_specific_messages():
-    with pytest.raises(ConfigError, match="'dt'"):
-        validate_config("evolve", {"dt": "-1"})
-    with pytest.raises(ConfigError, match="'n_points'"):
-        validate_config("evolve", {"n_points": "1000"})
-    with pytest.raises(ConfigError, match="'c_grid'"):
-        validate_config("soliton-atlas", {"sigma": "2", "c_grid": "3.0"})
-    with pytest.raises(ConfigError, match="'norm'"):
-        validate_config("theorem1-scan", {"sigma": "2", "norm": "L7"})
+FIELD_CASES = [
+    ("evolve", {"dt": "-1"}, "dt"),
+    ("evolve", {"n_points": "1000"}, "n_points"),
+    ("soliton-atlas", {"sigma": "2", "c_grid": "3.0"}, "c_grid"),
+    ("theorem1-scan", {"sigma": "2", "norm": "L7"}, "norm"),
+    ("evolve", {"box_length": "-4"}, "box_length"),
+    ("evolve", {"snapshot_stride": "0"}, "snapshot_stride"),
+    ("evolve", {"equation": "heat"}, "equation"),
+    ("soliton-atlas", {"sigma": "2", "omega": "0", "c_grid": "0"}, "omega"),
+    ("evolve", {"datum": "soliton", "c": "2"}, "c"),
+]
+
+
+@pytest.mark.parametrize("experiment, raw, field_name", FIELD_CASES,
+                         ids=[case[2] for case in FIELD_CASES])
+def test_validate_field_specific_messages(experiment, raw, field_name):
+    with pytest.raises(ConfigError, match=f"'{field_name}'"):
+        validate_config(experiment, raw)
 
 
 @pytest.mark.parametrize("experiment", ["evolve", "scatter-probe", "gauge-check"])
@@ -133,6 +146,55 @@ def test_main_rejects_dt_that_does_not_divide_t_end(tmp_path, capsys):
     cfg = write(tmp_path, "dt.cfg", "dt = 0.3\nt_end = 0.5\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert "'dt'" in capsys.readouterr().err
+
+
+def test_main_reports_a_scatter_probe_too_short_for_the_decay_fit(tmp_path, capsys):
+    # snapshots at 0, 0.02, 0.04, 0.05: three lie in [t_end/4, t_end]
+    cfg = write(tmp_path, "short.cfg", "t_end = 0.05\nn_points = 1024\n")
+    out = str(tmp_path / "o")
+    assert main(["scatter-probe", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
+    assert "decay fit" in capsys.readouterr().err
+
+
+def test_main_rejects_an_endpoint_sequence_that_reaches_the_endpoint(tmp_path, capsys):
+    # 4 - alpha0^2 rounds to 4, so c_0 = -2 is not an admissible speed
+    cfg = write(tmp_path, "t1.cfg", "sigma = 2\nnorm = L2\nalpha0 = 1e-300\nnum_points = 4\n")
+    out = str(tmp_path / "o")
+    assert main(["theorem1-scan", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+    assert "'alpha0'" in capsys.readouterr().err
+
+
+def test_main_rejects_initial_data_that_does_not_decay_at_the_edge(tmp_path, capsys):
+    # the default Gaussian (delta 0.1, width 1) is about 1e-2 at the edge x = -2
+    cfg = write(tmp_path, "box.cfg", "n_points = 64\nbox_length = 4\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert "at box edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm", ["L2", "H1", "Lpc", "Hsc"])
+def test_theorem1_scan_reports_the_library_endpoint_sequence(norm):
+    record = run(validate_config("theorem1-scan",
+                                 {"sigma": "2", "norm": norm, "num_points": "4"}))
+    seq = endpoint_sequence(2.0, 1.0, norm, 4)
+    assert record.rows == [[j, a, c, v] for j, (a, c, v) in enumerate(seq)]
+    assert record.checks["slope"] == endpoint_rate(2.0, 1.0, norm, 4)
+
+
+def test_scatter_probe_reports_the_library_scatter_report():
+    cfg = validate_config("scatter-probe", {"t_end": "1"})
+    record = run(cfg)
+    p = cfg.parameters
+    grid = GridSpec(p["n_points"], p["box_length"])
+    traj, _ = evolve(gaussian_field(grid, p["width"], amplitude=p["delta"]),
+                     EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
+                                     sigma=p["sigma"], snapshot_stride=10))  # 0.02 / dt
+    rep = scatter_report(traj, p["s"], p["s_prime"])
+    assert record.csv_text() == "T,xt_norm\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)
+    assert record.checks["xt_final"] == rep.xt_norm_curve[-1][1]
+    assert record.checks["decay_exponent"] == rep.decay_exponent
+    assert record.checks["cauchy_diffs"] == [d for _, _, d in rep.pullback_cauchy]
+    assert record.checks["cauchy_decreasing"] == rep.cauchy_decreasing
 
 
 def test_workers_is_only_a_sweep_option(tmp_path):

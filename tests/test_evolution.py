@@ -10,7 +10,7 @@ from gdnls.evolve import (
     nonlinearity,
     step,
 )
-from gdnls.grid import ComplexField, GridSpec
+from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
 from gdnls.solitons import SolitonParams, full_wave
 from gdnls.spectral import free_propagate, l2_norm, spatial_derivative
 
@@ -30,6 +30,29 @@ def test_config_validation():
         EvolutionConfig("gdnls", GRID, dt=1e-3, t_end=1.0, sigma=0.25)
     with pytest.raises(ValueError):
         EvolutionConfig("gdnls", GRID, dt=1e-3, t_end=1.0, snapshot_stride=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"equation": "heat"}, "equation"),
+    ({"dt": 0.0}, "dt"),
+    ({"t_end": -1.0}, "t_end"),
+    ({"sigma": 0.25}, "sigma"),
+    ({"equation": "dnls", "sigma": 0.25}, "sigma"),
+    ({"snapshot_stride": 0}, "snapshot_stride"),
+    ({"dt": 3e-3}, "dt"),
+])
+def test_config_errors_name_the_parameter(kwargs, name):
+    args = {"equation": "gdnls", "grid": GRID, "dt": 1e-3, "t_end": 1.0, **kwargs}
+    with pytest.raises(ParameterError) as exc:
+        EvolutionConfig(**args)
+    assert exc.value.name == name
+
+
+def test_evolve_rejects_data_that_do_not_decay_at_the_edge():
+    grid = GridSpec(64, 4.0)
+    cfg = EvolutionConfig("gdnls", grid, dt=1e-3, t_end=0.01, sigma=2.0)
+    with pytest.raises(ResolutionError, match="box edge"):
+        evolve(gaussian(0.1, grid), cfg)
 
 
 def test_t_end_must_be_multiple_of_dt():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, GridSpec, ResolutionError, Trajectory
+from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError, Trajectory
 
 
 def test_grid_basic_geometry():
@@ -25,6 +25,13 @@ def test_grid_rejects_bad_length():
         GridSpec(64, 0.0)
     with pytest.raises(ValueError):
         GridSpec(64, -1.0)
+
+
+@pytest.mark.parametrize("args, name", [((100, 32.0), "n_points"), ((64, 0.0), "box_length")])
+def test_grid_errors_name_the_parameter(args, name):
+    with pytest.raises(ParameterError) as exc:
+        GridSpec(*args)
+    assert exc.value.name == name
 
 
 def test_field_rejects_nonfinite():

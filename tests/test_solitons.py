@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, ResolutionError
+from gdnls.grid import ComplexField, ParameterError, ResolutionError
 from gdnls.solitons import (
     SolitonParams,
     amplitude,
     curly_i,
     endpoint_rate,
+    endpoint_waves,
     full_wave,
     gz_field,
     gz_grid,
     hz_profile,
     l2_mass_closed,
-    measure_a0,
     pc_mass_closed,
     soliton_grid,
     virial_ratio,
@@ -31,6 +31,15 @@ def test_params_validation():
         SolitonParams(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         SolitonParams(1.0, 2.0, 2.0)  # c^2 = 4 omega not admissible
+
+
+@pytest.mark.parametrize("args, name", [
+    ((-1.0, 0.0, 2.0), "omega"), ((1.0, 0.0, 0.0), "sigma"), ((1.0, -2.0, 2.0), "c"),
+])
+def test_params_errors_name_the_parameter(args, name):
+    with pytest.raises(ParameterError) as exc:
+        SolitonParams(*args)
+    assert exc.value.name == name
 
 
 def test_derived_exponents():
@@ -174,12 +183,17 @@ def test_gz_matches_rescaled_wave_pointwise():
     np.testing.assert_allclose(phi.values, model, atol=1e-8)
 
 
-def test_measured_frequency_cutoff_multiplier():
-    a0 = measure_a0(2.0, 0.995)
-    assert np.isfinite(a0) and a0 > 0
-
-
 # -- endpoint scans ----------------------------------------------------------
+
+
+def test_endpoint_waves_fail_where_the_speed_rounds_onto_the_endpoint():
+    # 4 - alpha_j^2 rounds to 4 once alpha_j < 2^-26
+    waves = endpoint_waves(2.0, 1.0, n_points=40)
+    ok = [a for _, (a, _) in zip(range(26), waves)]
+    assert ok[-1] == 2.0 ** -25
+    with pytest.raises(ParameterError, match="alpha_26") as exc:
+        list(waves)
+    assert exc.value.name == "alpha0"
 
 
 def test_endpoint_rate_validation():

@@ -37,7 +37,7 @@ from .solitons import (
     soliton_grid,
     virial_ratio,
 )
-from .evolve import ConservedReport, EvolutionConfig, StabilityError, evolve, step
+from .evolve import ConservedReport, EvolutionConfig, StabilityError, evolve
 from .scattering import (
     ScatterReport,
     decay_exponent,

@@ -1,13 +1,15 @@
 """Pseudo-spectral time integration of gDNLS and DNLS.
 
-The stiff linear part e^{it Laplacian} is removed exactly by an
-integrating factor; the nonlinear remainder is advanced with classical
-RK4.  Products are dealiased with the 2/3 rule; for non-integer powers
-the modulus factor is formed pointwise and then truncated spectrally.
+The state is held as Fourier coefficients.  The stiff linear part e^{it Laplacian}
+is removed exactly by an integrating factor; the nonlinear remainder is advanced
+with classical RK4 (Kassam & Trefethen, SIAM J. Sci. Comput. 26(4), 2005).  Products
+are dealiased with the 2/3 rule; for non-integer powers the modulus factor is
+formed pointwise and then truncated spectrally.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ class EvolutionConfig:
     dt: float
     t_end: float
     sigma: float = 1.0  # nonlinearity power for gdnls (>= 1/2 for both equations)
-    dealias: bool = True
     snapshot_stride: int = 10
     linear_only: bool = False  # drop the nonlinearity (free evolution check)
 
@@ -42,6 +43,8 @@ class EvolutionConfig:
             raise ParameterError("sigma", f"sigma must be >= 1/2, got {self.sigma}")
         if self.snapshot_stride < 1:
             raise ParameterError("snapshot_stride", "snapshot_stride must be a positive integer")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ParameterError("dt", f"dt = {self.dt} is too small: t_end / dt overflows")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ParameterError("dt", f"dt = {self.dt} does not divide t_end = {self.t_end}")
 
@@ -79,53 +82,34 @@ def _dealias_mask(n: int) -> np.ndarray:
     return (np.abs(k) < n / 3.0).astype(float)
 
 
+def _nonlinear_hat(what, v, ixi, mask, equation: str, sigma: float) -> np.ndarray:
+    """Fourier coefficients of N(v), truncated by `mask`, where v = ifft(what).
+
+    gdnls: mask * fft(|v|^{2 sigma} ifft(i xi what)); dnls: i xi mask * fft(|v|^2 v),
+    which does not read `what`.
+    """
+    if equation == "gdnls":
+        return mask * np.fft.fft(np.abs(v) ** (2.0 * sigma) * np.fft.ifft(ixi * what))
+    return ixi * (mask * np.fft.fft(np.abs(v) ** 2 * v))
+
+
 def nonlinearity(u: ComplexField, sigma: float, dealias: bool = True) -> ComplexField:
     """N(u) = |u|^{2 sigma} u_x with spectral derivative."""
     if not sigma >= 0.5:
         raise ValueError(f"sigma must be >= 1/2, got {sigma}")
-    vals = _nonlin_gdnls(u.values, u.grid.xi,
-                         _dealias_mask(u.grid.n_points) if dealias else None, sigma)
-    return ComplexField(u.grid, vals)
+    mask = _dealias_mask(u.grid.n_points) if dealias else 1.0
+    nhat = _nonlinear_hat(np.fft.fft(u.values), u.values, 1j * u.grid.xi, mask, "gdnls", sigma)
+    return ComplexField(u.grid, np.fft.ifft(nhat))
 
 
 def dnls_nonlinearity(u: ComplexField, dealias: bool = True) -> ComplexField:
     """d/dx (|u|^2 u) with spectral derivative after the dealiased cubic product."""
-    vals = _nonlin_dnls(u.values, u.grid.xi,
-                        _dealias_mask(u.grid.n_points) if dealias else None)
-    return ComplexField(u.grid, vals)
+    mask = _dealias_mask(u.grid.n_points) if dealias else 1.0
+    nhat = _nonlinear_hat(None, u.values, 1j * u.grid.xi, mask, "dnls", 1.0)
+    return ComplexField(u.grid, np.fft.ifft(nhat))
 
 
-def _nonlin_gdnls(v, xi, mask, sigma):
-    ux = np.fft.ifft(1j * xi * np.fft.fft(v))
-    mod = np.abs(v) ** (2.0 * sigma)
-    if mask is not None:
-        prod = np.fft.ifft(mask * np.fft.fft(mod * ux))
-    else:
-        prod = mod * ux
-    return prod
-
-
-def _nonlin_dnls(v, xi, mask):
-    cubic = np.abs(v) ** 2 * v
-    ch = np.fft.fft(cubic)
-    if mask is not None:
-        ch = mask * ch
-    return np.fft.ifft(1j * xi * ch)
-
-
-def _rhs_factory(cfg: EvolutionConfig):
-    """Nonlinear part of u_t = i u_xx - N(u), as a function of physical samples."""
-    xi = cfg.grid.xi
-    mask = _dealias_mask(cfg.grid.n_points) if cfg.dealias else None
-    if cfg.linear_only:
-        return lambda v: np.zeros_like(v)
-    if cfg.equation == "gdnls":
-        return lambda v: -_nonlin_gdnls(v, xi, mask, cfg.sigma)
-    return lambda v: -_nonlin_dnls(v, xi, mask)
-
-
-def _check_cfl(v: np.ndarray, cfg: EvolutionConfig) -> None:
-    sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
+def _check_cfl(v: np.ndarray, cfg: EvolutionConfig, sigma: float) -> None:
     xi_max = np.pi / cfg.grid.spacing
     guard = cfg.dt * np.max(np.abs(v)) ** (2.0 * sigma) * xi_max
     if not np.isfinite(guard) or guard > 1.0:
@@ -134,33 +118,20 @@ def _check_cfl(v: np.ndarray, cfg: EvolutionConfig) -> None:
         )
 
 
-def _ifrk4_step(vhat: np.ndarray, rhs, exp_half: np.ndarray, dt: float) -> np.ndarray:
-    """One integrating-factor RK4 step on the Fourier coefficients."""
+def _ifrk4_step(vhat, v, cfg: EvolutionConfig, ixi, mask, exp_half, exp_full) -> np.ndarray:
+    """One integrating-factor RK4 step of u_t = i u_xx - N(u) on the Fourier coefficients.
 
-    def g(wh):
-        return np.fft.fft(rhs(np.fft.ifft(wh)))
-
-    exp_full = exp_half * exp_half
-    a1 = g(vhat)
-    a2 = g(exp_half * (vhat + 0.5 * dt * a1))
-    a3 = g(exp_half * vhat + 0.5 * dt * a2)
-    a4 = g(exp_full * vhat + dt * exp_half * a3)
-    return exp_full * vhat + dt / 6.0 * (
-        exp_full * a1 + 2.0 * exp_half * (a2 + a3) + a4
-    )
-
-
-def step(u: ComplexField, cfg: EvolutionConfig) -> ComplexField:
-    """One integrating-factor RK4 step of size cfg.dt."""
-    _check_cfl(u.values, cfg)
-    xi = u.grid.xi
-    exp_half = np.exp(-1j * xi**2 * (0.5 * cfg.dt))
-    rhs = _rhs_factory(cfg)
-    vhat = _ifrk4_step(np.fft.fft(u.values), rhs, exp_half, cfg.dt)
-    vals = np.fft.ifft(vhat)
-    if not np.all(np.isfinite(vals.view(np.float64))):
-        raise StabilityError("state became non-finite during step")
-    return ComplexField(u.grid, vals)
+    v = ifft(vhat) is the state in physical space; stage 1 reads it as given.
+    """
+    eq, sigma, dt = cfg.equation, cfg.sigma, cfg.dt
+    a1 = _nonlinear_hat(vhat, v, ixi, mask, eq, sigma)
+    w = exp_half * (vhat - 0.5 * dt * a1)
+    a2 = _nonlinear_hat(w, np.fft.ifft(w), ixi, mask, eq, sigma)
+    w = exp_half * vhat - 0.5 * dt * a2
+    a3 = _nonlinear_hat(w, np.fft.ifft(w), ixi, mask, eq, sigma)
+    w = exp_full * vhat - dt * exp_half * a3
+    a4 = _nonlinear_hat(w, np.fft.ifft(w), ixi, mask, eq, sigma)
+    return exp_full * vhat - dt / 6.0 * (exp_full * a1 + 2.0 * exp_half * (a2 + a3) + a4)
 
 
 def _mass(v: np.ndarray, h: float) -> float:
@@ -193,33 +164,36 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     xi = cfg.grid.xi
     h = cfg.grid.spacing
     sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
+    ixi = 1j * xi
+    mask = _dealias_mask(cfg.grid.n_points)
     exp_half = np.exp(-1j * xi**2 * (0.5 * cfg.dt))
-    rhs = _rhs_factory(cfg)
+    exp_full = exp_half * exp_half
 
-    v = u0.values.copy()
+    v = u0.values
+    vhat = np.fft.fft(v)
     times = [0.0]
-    snaps = [v.copy()]
+    snaps = [v]
     mass = [_mass(v, h)]
     energy = [_energy(v, xi, h, sigma)]
     linf0 = float(np.max(np.abs(v)))
     linf = [linf0]
     linf_flag = False
 
-    vhat = np.fft.fft(v)
-    last_good = v.copy()
     for k in range(1, n_steps + 1):
-        _check_cfl(v, cfg)
-        vhat = _ifrk4_step(vhat, rhs, exp_half, cfg.dt)
+        _check_cfl(v, cfg, sigma)
+        if cfg.linear_only:
+            vhat = exp_full * vhat
+        else:
+            vhat = _ifrk4_step(vhat, v, cfg, ixi, mask, exp_half, exp_full)
         v = np.fft.ifft(vhat)
         if not np.all(np.isfinite(v.view(np.float64))):
             raise StabilityError(
                 f"state became non-finite at t = {k * cfg.dt:.6g}; "
                 f"last good snapshot at t = {times[-1]:.6g}"
             )
-        last_good = v
         if k % cfg.snapshot_stride == 0 or k == n_steps:
             times.append(k * cfg.dt)
-            snaps.append(v.copy())
+            snaps.append(v)
             mass.append(_mass(v, h))
             energy.append(_energy(v, xi, h, sigma))
             m = float(np.max(np.abs(v)))

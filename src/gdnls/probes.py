@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, Trajectory, gaussian_field
+from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from .spectral import (
     MixedNormSpec,
     free_group,
@@ -77,15 +77,32 @@ def _worst(ratios, inequality_id: str, params: dict) -> ProbeReport:
     return ProbeReport(inequality_id, float(ratios[k]), k, params)
 
 
-def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> ProbeReport:
-    """||e^{it Lap} f||_{L^q_t L^r_x([0,T])} / ||f||_{L^2} over the ensemble.
-
-    Requires the admissibility relation 2/q = 1/2 - 1/r with q, r >= 2.
-    """
+def check_strichartz_pair(q: float, r: float) -> None:
+    """Require the admissibility relation 2/q = 1/2 - 1/r with q, r >= 2."""
     inv_q = 0.0 if np.isinf(q) else 1.0 / q
     inv_r = 0.0 if np.isinf(r) else 1.0 / r
     if not (q >= 2 and r >= 2) or abs(2.0 * inv_q - (0.5 - inv_r)) > 1e-12:
-        raise ValueError(f"(q, r) = ({q}, {r}) is not an admissible pair")
+        raise ParameterError("r" if q >= 2 else "q",
+                             f"(q, r) = ({q}, {r}) is not an admissible pair")
+
+
+def check_maximal_exponents(p: float, s: float) -> None:
+    """Require 4 <= p <= 16 and s >= 1/2 - 1/p."""
+    if not 4 <= p <= 16:
+        raise ParameterError("p", f"p must lie in [4, 16], got {p}")
+    if s < 0.5 - 1.0 / p - 1e-12:
+        raise ParameterError("s", f"s = {s} below the admissibility threshold 1/2 - 1/p")
+
+
+def check_leibniz_order(s: float) -> None:
+    """Require 0 < s < 1."""
+    if not 0 < s < 1:
+        raise ParameterError("s", f"s must lie in (0, 1), got {s}")
+
+
+def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> ProbeReport:
+    """||e^{it Lap} f||_{L^q_t L^r_x([0,T])} / ||f||_{L^2} for an admissible pair (q, r)."""
+    check_strichartz_pair(q, r)
     spec = MixedNormSpec("time", q, r)
     ratios = []
     for f in ens.members:
@@ -106,10 +123,7 @@ def smoothing_probe(ens: ProbeEnsemble, t_end: float) -> ProbeReport:
 
 def maximal_probe(ens: ProbeEnsemble, p: float, s: float, t_end: float) -> ProbeReport:
     """||e^{it Lap} f||_{L^p_x L^inf_t} / ||f||_{H^s}; needs p >= 4, s >= 1/2 - 1/p."""
-    if not 4 <= p <= 16:
-        raise ValueError(f"p must lie in [4, 16], got {p}")
-    if s < 0.5 - 1.0 / p - 1e-12:
-        raise ValueError(f"s = {s} below the admissibility threshold 1/2 - 1/p")
+    check_maximal_exponents(p, s)
     spec = MixedNormSpec("space", p, np.inf)
     ratios = []
     for f in ens.members:
@@ -121,8 +135,7 @@ def maximal_probe(ens: ProbeEnsemble, p: float, s: float, t_end: float) -> Probe
 def leibniz_probe(pairs, s: float, p: float, p1: float, p2: float,
                   p3: float, p4: float) -> ProbeReport:
     """Fractional Leibniz ratio ||D^s(fg)||_p / (||D^s f||_{p1} ||g||_{p2} + ||D^s g||_{p3} ||f||_{p4})."""
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+    check_leibniz_order(s)
     for pa, pb in ((p1, p2), (p3, p4)):
         if abs(1.0 / p - (1.0 / pa + 1.0 / pb)) > 1e-12:
             raise ValueError(

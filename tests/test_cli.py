@@ -74,11 +74,17 @@ FIELD_CASES = [
     ("evolve", {"equation": "heat"}, "equation"),
     ("soliton-atlas", {"sigma": "2", "omega": "0", "c_grid": "0"}, "omega"),
     ("evolve", {"datum": "soliton", "c": "2"}, "c"),
+    ("evolve", {"dt": "5e-324"}, "dt"),
+    ("ineq-probe", {"probe": "strichartz", "q": "4", "r": "2"}, "r"),
+    ("ineq-probe", {"probe": "maximal", "p": "3"}, "p"),
+    ("ineq-probe", {"probe": "leibniz", "s": "1"}, "s"),
 ]
+# the field name, or field=value where an earlier case names the same field
+FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
+             for i, (_, raw, name) in enumerate(FIELD_CASES)]
 
 
-@pytest.mark.parametrize("experiment, raw, field_name", FIELD_CASES,
-                         ids=[case[2] for case in FIELD_CASES])
+@pytest.mark.parametrize("experiment, raw, field_name", FIELD_CASES, ids=FIELD_IDS)
 def test_validate_field_specific_messages(experiment, raw, field_name):
     with pytest.raises(ConfigError, match=f"'{field_name}'"):
         validate_config(experiment, raw)
@@ -101,7 +107,7 @@ def test_config_hash_is_stable_and_order_free():
 @settings(max_examples=40, deadline=None)
 @given(
     key=st.sampled_from(["sigma", "omega", "dt", "t_end", "n_points", "equation"]),
-    value=st.sampled_from(["-3", "0", "abc", "", "nan", "1e309", "[1,2]"]),
+    value=st.sampled_from(["-3", "0", "abc", "", "nan", "1e309", "[1,2]", "5e-324"]),
 )
 def test_fuzzed_invalid_values_are_validation_errors(key, value):
     """Bad field values must raise ConfigError, never leak other exceptions."""
@@ -271,6 +277,18 @@ def test_config_normalized_round_trip():
     again = validate_config("theorem1-scan", parse_config_text(text))
     assert again.normalized() == norm
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_sweep_with_a_numerical_failure_exits_3_and_keeps_the_other_run(tmp_path):
+    good = write(tmp_path, "good.cfg",
+                 "experiment = soliton-atlas\n" + ATLAS + "output_path = good\n")
+    doomed = write(tmp_path, "doomed.cfg",
+                   "experiment = evolve\nsigma = 2\ndelta = 5\ndt = 1e-2\n"
+                   "t_end = 0.1\nn_points = 1024\n")
+    out = str(tmp_path / "o")
+    assert main(["sweep", "--config", good, "--config", doomed,
+                 "--out", out]) == EXIT_NUMERICAL
+    assert (tmp_path / "o" / "good.csv").exists()
 
 
 def test_sweep_requires_experiment_key(tmp_path):

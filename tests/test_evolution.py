@@ -8,7 +8,6 @@ from gdnls.evolve import (
     dnls_nonlinearity,
     evolve,
     nonlinearity,
-    step,
 )
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
 from gdnls.solitons import SolitonParams, full_wave
@@ -40,6 +39,7 @@ def test_config_validation():
     ({"equation": "dnls", "sigma": 0.25}, "sigma"),
     ({"snapshot_stride": 0}, "snapshot_stride"),
     ({"dt": 3e-3}, "dt"),
+    ({"dt": 5e-324}, "dt"),
 ])
 def test_config_errors_name_the_parameter(kwargs, name):
     args = {"equation": "gdnls", "grid": GRID, "dt": 1e-3, "t_end": 1.0, **kwargs}
@@ -106,12 +106,41 @@ def test_cfl_guard_triggers():
         evolve(big, cfg)
 
 
-def test_step_matches_evolve_single_step():
-    cfg = EvolutionConfig("gdnls", GRID, dt=1e-3, t_end=1e-3, sigma=2.0,
-                          snapshot_stride=1)
-    traj, _ = evolve(gaussian(0.3), cfg)
-    one = step(gaussian(0.3), cfg)
-    np.testing.assert_allclose(traj.values[-1], one.values, atol=1e-14)
+def _physical_space_ifrk4(u0, equation, sigma, dt, n_steps):
+    """Reference stepper: each IFRK4 stage is fft . rhs . ifft with a physical-space rhs."""
+    xi, n = u0.grid.xi, u0.grid.n_points
+    mask = (np.abs(np.fft.fftfreq(n, d=1.0 / n)) < n / 3.0).astype(float)
+
+    def rhs(v):
+        if equation == "gdnls":
+            ux = np.fft.ifft(1j * xi * np.fft.fft(v))
+            return -np.fft.ifft(mask * np.fft.fft(np.abs(v) ** (2.0 * sigma) * ux))
+        return -np.fft.ifft(1j * xi * (mask * np.fft.fft(np.abs(v) ** 2 * v)))
+
+    def g(wh):
+        return np.fft.fft(rhs(np.fft.ifft(wh)))
+
+    e1 = np.exp(-1j * xi**2 * (0.5 * dt))
+    e2 = e1 * e1
+    vhat = np.fft.fft(u0.values)
+    for _ in range(n_steps):
+        a1 = g(vhat)
+        a2 = g(e1 * (vhat + 0.5 * dt * a1))
+        a3 = g(e1 * vhat + 0.5 * dt * a2)
+        a4 = g(e2 * vhat + dt * e1 * a3)
+        vhat = e2 * vhat + dt / 6.0 * (e2 * a1 + 2.0 * e1 * (a2 + a3) + a4)
+    return np.fft.ifft(vhat)
+
+
+@pytest.mark.parametrize("equation, sigma", [("gdnls", 2.0), ("gdnls", 1.5), ("dnls", 1.0)])
+def test_evolve_matches_the_physical_space_stepper(equation, sigma):
+    # narrow enough that dropping the 2/3 truncation moves the result by about 1e-8
+    u0 = ComplexField(GRID, 0.5 * np.exp(-4.0 * GRID.x**2 + 0.3j * GRID.x))
+    cfg = EvolutionConfig(equation, GRID, dt=1e-3, t_end=0.2, sigma=sigma,
+                          snapshot_stride=200)
+    traj, _ = evolve(u0, cfg)
+    ref = _physical_space_ifrk4(u0, equation, sigma, cfg.dt, cfg.n_steps)
+    assert np.max(np.abs(traj.values[-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_snapshot_times_and_stride():

@@ -9,12 +9,16 @@ formed pointwise and then truncated spectrally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory
+
+
+# Ceiling on t_end / dt.  The runs in the docs, demos and tests take at most
+# 8000 steps; a dt that asks for more than this is a typo, not a run.
+MAX_STEPS = 10**7
 
 
 class StabilityError(RuntimeError):
@@ -43,8 +47,10 @@ class EvolutionConfig:
             raise ParameterError("sigma", f"sigma must be >= 1/2, got {self.sigma}")
         if self.snapshot_stride < 1:
             raise ParameterError("snapshot_stride", "snapshot_stride must be a positive integer")
-        if not math.isfinite(self.t_end / self.dt):
-            raise ParameterError("dt", f"dt = {self.dt} is too small: t_end / dt overflows")
+        if not self.t_end / self.dt <= MAX_STEPS:  # also catches an overflow to inf
+            raise ParameterError(
+                "dt", f"dt = {self.dt} is too small: t_end / dt = {self.t_end / self.dt:.3g} "
+                f"steps exceeds {MAX_STEPS:.0e}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ParameterError("dt", f"dt = {self.dt} does not divide t_end = {self.t_end}")
 

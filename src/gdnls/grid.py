@@ -9,6 +9,7 @@ working precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +51,24 @@ class GridSpec:
     def spacing(self) -> float:
         return self.box_length / self.n_points
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        """Sample points -L/2 + j*h, j = 0..n-1."""
-        return -0.5 * self.box_length + self.spacing * np.arange(self.n_points)
+        """Sample points -L/2 + j*h, j = 0..n-1 (computed once, read-only)."""
+        return _read_only(-0.5 * self.box_length + self.spacing * np.arange(self.n_points))
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
-        """Angular frequencies 2*pi*k/L in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+        """Angular frequencies 2*pi*k/L in FFT ordering (computed once, read-only)."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing))
+
+    def __getstate__(self):
+        # the cached arrays are not pickled: they are rebuilt, read-only, on first use
+        return {"n_points": self.n_points, "box_length": self.box_length}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,13 @@ def test_main_rejects_dt_that_does_not_divide_t_end(tmp_path, capsys):
     assert "'dt'" in capsys.readouterr().err
 
 
+def test_main_rejects_a_dt_that_asks_for_too_many_steps(tmp_path, capsys):
+    # t_end / dt = 1e300 is finite, so only the step ceiling stops the run
+    cfg = write(tmp_path, "dt.cfg", "dt = 1e-300\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "'dt'" in capsys.readouterr().err
+
+
 def test_main_reports_a_scatter_probe_too_short_for_the_decay_fit(tmp_path, capsys):
     # snapshots at 0, 0.02, 0.04, 0.05: three lie in [t_end/4, t_end]
     cfg = write(tmp_path, "short.cfg", "t_end = 0.05\nn_points = 1024\n")

@@ -40,6 +40,7 @@ def test_config_validation():
     ({"snapshot_stride": 0}, "snapshot_stride"),
     ({"dt": 3e-3}, "dt"),
     ({"dt": 5e-324}, "dt"),
+    ({"dt": 1e-300}, "dt"),
 ])
 def test_config_errors_name_the_parameter(kwargs, name):
     args = {"equation": "gdnls", "grid": GRID, "dt": 1e-3, "t_end": 1.0, **kwargs}

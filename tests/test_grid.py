@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,31 @@ def test_grid_basic_geometry():
     # wavenumbers follow the fft layout
     assert g.xi[0] == 0.0
     assert g.xi[1] == pytest.approx(2 * np.pi / 32.0)
+
+
+@pytest.mark.parametrize("name", ["x", "xi"])
+def test_grid_arrays_are_cached_and_read_only(name):
+    g = GridSpec(64, 32.0)
+    first = getattr(g, name)
+    expect = first.copy()
+    assert getattr(g, name) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+    np.testing.assert_array_equal(getattr(g, name), expect)
+
+
+def test_grid_equality_hashing_and_pickling_ignore_the_cache():
+    g = GridSpec(64, 32.0)
+    pickled, hashed = pickle.dumps(g), hash(g)
+    g.x, g.xi  # fill the cache
+    assert g == GridSpec(64, 32.0) and hash(g) == hashed
+    assert g != GridSpec(64, 16.0)
+    assert pickle.dumps(g) == pickled
+    back = pickle.loads(pickled)
+    assert back == g and hash(back) == hashed
+    np.testing.assert_array_equal(back.xi, g.xi)
+    assert not back.xi.flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, 15, 17, 100, -64])

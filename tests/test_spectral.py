@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
-from gdnls.grid import ComplexField, GridSpec, Trajectory
+from gdnls import spectral
+from gdnls.grid import ComplexField, GridSpec, Trajectory, gaussian_field
+from gdnls.solitons import SolitonParams, endpoint_waves, full_wave, soliton_grid
 from gdnls.spectral import (
     DEFAULT_Q_GRID,
     MixedNormSpec,
@@ -162,6 +165,118 @@ def test_rescale_warns_without_edge_decay():
     wide = ComplexField(GRID, np.exp(-1e-4 * GRID.x**2).astype(complex))
     with pytest.warns(UserWarning):
         rescale(wide, 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# cusp sum: the Chebyshev proxy against the direct sum it replaces
+
+
+def direct_homogeneous_norm_sq(f, s):
+    """The cusp quadrature with one direct sum per signed panel point.
+
+    This is the reference path of spectral._homogeneous_norm_sq: the same
+    lattice part, and fourier_transform_samples run at all 2 x 1408
+    signed Gauss points instead of at the Chebyshev nodes of the proxy.
+    """
+    grid = f.grid
+    delta = 2.0 * np.pi / grid.box_length
+    width = 4.0 * delta
+    center = 5.0 * width
+
+    def chi(xi):
+        return 0.5 * erfc((np.abs(xi) - center) / width)
+
+    xi = grid.xi
+    fhat = grid.spacing * np.fft.fft(f.values)
+    with np.errstate(divide="ignore"):
+        w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - chi(xi))
+    w_smooth[0] = 0.0
+    total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
+
+    a = min(center + 5.0 * width, np.pi / grid.spacing)
+    pts, wts = spectral._cusp_panels(a, delta)
+    for sgn in (1.0, -1.0):
+        fh = fourier_transform_samples(f, sgn * pts)
+        total += np.sum(wts * pts ** (2.0 * s) * chi(pts) * np.abs(fh) ** 2)
+    return total / (2.0 * np.pi)
+
+
+def box_filling_gaussian(grid, velocity):
+    """Widest Gaussian that is still admissible: edge magnitude just below 1e-12."""
+    reach = 0.5 * grid.box_length - 7 * grid.spacing  # innermost of the 8 edge samples
+    f = gaussian_field(grid, 27.7 / reach**2, velocity=velocity)
+    assert 1e-13 < f.edge_magnitude() <= 1e-12
+    return f
+
+
+CUSP_GRIDS = [GridSpec(4096, 80.0), GridSpec(32768, 3968.0)]
+
+
+@pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
+@pytest.mark.parametrize("peak", [0.0, 10.0, 60.0], ids=["at0", "inside", "outside"])
+def test_chebyshev_proxy_matches_the_direct_sum(grid, peak):
+    # peak is the spectral peak in units of 2 pi / L; the cusp window
+    # [-a, a] ends at 40 of them
+    delta = 2.0 * np.pi / grid.box_length
+    a = 40.0 * delta
+    f = box_filling_gaussian(grid, peak * delta)
+    pts, _ = spectral._cusp_panels(a, delta)
+    targets = np.concatenate([pts, -pts])
+    proxy = spectral._chebyshev_proxy(f, a, targets)
+    # every target on the small grid; every 4th on the large one
+    stride = 1 if grid.n_points == 4096 else 4
+    direct = fourier_transform_samples(f, targets[::stride])
+    scale = grid.spacing * np.sum(np.abs(f.values))
+    assert np.max(np.abs(proxy[::stride] - direct)) <= 1e-13 * scale
+
+
+def test_chebyshev_proxy_takes_node_values_at_the_nodes():
+    f = gaussian(1.0)
+    a = 1.5
+    nodes = a * np.sin(0.5 * np.pi * np.array([1.0, 0.0, -1.0]))  # k = 0, m/2, m
+    got = spectral._chebyshev_proxy(f, a, nodes)
+    np.testing.assert_array_equal(got, fourier_transform_samples(f, nodes))
+
+
+def _sigma3_fields():
+    grid = GridSpec(2048, 160.0)
+    p = SolitonParams(1.0, 0.5, 3.0)
+    return [ComplexField(grid, np.exp(-grid.x**2).astype(complex)),
+            full_wave(p, soliton_grid(p))]
+
+
+def _endpoint_fields():
+    return [full_wave(p, soliton_grid(p)) for _, p in endpoint_waves(2.0, 1.0, 8)]
+
+
+def _atlas_fields():
+    waves = [SolitonParams(1.0, c, 2.0) for c in (-0.9, 0.1, 1.0)]
+    return [full_wave(p, soliton_grid(p)) for p in waves]
+
+
+@pytest.mark.parametrize("fields, s", [
+    (_endpoint_fields, 0.25),
+    (_atlas_fields, 0.25),
+    (_sigma3_fields, 1.0 / 3.0),
+], ids=["endpoint_waves", "atlas", "criterion6_sigma3"])
+def test_homogeneous_norm_matches_the_direct_sum(fields, s):
+    for f in fields():
+        expect = math.sqrt(direct_homogeneous_norm_sq(f, s))
+        assert sobolev_norm(f, s, homogeneous=True) == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
+def test_homogeneous_norm_runs_the_direct_sum_at_161_targets(grid, monkeypatch):
+    counted = []
+    direct = spectral.fourier_transform_samples
+
+    def counting(f, xi_targets):
+        counted.append(np.size(xi_targets))
+        return direct(f, xi_targets)
+
+    monkeypatch.setattr(spectral, "fourier_transform_samples", counting)
+    sobolev_norm(box_filling_gaussian(grid, 0.0), 0.25, homogeneous=True)
+    assert 0 < sum(counted) <= 161
 
 
 # ---------------------------------------------------------------------------

@@ -534,9 +534,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             configs = [_load_config(p, None, args.seed) for p in args.config]
             results = sweep(configs, workers=args.workers, out_dir=args.out)
-            failures = [r for r in results if isinstance(r, Exception)]
+            failures = [(p, r) for p, r in zip(args.config, results) if isinstance(r, Exception)]
+            for path, exc in failures:
+                print(f"error: {path}: {exc}", file=sys.stderr)
             if failures:
-                print(f"error: {failures[0]}", file=sys.stderr)
                 return EXIT_NUMERICAL
             for r in results:
                 print(f"{r.experiment} {r.config_hash}: ok")

@@ -33,7 +33,6 @@ class EvolutionConfig:
     t_end: float
     sigma: float = 1.0  # nonlinearity power for gdnls (>= 1/2 for both equations)
     snapshot_stride: int = 10
-    linear_only: bool = False  # drop the nonlinearity (free evolution check)
 
     def __post_init__(self):
         if self.equation not in ("gdnls", "dnls"):
@@ -105,13 +104,6 @@ def nonlinearity(u: ComplexField, sigma: float, dealias: bool = True) -> Complex
         raise ValueError(f"sigma must be >= 1/2, got {sigma}")
     mask = _dealias_mask(u.grid.n_points) if dealias else 1.0
     nhat = _nonlinear_hat(np.fft.fft(u.values), u.values, 1j * u.grid.xi, mask, "gdnls", sigma)
-    return ComplexField(u.grid, np.fft.ifft(nhat))
-
-
-def dnls_nonlinearity(u: ComplexField, dealias: bool = True) -> ComplexField:
-    """d/dx (|u|^2 u) with spectral derivative after the dealiased cubic product."""
-    mask = _dealias_mask(u.grid.n_points) if dealias else 1.0
-    nhat = _nonlinear_hat(None, u.values, 1j * u.grid.xi, mask, "dnls", 1.0)
     return ComplexField(u.grid, np.fft.ifft(nhat))
 
 
@@ -187,10 +179,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
 
     for k in range(1, n_steps + 1):
         _check_cfl(v, cfg, sigma)
-        if cfg.linear_only:
-            vhat = exp_full * vhat
-        else:
-            vhat = _ifrk4_step(vhat, v, cfg, ixi, mask, exp_half, exp_full)
+        vhat = _ifrk4_step(vhat, v, cfg, ixi, mask, exp_half, exp_full)
         v = np.fft.ifft(vhat)
         if not np.all(np.isfinite(v.view(np.float64))):
             raise StabilityError(

@@ -99,48 +99,48 @@ def l2_norm(f: ComplexField) -> float:
     return lebesgue_norm(f, 2.0)
 
 
+# Terms of the shifted Taylor sum; see _shifted_taylor for the bound.
+TAYLOR_TERMS = 24
+
+
+def _shifted_taylor(transform, g: np.ndarray, y: np.ndarray, index: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """sum_{p < K} z^p / p! * transform(g * y^p)[index], K = TAYLOR_TERMS.
+
+    This is transform(g * exp(z y))[index] with the exponential expanded:
+    the off-lattice part of a Fourier sum, once each target is written as
+    its nearest lattice point plus a shift z (Anderson & Dahleh, SIAM J.
+    Sci. Comput. 17(4), 1996; Ruiz-Antolin & Townsend, SIAM J. Sci.
+    Comput. 40(1), 2018, with a Taylor factor).  Callers keep |y| <= 1 and
+    |z| <= pi/2, so term p is at most (pi/2)^p / p! times sum|g| (over N
+    for ifft), and the tail from p = K = 24 is below (pi/2)^24 / 24! < 1e-19
+    of that: past double precision for every target.  The cost is K
+    transforms of length N and K gathers, against the N exponentials per
+    target of a direct sum.
+    """
+    out = transform(g)[index]
+    coef = 1.0
+    for p in range(1, TAYLOR_TERMS):
+        g = g * y
+        coef = coef * z / p
+        out += coef * transform(g)[index]
+    return out
+
+
 def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.ndarray:
     """Continuum Fourier transform fhat(xi) = integral f e^{-i xi x} dx by Riemann sum.
 
     Spectrally accurate for fields that decay at the box edge; works for
-    arbitrary (off-lattice) frequencies.
+    arbitrary (off-lattice) frequencies.  With xi = 2 pi (k + e) / L,
+    |e| <= 1/2, and x_j = -L/2 + j h, the sum h sum_j f_j e^{-i xi x_j} is
+    h (-1)^k fft(f e^{z y})[k mod N] with y = 2x/L and z = -i pi e.
     """
     grid = f.grid
-    xi_targets = np.asarray(xi_targets, dtype=float)
-    out = np.empty(xi_targets.shape, dtype=np.complex128)
-    chunk = max(1, 2**22 // grid.n_points)
-    for i in range(0, xi_targets.size, chunk):
-        q = xi_targets[i : i + chunk]
-        out[i : i + chunk] = np.exp(-1j * np.outer(q, grid.x)) @ f.values
-    return grid.spacing * out
-
-
-def _chebyshev_proxy(f: ComplexField, a: float, targets: np.ndarray) -> np.ndarray:
-    """fourier_transform_samples(f, targets) for targets in [-a, a], from m + 1 node sums.
-
-    The Riemann sum h sum_j f_j e^{-i xi x_j} is entire in xi, of
-    exponential type max|x_j| = L/2, so its Chebyshev interpolant of
-    degree m = ceil(a L/2) + 34 on [-a, a] has converged; the margin of
-    34 past the phase count a L/2 is what brings the error of fields that
-    decay at the box edge to roundoff.  The direct sum runs at the m + 1
-    Chebyshev points of the second kind, and the targets are read off by
-    the barycentric formula (Berrut & Trefethen, SIAM Rev. 46(3), 2004).
-    A target equal to a node takes that node's value.
-    """
-    m = int(np.ceil(0.5 * a * f.grid.box_length)) + 34
-    k = np.arange(m + 1)
-    # the sine form of a cos(pi k/m) is exactly antisymmetric about k = m/2
-    nodes = a * np.sin(0.5 * np.pi * (m - 2 * k) / m)
-    values = fourier_transform_samples(f, nodes)
-    w = (-1.0) ** k
-    w[[0, -1]] *= 0.5
-    diff = targets[:, None] - nodes[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = w / diff
-        out = (c @ values) / c.sum(axis=1)
-    row, col = np.nonzero(diff == 0)
-    out[row] = values[col]
-    return out
+    u = np.asarray(xi_targets, dtype=float) * (0.5 * grid.box_length / np.pi)
+    k = np.rint(u).astype(np.int64)
+    y = 2.0 * grid.x / grid.box_length
+    out = _shifted_taylor(np.fft.fft, f.values, y, k % grid.n_points, -1j * np.pi * (u - k))
+    return grid.spacing * np.where(k % 2, -out, out)
 
 
 def _cusp_panels(a: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,9 +176,7 @@ def _homogeneous_norm_sq(f: ComplexField, s: float) -> float:
     the cusp-free remainder is summed on the lattice (spectrally
     accurate), and the compactly concentrated cusp part is integrated
     with graded Gauss panels whose width never exceeds the lattice
-    spacing, so sharply concentrated spectra are still resolved.  The
-    transform at the 2 x 1408 signed panel points comes from one
-    Chebyshev proxy of about 160 direct-sum nodes.
+    spacing, so sharply concentrated spectra are still resolved.
     """
     from scipy.special import erfc
 
@@ -202,7 +200,7 @@ def _homogeneous_norm_sq(f: ComplexField, s: float) -> float:
     a = min(center + 5.0 * width, np.pi / grid.spacing)
     pts, wts = _cusp_panels(a, delta)
     weight = wts * pts ** (2.0 * s) * chi(pts)
-    fh = _chebyshev_proxy(f, a, np.concatenate([pts, -pts]))
+    fh = fourier_transform_samples(f, np.concatenate([pts, -pts]))
     for half in np.split(fh, 2):
         total += np.sum(weight * np.abs(half) ** 2)
     return total / (2.0 * np.pi)
@@ -267,20 +265,16 @@ def rescale(f: ComplexField, lam: float, sigma: float) -> ComplexField:
 def evaluate_interpolant(f: ComplexField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
-    Points outside the box wrap periodically.  Chunked direct sum,
-    O(n_points * n_targets).
+    Points outside the box wrap periodically.  A point x_0 + (m + e) h,
+    |e| <= 1/2, takes ifft(fft(f) e^{z y})[m mod N] with y = xi h / pi and
+    z = i pi e.
     """
     grid = f.grid
-    fhat = np.fft.fft(f.values) / grid.n_points
-    xi = grid.xi
-    x0 = grid.x[0]
-    points = np.asarray(points, dtype=float)
-    out = np.empty(points.shape, dtype=np.complex128)
-    chunk = max(1, 2**22 // grid.n_points)
-    for i in range(0, points.size, chunk):
-        p = points[i : i + chunk]
-        out[i : i + chunk] = np.exp(1j * np.outer(p - x0, xi)) @ fhat
-    return out
+    u = (np.asarray(points, dtype=float) - grid.x[0]) / grid.spacing
+    m = np.rint(u).astype(np.int64)
+    y = grid.xi * (grid.spacing / np.pi)
+    return _shifted_taylor(np.fft.ifft, np.fft.fft(f.values), y, m % grid.n_points,
+                           1j * np.pi * (u - m))
 
 
 def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:

@@ -286,16 +286,19 @@ def test_config_normalized_round_trip():
     assert again.config_hash() == cfg.config_hash()
 
 
-def test_sweep_with_a_numerical_failure_exits_3_and_keeps_the_other_run(tmp_path):
+def test_sweep_with_a_numerical_failure_exits_3_and_keeps_the_other_run(tmp_path, capsys):
+    doomed = "experiment = evolve\nsigma = 2\ndelta = 5\ndt = 1e-2\nt_end = 0.1\n"
+    first = write(tmp_path, "first.cfg", doomed + "n_points = 1024\n")
     good = write(tmp_path, "good.cfg",
                  "experiment = soliton-atlas\n" + ATLAS + "output_path = good\n")
-    doomed = write(tmp_path, "doomed.cfg",
-                   "experiment = evolve\nsigma = 2\ndelta = 5\ndt = 1e-2\n"
-                   "t_end = 0.1\nn_points = 1024\n")
+    second = write(tmp_path, "second.cfg", doomed + "n_points = 2048\n")
     out = str(tmp_path / "o")
-    assert main(["sweep", "--config", good, "--config", doomed,
+    assert main(["sweep", "--config", first, "--config", good, "--config", second,
                  "--out", out]) == EXIT_NUMERICAL
     assert (tmp_path / "o" / "good.csv").exists()
+    errors = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in errors] == [first, second]
+    assert all(line.startswith("error: ") and "CFL" in line for line in errors)
 
 
 def test_sweep_requires_experiment_key(tmp_path):

@@ -5,13 +5,12 @@ from gdnls.evolve import (
     ConservedReport,
     EvolutionConfig,
     StabilityError,
-    dnls_nonlinearity,
     evolve,
     nonlinearity,
 )
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
 from gdnls.solitons import SolitonParams, full_wave
-from gdnls.spectral import free_propagate, l2_norm, spatial_derivative
+from gdnls.spectral import l2_norm, spatial_derivative
 
 GRID = GridSpec(1024, 80.0)
 
@@ -65,15 +64,6 @@ def test_grid_mismatch_rejected():
     cfg = EvolutionConfig("gdnls", GridSpec(512, 80.0), dt=1e-3, t_end=0.1)
     with pytest.raises(ValueError):
         evolve(gaussian(), cfg)
-
-
-def test_linear_only_reproduces_free_group():
-    # with the nonlinearity disabled the scheme is exact (integrating factor)
-    cfg = EvolutionConfig("gdnls", GRID, dt=0.01, t_end=0.5, sigma=2.0,
-                          linear_only=True)
-    traj, _ = evolve(gaussian(), cfg)
-    exact = free_propagate(gaussian(), 0.5)
-    np.testing.assert_allclose(traj.values[-1], exact.values, atol=1e-13)
 
 
 def test_mass_is_conserved():
@@ -157,24 +147,6 @@ def test_nonlinearity_matches_direct_formula():
     got = nonlinearity(u, 2.0, dealias=False)
     expect = np.abs(u.values) ** 4 * spatial_derivative(u).values
     np.testing.assert_allclose(got.values, expect, atol=1e-12)
-
-
-def test_dnls_nonlinearity_matches_direct_formula():
-    u = ComplexField(GRID, 0.5 * np.exp(-GRID.x**2 + 0.3j * GRID.x))
-    got = dnls_nonlinearity(u, dealias=False)
-    cubic = ComplexField(GRID, np.abs(u.values) ** 2 * u.values)
-    np.testing.assert_allclose(
-        got.values, spatial_derivative(cubic).values, atol=1e-12
-    )
-
-
-def test_gdnls_sigma1_and_dnls_agree_after_gauge_free_check():
-    # for sigma = 1 the two nonlinearities differ (they live in different
-    # frames); sanity-check they are not accidentally identical
-    u = ComplexField(GRID, 0.5 * np.exp(-GRID.x**2 + 0.3j * GRID.x))
-    a = nonlinearity(u, 1.0).values
-    b = dnls_nonlinearity(u).values
-    assert np.max(np.abs(a - b)) > 1e-3
 
 
 def test_soliton_short_time_propagation():

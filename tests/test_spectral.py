@@ -168,15 +168,27 @@ def test_rescale_warns_without_edge_decay():
 
 
 # ---------------------------------------------------------------------------
-# cusp sum: the Chebyshev proxy against the direct sum it replaces
+# off-lattice sums: the shifted-Taylor kernel against the direct sums it replaces
+
+
+def direct_fourier_samples(f, xi_targets):
+    """h sum_j f_j e^{-i xi x_j}, one complex exponential per (target, sample) pair."""
+    return f.grid.spacing * (np.exp(-1j * np.outer(xi_targets, f.grid.x)) @ f.values)
+
+
+def direct_interpolant(f, points):
+    """sum_k (fhat_k / N) e^{i xi_k (p - x_0)}, one exponential per (point, mode) pair."""
+    grid = f.grid
+    fhat = np.fft.fft(f.values) / grid.n_points
+    return np.exp(1j * np.outer(points - grid.x[0], grid.xi)) @ fhat
 
 
 def direct_homogeneous_norm_sq(f, s):
     """The cusp quadrature with one direct sum per signed panel point.
 
     This is the reference path of spectral._homogeneous_norm_sq: the same
-    lattice part, and fourier_transform_samples run at all 2 x 1408
-    signed Gauss points instead of at the Chebyshev nodes of the proxy.
+    lattice part, and direct_fourier_samples at all 2 x 1408 signed Gauss
+    points.
     """
     grid = f.grid
     delta = 2.0 * np.pi / grid.box_length
@@ -196,7 +208,7 @@ def direct_homogeneous_norm_sq(f, s):
     a = min(center + 5.0 * width, np.pi / grid.spacing)
     pts, wts = spectral._cusp_panels(a, delta)
     for sgn in (1.0, -1.0):
-        fh = fourier_transform_samples(f, sgn * pts)
+        fh = direct_fourier_samples(f, sgn * pts)
         total += np.sum(wts * pts ** (2.0 * s) * chi(pts) * np.abs(fh) ** 2)
     return total / (2.0 * np.pi)
 
@@ -214,7 +226,7 @@ CUSP_GRIDS = [GridSpec(4096, 80.0), GridSpec(32768, 3968.0)]
 
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
 @pytest.mark.parametrize("peak", [0.0, 10.0, 60.0], ids=["at0", "inside", "outside"])
-def test_chebyshev_proxy_matches_the_direct_sum(grid, peak):
+def test_fourier_transform_samples_match_the_direct_sum(grid, peak):
     # peak is the spectral peak in units of 2 pi / L; the cusp window
     # [-a, a] ends at 40 of them
     delta = 2.0 * np.pi / grid.box_length
@@ -222,20 +234,27 @@ def test_chebyshev_proxy_matches_the_direct_sum(grid, peak):
     f = box_filling_gaussian(grid, peak * delta)
     pts, _ = spectral._cusp_panels(a, delta)
     targets = np.concatenate([pts, -pts])
-    proxy = spectral._chebyshev_proxy(f, a, targets)
+    got = fourier_transform_samples(f, targets)
     # every target on the small grid; every 4th on the large one
     stride = 1 if grid.n_points == 4096 else 4
-    direct = fourier_transform_samples(f, targets[::stride])
+    direct = direct_fourier_samples(f, targets[::stride])
     scale = grid.spacing * np.sum(np.abs(f.values))
-    assert np.max(np.abs(proxy[::stride] - direct)) <= 1e-13 * scale
+    assert np.max(np.abs(got[::stride] - direct)) <= 1e-13 * scale
 
 
-def test_chebyshev_proxy_takes_node_values_at_the_nodes():
-    f = gaussian(1.0)
-    a = 1.5
-    nodes = a * np.sin(0.5 * np.pi * np.array([1.0, 0.0, -1.0]))  # k = 0, m/2, m
-    got = spectral._chebyshev_proxy(f, a, nodes)
-    np.testing.assert_array_equal(got, fourier_transform_samples(f, nodes))
+@pytest.mark.parametrize("lam, shift", [
+    (0.25, 0.0), (0.5, 0.0), (2.0, 0.0), (4.0, 0.0), (0.5, GRID.box_length),
+    (0.5, -GRID.box_length),
+], ids=["lam0.25", "lam0.5", "lam2", "lam4", "wrap+L", "wrap-L"])
+def test_evaluate_interpolant_matches_the_direct_sum(lam, shift):
+    # the direct sum's own rounding of the phases xi_k (p - x_0) reaches
+    # about 2e-14 * scale here; the kernel is within 4e-16 * scale of a
+    # long-double sum
+    f = gaussian_field(GRID, 1.0, velocity=3.0, center=1.0)
+    points = lam * GRID.x + shift
+    got = evaluate_interpolant(f, points)
+    scale = np.sum(np.abs(np.fft.fft(f.values))) / GRID.n_points
+    assert np.max(np.abs(got - direct_interpolant(f, points))) <= 1e-13 * scale
 
 
 def _sigma3_fields():
@@ -266,17 +285,19 @@ def test_homogeneous_norm_matches_the_direct_sum(fields, s):
 
 
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
-def test_homogeneous_norm_runs_the_direct_sum_at_161_targets(grid, monkeypatch):
-    counted = []
-    direct = spectral.fourier_transform_samples
+def test_homogeneous_norm_makes_at_most_k_plus_1_ffts(grid, monkeypatch):
+    # one for the lattice part, TAYLOR_TERMS for the cusp part
+    lengths = []
+    fft = np.fft.fft
 
-    def counting(f, xi_targets):
-        counted.append(np.size(xi_targets))
-        return direct(f, xi_targets)
+    def counting(a, *args, **kwargs):
+        lengths.append(np.shape(a))
+        return fft(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "fourier_transform_samples", counting)
+    monkeypatch.setattr(np.fft, "fft", counting)
     sobolev_norm(box_filling_gaussian(grid, 0.0), 0.25, homogeneous=True)
-    assert 0 < sum(counted) <= 161
+    assert set(lengths) == {(grid.n_points,)}
+    assert len(lengths) <= spectral.TAYLOR_TERMS + 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,7 @@ from .solitons import (
     endpoint_sequence,
     endpoint_slope,
     full_wave,
-    gz_field,
     hsc_norm,
-    hz_profile,
     l2_mass_closed,
     pc_mass_closed,
     soliton_grid,
@@ -42,10 +40,8 @@ from .scattering import (
     ScatterReport,
     decay_exponent,
     decay_tracker,
-    pullback,
     pullback_cauchy,
     scatter_report,
-    uplus_truncated,
     xt_accumulate,
 )
 from .gauge import FORWARD, INVERSE, gauge_transform

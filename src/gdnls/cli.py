@@ -534,14 +534,13 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             configs = [_load_config(p, None, args.seed) for p in args.config]
             results = sweep(configs, workers=args.workers, out_dir=args.out)
-            failures = [(p, r) for p, r in zip(args.config, results) if isinstance(r, Exception)]
-            for path, exc in failures:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-            if failures:
-                return EXIT_NUMERICAL
-            for r in results:
-                print(f"{r.experiment} {r.config_hash}: ok")
-            return EXIT_OK
+            for path, r in zip(args.config, results):
+                if isinstance(r, Exception):
+                    print(f"error: {path}: {r}", file=sys.stderr)
+                else:
+                    print(f"{r.experiment} {r.config_hash}: ok")
+            failed = any(isinstance(r, Exception) for r in results)
+            return EXIT_NUMERICAL if failed else EXIT_OK
         config = _load_config(args.config, args.command, args.seed)
         record = run(config, out_dir=args.out)
         print(f"{record.experiment} {record.config_hash}: ok")

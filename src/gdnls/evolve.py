@@ -98,15 +98,6 @@ def _nonlinear_hat(what, v, ixi, mask, equation: str, sigma: float) -> np.ndarra
     return ixi * (mask * np.fft.fft(np.abs(v) ** 2 * v))
 
 
-def nonlinearity(u: ComplexField, sigma: float, dealias: bool = True) -> ComplexField:
-    """N(u) = |u|^{2 sigma} u_x with spectral derivative."""
-    if not sigma >= 0.5:
-        raise ValueError(f"sigma must be >= 1/2, got {sigma}")
-    mask = _dealias_mask(u.grid.n_points) if dealias else 1.0
-    nhat = _nonlinear_hat(np.fft.fft(u.values), u.values, 1j * u.grid.xi, mask, "gdnls", sigma)
-    return ComplexField(u.grid, np.fft.ifft(nhat))
-
-
 def _check_cfl(v: np.ndarray, cfg: EvolutionConfig, sigma: float) -> None:
     xi_max = np.pi / cfg.grid.spacing
     guard = cfg.dt * np.max(np.abs(v)) ** (2.0 * sigma) * xi_max

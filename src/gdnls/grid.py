@@ -93,11 +93,11 @@ class ComplexField:
         v = np.abs(self.values)
         return float(max(v[:8].max(), v[-8:].max()))
 
-    def check_edge_decay(self, threshold: float = EDGE_DECAY_THRESHOLD) -> None:
+    def check_edge_decay(self) -> None:
         m = self.edge_magnitude()
-        if m > threshold:
+        if m > EDGE_DECAY_THRESHOLD:
             raise ResolutionError(
-                f"field magnitude {m:.3e} at box edge exceeds {threshold:.0e}; "
+                f"field magnitude {m:.3e} at box edge exceeds {EDGE_DECAY_THRESHOLD:.0e}; "
                 "enlarge the box or the profile is unresolved"
             )
 

@@ -24,6 +24,7 @@ from .spectral import (
 )
 
 DEFAULT_PROBE_GRID = GridSpec(2048, 256.0)
+SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> Prob
     return ProbeEnsemble(tuple(members), seed)
 
 
-def free_trajectory(f: ComplexField, t_end: float, dt_snap: float = 0.05) -> Trajectory:
-    n = int(round(t_end / dt_snap))
-    times = dt_snap * np.arange(n + 1)
+def free_trajectory(f: ComplexField, t_end: float) -> Trajectory:
+    n = int(round(t_end / SNAPSHOT_SPACING))
+    times = SNAPSHOT_SPACING * np.arange(n + 1)
     return Trajectory(f.grid, times, free_group(f.grid, f.values, times))
 
 
@@ -100,35 +101,36 @@ def check_leibniz_order(s: float) -> None:
         raise ParameterError("s", f"s must lie in (0, 1), got {s}")
 
 
+def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_norm) -> list:
+    """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member."""
+    ratios = []
+    for f in ens.members:
+        # traj stays alive until the next member's trajectory is built.  Freed
+        # first, as in a comprehension, its pages go back to the OS and are
+        # faulted in again for every member: about 30 % slower at T = 4.
+        traj = free_trajectory(f, t_end)
+        ratios.append(mixed_norm(traj, spec) / data_norm(f))
+    return ratios
+
+
 def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> ProbeReport:
     """||e^{it Lap} f||_{L^q_t L^r_x([0,T])} / ||f||_{L^2} for an admissible pair (q, r)."""
     check_strichartz_pair(q, r)
-    spec = MixedNormSpec("time", q, r)
-    ratios = []
-    for f in ens.members:
-        traj = free_trajectory(f, t_end)
-        ratios.append(mixed_norm(traj, spec) / l2_norm(f))
+    ratios = _free_ratios(ens, MixedNormSpec("time", q, r), t_end, l2_norm)
     return _worst(ratios, "strichartz", {"q": q, "r": r, "T": t_end})
 
 
 def smoothing_probe(ens: ProbeEnsemble, t_end: float) -> ProbeReport:
     """||D^{1/2} e^{it Lap} f||_{L^inf_x L^2_t} / ||f||_{L^2} (local smoothing gain)."""
     spec = MixedNormSpec("space", np.inf, 2.0, derivative_order=0.5)
-    ratios = []
-    for f in ens.members:
-        traj = free_trajectory(f, t_end)
-        ratios.append(mixed_norm(traj, spec) / l2_norm(f))
-    return _worst(ratios, "smoothing", {"T": t_end})
+    return _worst(_free_ratios(ens, spec, t_end, l2_norm), "smoothing", {"T": t_end})
 
 
 def maximal_probe(ens: ProbeEnsemble, p: float, s: float, t_end: float) -> ProbeReport:
     """||e^{it Lap} f||_{L^p_x L^inf_t} / ||f||_{H^s}; needs p >= 4, s >= 1/2 - 1/p."""
     check_maximal_exponents(p, s)
-    spec = MixedNormSpec("space", p, np.inf)
-    ratios = []
-    for f in ens.members:
-        traj = free_trajectory(f, t_end)
-        ratios.append(mixed_norm(traj, spec) / sobolev_norm(f, s))
+    ratios = _free_ratios(ens, MixedNormSpec("space", p, np.inf), t_end,
+                          lambda f: sobolev_norm(f, s))
     return _worst(ratios, "maximal", {"p": p, "s": s, "T": t_end})
 
 

@@ -30,14 +30,12 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
-def integrate_halfline(integrand, tol: float = 1e-10) -> QuadratureResult:
-    """Adaptive integral of integrand over (0, inf).
+def integrate_halfline(integrand) -> QuadratureResult:
+    """Adaptive integral of integrand over (0, inf), absolute and relative tolerance 1e-10.
 
     The integrand must be continuous on (0, inf) and decay at least
     exponentially at infinity.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     count = 0
 
     def f(x):
@@ -45,7 +43,7 @@ def integrate_halfline(integrand, tol: float = 1e-10) -> QuadratureResult:
         count += 1
         return integrand(x)
 
-    out = quad(f, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=500, full_output=True)
+    out = quad(f, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=500, full_output=True)
     value, err = out[0], out[1]
     if len(out) > 3:  # warning message present -> did not converge
         raise QuadratureError(

@@ -1,4 +1,4 @@
-"""Scattering diagnostics: pull-backs, truncated wave operators, decay fits.
+"""Scattering diagnostics: pull-backs, decay fits and the working-space norm.
 
 A trajectory scatters when its pull-back w(t) = e^{-it Laplacian} u(t)
 converges; solitons are the non-scattering witnesses.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import nonlinearity
 from .grid import ComplexField, Trajectory
 from .spectral import free_group, sobolev_norm, xt_norm
 
@@ -37,12 +36,6 @@ class ScatterReport:
         return all(b < a for a, b in zip(diffs, diffs[1:]))
 
 
-def pullback(traj: Trajectory) -> Trajectory:
-    """w(t) = e^{-it Laplacian} u(t) per snapshot."""
-    return Trajectory(traj.grid, traj.times,
-                      free_group(traj.grid, traj.values, -traj.times))
-
-
 def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
                     checkpoints=(2.0, 4.0, 8.0)) -> list:
     """H^{s'} distances between pull-backs at consecutive checkpoints."""
@@ -52,26 +45,6 @@ def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
     return [(float(t[k]), float(t[k + 1]),
              sobolev_norm(ComplexField(traj.grid, w[k + 1] - w[k]), s_prime))
             for k in range(len(idx) - 1)]
-
-
-def uplus_truncated(traj: Trajectory, sigma: float) -> ComplexField:
-    """Truncated wave-operator profile u_plus = u(0) - int_0^T e^{-it' Lap} N(u(t')) dt'.
-
-    Trapezoid in time over the stored snapshots; requires a dense
-    trajectory (snapshot spacing <= 0.02).
-    """
-    if len(traj) < 2:
-        raise ValueError("uplus_truncated needs at least 2 snapshots")
-    dt_snap = float(np.max(np.diff(traj.times)))
-    if dt_snap > 0.02 + 1e-12:
-        raise ValueError(
-            f"snapshot spacing {dt_snap:.4g} too sparse for the Duhamel "
-            "quadrature; need <= 0.02"
-        )
-    nonlin = np.stack([nonlinearity(ComplexField(traj.grid, row), sigma).values
-                       for row in traj.values])
-    duhamel = np.trapezoid(free_group(traj.grid, nonlin, -traj.times), traj.times, axis=0)
-    return ComplexField(traj.grid, traj.values[0] - duhamel)
 
 
 def decay_tracker(traj: Trajectory) -> list:
@@ -91,13 +64,14 @@ def decay_exponent(curve, t_min: float = 2.0) -> float:
     return float(np.polyfit(np.log(t), np.log(v), 1)[0])
 
 
-def xt_accumulate(traj: Trajectory, s: float, horizons=None) -> list:
-    """Working-space norm on the prefixes [0, T]; nondecreasing in T."""
-    if horizons is None:
-        t_end = traj.times[-1]
-        horizons = [t_end * 2.0 ** (-k) for k in reversed(range(4))]
+def xt_accumulate(traj: Trajectory, s: float) -> list:
+    """Working-space norm on the prefixes [0, T], T = t_end/8, t_end/4, t_end/2, t_end.
+
+    Nondecreasing in T.
+    """
+    t_end = traj.times[-1]
     out = []
-    for t_h in horizons:
+    for t_h in (t_end / 8.0, t_end / 4.0, t_end / 2.0, t_end):
         n = int(np.count_nonzero(traj.times <= t_h + 1e-12))  # times increase
         if n < 2:
             continue

@@ -63,14 +63,13 @@ def amplitude(p: SolitonParams, x) -> np.ndarray:
     return (num / den) ** (1.0 / (2.0 * p.sigma))
 
 
-def soliton_grid(p: SolitonParams, h_target: float = 0.5,
-                 min_n: int = 4096, min_length: float = 80.0) -> GridSpec:
-    """Grid large enough to resolve phi.
+def soliton_grid(p: SolitonParams, h_target: float = 0.5, min_n: int = 4096) -> GridSpec:
+    """Grid large enough to resolve phi, at least 80 long.
 
     The tail decays like exp(-alpha x / 2), so alpha * L >= 124 puts the
     edge magnitude below the admissibility threshold.
     """
-    length = max(min_length, 124.0 / p.alpha)
+    length = max(80.0, 124.0 / p.alpha)
     n = max(min_n, 2 ** math.ceil(math.log2(length / h_target)))
     return GridSpec(n, length)
 
@@ -86,7 +85,7 @@ def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
     return ComplexField(grid, amp * np.exp(1j * phase))
 
 
-def curly_i(p: SolitonParams, tol: float = 1e-10) -> float:
+def curly_i(p: SolitonParams) -> float:
     """I(c) = integral over (0, inf) of (cosh x - c/(2 sqrt(w)))^(-1/sigma)."""
     gamma = p.speed_ratio
     if gamma > 1.0 - _ENDPOINT_MARGIN:
@@ -95,9 +94,7 @@ def curly_i(p: SolitonParams, tol: float = 1e-10) -> float:
             "non-integrable (or near-singular) at the right endpoint"
         )
     with np.errstate(over="ignore"):
-        res = integrate_halfline(
-            lambda x: (np.cosh(x) - gamma) ** (-1.0 / p.sigma), tol=tol
-        )
+        res = integrate_halfline(lambda x: (np.cosh(x) - gamma) ** (-1.0 / p.sigma))
     return res.value
 
 
@@ -123,39 +120,6 @@ def virial_ratio(p: SolitonParams, grid: GridSpec | None = None) -> float:
         grid = soliton_grid(p)
     phi = full_wave(p, grid)
     return (l2_norm(spatial_derivative(phi)) / l2_norm(phi)) ** 2
-
-
-def hz_profile(sigma: float, z: float, x) -> np.ndarray:
-    """h_z(x) = (cosh(2 sigma x) + z)^(-1/(2 sigma))."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0 < z < 1:
-        raise ValueError(f"z must lie in (0, 1), got {z}")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return (np.cosh(2.0 * sigma * x) + z) ** (-1.0 / (2.0 * sigma))
-
-
-def gz_field(sigma: float, z: float, grid: GridSpec) -> ComplexField:
-    """Rescaled near-endpoint profile g_z on the grid.
-
-    g_z(x) = (1-z^2)^(1/(2 sigma)) h_z(m x) exp(-i m Phi(m x)) with
-    m = sqrt(1-z^2) and Phi the running integral of h_z^{2 sigma}.
-    """
-    m = math.sqrt(1.0 - z * z)
-    x = grid.x
-    prof = (1.0 - z * z) ** (1.0 / (2.0 * sigma)) * hz_profile(sigma, z, m * x)
-    ComplexField(grid, prof.astype(np.complex128)).check_edge_decay()
-    phi = cumulative_integral(lambda y: hz_profile(sigma, z, y) ** (2.0 * sigma), m * x)
-    return ComplexField(grid, prof * np.exp(-1j * m * phi))
-
-
-def gz_grid(sigma: float, z: float, h_target: float = 0.25) -> GridSpec:
-    """Grid resolving g_z, whose width grows like 1/sqrt(1-z^2)."""
-    m = math.sqrt(1.0 - z * z)
-    length = max(80.0, 80.0 / m)
-    n = max(4096, 2 ** math.ceil(math.log2(length / h_target)))
-    return GridSpec(n, length)
 
 
 def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:

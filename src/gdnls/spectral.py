@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, Trajectory
+from .grid import EDGE_DECAY_THRESHOLD, ComplexField, GridSpec, Trajectory
 
 SOBOLEV_ORDER_RANGE = (-2.0, 4.0)
 
@@ -30,7 +30,6 @@ class MixedNormSpec:
     outer_exponent: float
     inner_exponent: float
     derivative_order: float = 0.0
-    homogeneous: bool = True
 
     def __post_init__(self):
         if self.outer_variable not in ("space", "time"):
@@ -246,9 +245,9 @@ def rescale(f: ComplexField, lam: float, sigma: float) -> ComplexField:
         raise ValueError(f"lam must lie in [1/4, 4], got {lam}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if f.edge_magnitude() > 1e-12:
+    if f.edge_magnitude() > EDGE_DECAY_THRESHOLD:
         warnings.warn(
-            "field does not decay below 1e-12 at the box edge; "
+            f"field does not decay below {EDGE_DECAY_THRESHOLD:g} at the box edge; "
             "rescale may alias through the periodic wrap",
             stacklevel=2,
         )
@@ -312,18 +311,15 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
 DEFAULT_Q_GRID = (4.0, 6.0, 8.0, 12.0, 16.0)
 
 
-def xt_norm(traj: Trajectory, s: float, q_grid=DEFAULT_Q_GRID, n0: float = 16.0) -> float:
+def xt_norm(traj: Trajectory, s: float) -> float:
     """Seven-term working-space norm on [0, T].
 
-    The sup over q in [4, n0] of the L^q_x L^inf_t term is approximated
-    by the max over q_grid; the map q -> norm is log-convex in 1/q, so a
-    coarse grid bounds the sup tightly.
+    The sup over q in [4, 16] of the L^q_x L^inf_t term is approximated
+    by the max over DEFAULT_Q_GRID; the map q -> norm is log-convex in
+    1/q, so a coarse grid bounds the sup tightly.
     """
     if not 0.5 <= s <= 1.0:
         raise ValueError(f"s must lie in [1/2, 1], got {s}")
-    q_grid = tuple(q_grid)
-    if any(q < 4 or q > n0 for q in q_grid):
-        raise ValueError(f"q_grid must be contained in [4, {n0}]")
     if len(traj) < 2:
         raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
 
@@ -344,7 +340,7 @@ def xt_norm(traj: Trajectory, s: float, q_grid=DEFAULT_Q_GRID, n0: float = 16.0)
     term1 = max(sobolev_norm(ComplexField(grid, row), s) for row in u)
     term2 = mixed_norm(t_ux, MixedNormSpec("space", np.inf, 2.0))
     term3 = max(
-        mixed_norm(traj, MixedNormSpec("space", q, np.inf)) for q in q_grid
+        mixed_norm(traj, MixedNormSpec("space", q, np.inf)) for q in DEFAULT_Q_GRID
     )
     term4 = mixed_norm(traj, MixedNormSpec("time", 4.0, np.inf))
     term5 = mixed_norm(t_dsu, MixedNormSpec("space", 4.0, np.inf))

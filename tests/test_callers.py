@@ -1,0 +1,56 @@
+"""The library names that the demos and the benchmark's tracer reach still exist.
+
+Neither is run here: the demos are read by AST, and the tracer module
+imports only the standard library.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def gdnls_imports(path):
+    """(module, name) for every `from gdnls[.x] import name` in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "gdnls"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports_resolve(path):
+    names = gdnls_imports(path)
+    assert names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(mod), name)]
+    assert missing == []
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_with_the_arguments_their_hooks_read():
+    for module, attr, name, hook in load_tracing().TARGETS:
+        target = importlib.import_module(f"gdnls.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        params = inspect.signature(target).parameters
+        for fn in (name, hook):
+            if callable(fn):
+                read = re.findall(r'a\["(\w+)"\]', inspect.getsource(fn))
+                assert set(read) <= set(params), (module, attr, read)

@@ -296,7 +296,10 @@ def test_sweep_with_a_numerical_failure_exits_3_and_keeps_the_other_run(tmp_path
     assert main(["sweep", "--config", first, "--config", good, "--config", second,
                  "--out", out]) == EXIT_NUMERICAL
     assert (tmp_path / "o" / "good.csv").exists()
-    errors = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    good_hash = json.loads((tmp_path / "o" / "good.json").read_text())["config_hash"]
+    assert captured.out.splitlines() == [f"soliton-atlas {good_hash}: ok"]
+    errors = captured.err.splitlines()
     assert [line.split(": ")[1] for line in errors] == [first, second]
     assert all(line.startswith("error: ") and "CFL" in line for line in errors)
 

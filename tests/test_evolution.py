@@ -6,11 +6,10 @@ from gdnls.evolve import (
     EvolutionConfig,
     StabilityError,
     evolve,
-    nonlinearity,
 )
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
 from gdnls.solitons import SolitonParams, full_wave
-from gdnls.spectral import l2_norm, spatial_derivative
+from gdnls.spectral import l2_norm
 
 GRID = GridSpec(1024, 80.0)
 
@@ -140,13 +139,6 @@ def test_snapshot_times_and_stride():
     traj, rep = evolve(gaussian(), cfg)
     np.testing.assert_allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
     assert len(rep.mass) == len(traj.times)
-
-
-def test_nonlinearity_matches_direct_formula():
-    u = gaussian(0.5)
-    got = nonlinearity(u, 2.0, dealias=False)
-    expect = np.abs(u.values) ** 4 * spatial_derivative(u).values
-    np.testing.assert_allclose(got.values, expect, atol=1e-12)
 
 
 def test_soliton_short_time_propagation():

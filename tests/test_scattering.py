@@ -6,13 +6,11 @@ from gdnls.grid import ComplexField, GridSpec, Trajectory
 from gdnls.scattering import (
     decay_exponent,
     decay_tracker,
-    pullback,
     pullback_cauchy,
     scatter_report,
-    uplus_truncated,
     xt_accumulate,
 )
-from gdnls.spectral import free_propagate, l2_norm, xt_norm
+from gdnls.spectral import free_group, free_propagate, xt_norm
 
 GRID = GridSpec(1024, 160.0)
 
@@ -28,10 +26,10 @@ def free_traj(f, t_end=4.0, dt=0.02):
 
 
 def test_pullback_of_free_flow_is_constant():
-    f = gaussian()
-    w = pullback(free_traj(f))
-    for row in w.values:
-        np.testing.assert_allclose(row, f.values, atol=1e-13)
+    traj = free_traj(gaussian())
+    rows = pullback_cauchy(traj, checkpoints=traj.times)  # every consecutive pair
+    assert len(rows) == len(traj) - 1
+    assert all(d < 1e-13 for _, _, d in rows)
 
 
 def test_pullback_rows_equal_one_snapshot_propagation():
@@ -40,7 +38,7 @@ def test_pullback_rows_equal_one_snapshot_propagation():
     traj, _ = evolve(gaussian(0.05), cfg)
     expect = np.stack([free_propagate(ComplexField(GRID, row), -t).values
                        for t, row in zip(traj.times, traj.values)])
-    np.testing.assert_array_equal(pullback(traj).values, expect)
+    np.testing.assert_array_equal(free_group(GRID, traj.values, -traj.times), expect)
 
 
 def test_xt_norms_of_an_evolved_trajectory_are_unchanged():
@@ -80,29 +78,6 @@ def test_xt_accumulate_is_nondecreasing():
     vals = [v for _, v in curve]
     assert len(vals) >= 3
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_uplus_rejects_sparse_snapshots():
-    with pytest.raises(ValueError):
-        uplus_truncated(free_traj(gaussian(), dt=0.5), 2.0)
-
-
-def test_uplus_recovers_scattering_profile():
-    """For a weakly nonlinear flow, u(T) is close to e^{iT Lap} u_plus."""
-    cfg = EvolutionConfig("gdnls", GRID, dt=2e-3, t_end=4.0, sigma=2.0,
-                          snapshot_stride=10)
-    traj, _ = evolve(gaussian(0.05), cfg)
-    uplus = uplus_truncated(traj, 2.0)
-    resid = l2_norm(ComplexField(
-        GRID, traj.values[-1]
-        - free_propagate(uplus, traj.times[-1]).values,
-    ))
-    # the Duhamel reconstruction beats the crude free approximation
-    crude = l2_norm(ComplexField(
-        GRID, traj.values[-1]
-        - free_propagate(gaussian(0.05), traj.times[-1]).values,
-    ))
-    assert resid < 0.1 * crude
 
 
 def test_scatter_report_bundle():

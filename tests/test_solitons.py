@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, ParameterError, ResolutionError
+from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
+from gdnls.quadrature import cumulative_integral
 from gdnls.solitons import (
     SolitonParams,
     amplitude,
@@ -13,9 +14,6 @@ from gdnls.solitons import (
     endpoint_rate,
     endpoint_waves,
     full_wave,
-    gz_field,
-    gz_grid,
-    hz_profile,
     l2_mass_closed,
     pc_mass_closed,
     soliton_grid,
@@ -138,8 +136,6 @@ def test_profile_equation_residual():
 def test_total_phase_increment_matches_pc_mass():
     # the phase is the running integral of amplitude^{2 sigma} divided by
     # (2 sigma + 2); its total increment is the p_c-mass over (2 sigma + 2)
-    from gdnls.quadrature import cumulative_integral
-
     p = SolitonParams(1.0, 0.5, 2.0)
     g = soliton_grid(p)
     phase_mass = cumulative_integral(lambda y: amplitude(p, y) ** (2.0 * p.sigma), g.x)
@@ -161,14 +157,31 @@ def test_soliton_grid_resolves_tail():
 # -- near-endpoint (Case 2) machinery ---------------------------------------
 
 
-def test_hz_profile_validation_and_shape():
-    with pytest.raises(ValueError):
-        hz_profile(2.0, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        hz_profile(-1.0, 0.5, 0.0)
-    v = hz_profile(2.0, 0.5, np.array([0.0, 1.0, -1.0]))
-    assert v[0] == pytest.approx(1.5 ** (-0.25))
-    assert v[1] == v[2]
+def hz_profile(sigma, z, x):
+    """h_z(x) = (cosh(2 sigma x) + z)^(-1/(2 sigma)), 0 < z < 1."""
+    with np.errstate(over="ignore"):
+        return (np.cosh(2.0 * sigma * x) + z) ** (-1.0 / (2.0 * sigma))
+
+
+def gz_field(sigma, z, grid):
+    """Rescaled near-endpoint profile g_z on the grid.
+
+    g_z(x) = (1-z^2)^(1/(2 sigma)) h_z(m x) exp(-i m Phi(m x)) with
+    m = sqrt(1-z^2) and Phi the running integral of h_z^{2 sigma}.
+    """
+    m = math.sqrt(1.0 - z * z)
+    x = grid.x
+    prof = (1.0 - z * z) ** (1.0 / (2.0 * sigma)) * hz_profile(sigma, z, m * x)
+    ComplexField(grid, prof.astype(np.complex128)).check_edge_decay()
+    phi = cumulative_integral(lambda y: hz_profile(sigma, z, y) ** (2.0 * sigma), m * x)
+    return ComplexField(grid, prof * np.exp(-1j * m * phi))
+
+
+def gz_grid(sigma, z):
+    """Grid of spacing <= 1/4 resolving g_z, whose width grows like 1/sqrt(1-z^2)."""
+    length = max(80.0, 80.0 / math.sqrt(1.0 - z * z))
+    n = max(4096, 2 ** math.ceil(math.log2(4.0 * length)))
+    return GridSpec(n, length)
 
 
 def test_gz_matches_rescaled_wave_pointwise():

@@ -359,8 +359,6 @@ def test_xt_norm_bounds_and_validation():
     assert val >= sobolev_norm(f, 0.5)
     with pytest.raises(ValueError):
         xt_norm(traj, 0.3)
-    with pytest.raises(ValueError):
-        xt_norm(traj, 0.5, q_grid=(2.0,))
 
 
 def test_xt_norm_monotone_under_horizon_extension():

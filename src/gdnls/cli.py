@@ -28,6 +28,7 @@ from .evolve import EvolutionConfig, StabilityError, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
 from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, gaussian_field
 from .probes import (
+    check_horizon,
     check_leibniz_order,
     check_maximal_exponents,
     check_strichartz_pair,
@@ -273,7 +274,6 @@ def _validate_semantics(experiment: str, p: dict) -> None:
     elif experiment == "ineq-probe":
         _require(p["probe"] in ("strichartz", "smoothing", "maximal", "leibniz"),
                  "probe", "must be one of strichartz, smoothing, maximal, leibniz")
-        _require(p["t_end"] > 0, "t_end", "must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +310,7 @@ def _gauge_setup(p: dict):
 
 
 def _ineq_setup(p: dict) -> None:
+    check_horizon(p["t_end"])
     if p["probe"] == "strichartz":
         check_strichartz_pair(p["q"], p["r"])
     elif p["probe"] == "maximal":
@@ -404,10 +405,8 @@ def _run_ineq_probe(p: dict):
         for _ in range(50):
             a, b = 0.5 + rng.random(2) * 2.0
             xa, xb = rng.uniform(-4, 4, size=2)
-            pairs.append((
-                ComplexField(grid, np.exp(-a * (grid.x - xa) ** 2).astype(complex)),
-                ComplexField(grid, np.exp(-b * (grid.x - xb) ** 2).astype(complex)),
-            ))
+            pairs.append((gaussian_field(grid, a, center=xa),
+                          gaussian_field(grid, b, center=xb)))
         rep = leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]

@@ -66,7 +66,6 @@ class ConservedReport:
     mass: np.ndarray
     energy: np.ndarray
     linf: np.ndarray
-    linf_flag: bool = False  # sup-norm grew beyond 10x the initial value
 
     @property
     def mass_drift(self) -> float:
@@ -80,6 +79,11 @@ class ConservedReport:
         e0 = self.energy[0]
         scale = max(abs(e0), 1e-300)
         return float(np.max(np.abs(self.energy - e0)) / scale)
+
+    @property
+    def linf_flag(self) -> bool:
+        """The sup-norm grew beyond 10x the initial value."""
+        return bool(self.linf[0] > 0 and np.max(self.linf) > 10.0 * self.linf[0])
 
 
 def _dealias_mask(n: int) -> np.ndarray:
@@ -164,9 +168,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     snaps = [v]
     mass = [_mass(v, h)]
     energy = [_energy(v, xi, h, sigma)]
-    linf0 = float(np.max(np.abs(v)))
-    linf = [linf0]
-    linf_flag = False
+    linf = [float(np.max(np.abs(v)))]
 
     for k in range(1, n_steps + 1):
         _check_cfl(v, cfg, sigma)
@@ -182,10 +184,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
             snaps.append(v)
             mass.append(_mass(v, h))
             energy.append(_energy(v, xi, h, sigma))
-            m = float(np.max(np.abs(v)))
-            linf.append(m)
-            if linf0 > 0 and m > 10.0 * linf0:
-                linf_flag = True
+            linf.append(float(np.max(np.abs(v))))
 
     traj = Trajectory(cfg.grid, np.asarray(times), np.stack(snaps))
     report = ConservedReport(
@@ -193,6 +192,5 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
         mass=np.asarray(mass),
         energy=np.asarray(energy),
         linf=np.asarray(linf),
-        linf_flag=linf_flag,
     )
     return traj, report

@@ -25,6 +25,10 @@ from .spectral import (
 
 DEFAULT_PROBE_GRID = GridSpec(2048, 256.0)
 SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
+# Ceiling on t_end / SNAPSHOT_SPACING.  The runs in the docs and tests sample at
+# most 161 snapshots (T = 8); one snapshot on DEFAULT_PROBE_GRID is 32 KiB, so
+# this keeps one trajectory near 130 MB.  A t_end that asks for more is a typo.
+MAX_SNAPSHOTS = 4000
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,22 @@ def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> Prob
     return ProbeEnsemble(tuple(members), seed)
 
 
+def check_horizon(t_end: float) -> None:
+    """Require t_end > 0 to be a whole multiple of SNAPSHOT_SPACING, within MAX_SNAPSHOTS."""
+    if not t_end > 0:
+        raise ParameterError("t_end", f"t_end must be positive, got {t_end}")
+    if not t_end / SNAPSHOT_SPACING <= MAX_SNAPSHOTS:  # also catches an overflow to inf
+        raise ParameterError(
+            "t_end", f"t_end = {t_end} is too large: t_end / {SNAPSHOT_SPACING} = "
+            f"{t_end / SNAPSHOT_SPACING:.3g} snapshots exceeds {MAX_SNAPSHOTS}")
+    n = round(t_end / SNAPSHOT_SPACING)
+    if abs(n * SNAPSHOT_SPACING - t_end) > 1e-9 * t_end:
+        raise ParameterError(
+            "t_end", f"t_end = {t_end} is not a whole multiple of {SNAPSHOT_SPACING}")
+
+
 def free_trajectory(f: ComplexField, t_end: float) -> Trajectory:
+    check_horizon(t_end)
     n = int(round(t_end / SNAPSHOT_SPACING))
     times = SNAPSHOT_SPACING * np.arange(n + 1)
     return Trajectory(f.grid, times, free_group(f.grid, f.values, times))

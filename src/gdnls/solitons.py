@@ -85,14 +85,20 @@ def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
     return ComplexField(grid, amp * np.exp(1j * phase))
 
 
-def curly_i(p: SolitonParams) -> float:
-    """I(c) = integral over (0, inf) of (cosh x - c/(2 sqrt(w)))^(-1/sigma)."""
+def _interior_speed_ratio(p: SolitonParams) -> float:
+    """p.speed_ratio, at most 1 - _ENDPOINT_MARGIN: the integrands in cosh x - ratio blow up at 1."""
     gamma = p.speed_ratio
     if gamma > 1.0 - _ENDPOINT_MARGIN:
         raise ValueError(
             f"c/(2 sqrt(omega)) = {gamma:.8f} too close to 1; the integrand is "
             "non-integrable (or near-singular) at the right endpoint"
         )
+    return gamma
+
+
+def curly_i(p: SolitonParams) -> float:
+    """I(c) = integral over (0, inf) of (cosh x - c/(2 sqrt(w)))^(-1/sigma)."""
+    gamma = _interior_speed_ratio(p)
     with np.errstate(over="ignore"):
         res = integrate_halfline(lambda x: (np.cosh(x) - gamma) ** (-1.0 / p.sigma))
     return res.value
@@ -106,9 +112,7 @@ def l2_mass_closed(p: SolitonParams) -> float:
 
 def pc_mass_closed(p: SolitonParams) -> float:
     """Closed form for integral of |phi|^{p_c}, p_c = 2 sigma."""
-    gamma = p.speed_ratio
-    if gamma > 1.0 - _ENDPOINT_MARGIN:
-        raise ValueError(f"c/(2 sqrt(omega)) = {gamma:.8f} too close to 1")
+    gamma = _interior_speed_ratio(p)
     with np.errstate(over="ignore"):
         res = integrate_halfline(lambda x: 1.0 / (np.cosh(x) - gamma))
     return (2.0 * (p.sigma + 1.0) / p.sigma) * (p.alpha / (2.0 * math.sqrt(p.omega))) * res.value

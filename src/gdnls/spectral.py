@@ -314,9 +314,21 @@ DEFAULT_Q_GRID = (4.0, 6.0, 8.0, 12.0, 16.0)
 def xt_norm(traj: Trajectory, s: float) -> float:
     """Seven-term working-space norm on [0, T].
 
-    The sup over q in [4, 16] of the L^q_x L^inf_t term is approximated
-    by the max over DEFAULT_Q_GRID; the map q -> norm is log-convex in
-    1/q, so a coarse grid bounds the sup tightly.
+    With D = D^{s-1/2}, the sum of ||u||_{L^inf_t H^s_x}, ||u_x||_{L^inf_x L^2_t},
+    sup_q ||u||_{L^q_x L^inf_t}, ||u||_{L^4_t L^inf_x}, ||D u||_{L^4_x L^inf_t},
+    ||D u_x||_{L^inf_x L^2_t} and ||D u||_{L^4_t L^inf_x}.  The sup over
+    q in [4, 16] is approximated by the max over DEFAULT_Q_GRID; the map
+    q -> norm is log-convex in 1/q, so a coarse grid bounds the sup tightly.
+    """
+    return _prefix_xt_norms(traj, s, [len(traj)])[0]
+
+
+def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
+    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj.
+
+    The transforms and the per-row H^s norms are taken once; a prefix
+    reduces the row slices [:n] with the quadratures of mixed_norm, so
+    every value equals xt_norm of the prefix trajectory bit for bit.
     """
     if not 0.5 <= s <= 1.0:
         raise ValueError(f"s must lie in [1/2, 1], got {s}")
@@ -324,26 +336,30 @@ def xt_norm(traj: Trajectory, s: float) -> float:
         raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
 
     grid = traj.grid
-    u = traj.values
+    u = traj.values[:max(lengths)]
     xi = grid.xi
     uhat = np.fft.fft(u, axis=-1)
-    ux = np.fft.ifft(1j * xi * uhat, axis=-1)
     frac = np.abs(xi) ** (s - 0.5)
-    dsu = np.fft.ifft(frac * uhat, axis=-1)
-    dsux = np.fft.ifft(frac * 1j * xi * uhat, axis=-1)
-
-    t_ux = Trajectory(grid, traj.times, ux)
-    t_dsu = Trajectory(grid, traj.times, dsu)
-    t_dsux = Trajectory(grid, traj.times, dsux)
-
+    au = np.abs(u)
+    aux = np.abs(np.fft.ifft(1j * xi * uhat, axis=-1))
+    adsu = np.abs(np.fft.ifft(frac * uhat, axis=-1))
+    adsux = np.abs(np.fft.ifft(frac * 1j * xi * uhat, axis=-1))
     # L^inf_t H^s_x term directly (H^s is not a Lebesgue inner norm)
-    term1 = max(sobolev_norm(ComplexField(grid, row), s) for row in u)
-    term2 = mixed_norm(t_ux, MixedNormSpec("space", np.inf, 2.0))
-    term3 = max(
-        mixed_norm(traj, MixedNormSpec("space", q, np.inf)) for q in DEFAULT_Q_GRID
-    )
-    term4 = mixed_norm(traj, MixedNormSpec("time", 4.0, np.inf))
-    term5 = mixed_norm(t_dsu, MixedNormSpec("space", 4.0, np.inf))
-    term6 = mixed_norm(t_dsux, MixedNormSpec("space", np.inf, 2.0))
-    term7 = mixed_norm(t_dsu, MixedNormSpec("time", 4.0, np.inf))
-    return term1 + term2 + term3 + term4 + term5 + term6 + term7
+    hs = [sobolev_norm(ComplexField(grid, row), s) for row in u]
+
+    h = grid.spacing
+    out = []
+    for n in lengths:
+        t = traj.times[:n]
+        sup_t = _time_quadrature(au[:n], t, np.inf)
+        terms = (  # in the order of xt_norm's docstring; the outer call takes the outer norm
+            max(hs[:n]),
+            _space_quadrature(_time_quadrature(aux[:n], t, 2.0), h, np.inf),
+            max(_space_quadrature(sup_t, h, q) for q in DEFAULT_Q_GRID),
+            _time_quadrature(_space_quadrature(au[:n], h, np.inf), t, 4.0),
+            _space_quadrature(_time_quadrature(adsu[:n], t, np.inf), h, 4.0),
+            _space_quadrature(_time_quadrature(adsux[:n], t, 2.0), h, np.inf),
+            _time_quadrature(_space_quadrature(adsu[:n], h, np.inf), t, 4.0),
+        )
+        out.append(sum(float(v) for v in terms))
+    return out

@@ -1,12 +1,30 @@
-"""Terminal reporting for the acceptance suite.
+"""Shared fixtures, and terminal reporting for the acceptance suite.
 
-Prints one pass/fail line per acceptance criterion at the end of the
-run, independent of output capture.
+The acceptance report prints one pass/fail line per criterion at the end
+of the run, independent of output capture.
 """
 
 import re
 
+import numpy as np
 import pytest
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Shapes of the arrays passed to np.fft.fft and np.fft.ifft, in call order."""
+    calls = []
+
+    def counting(transform):
+        def wrapper(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return transform(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return calls
+
 
 _ACCEPTANCE = {}
 

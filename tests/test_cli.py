@@ -78,6 +78,9 @@ FIELD_CASES = [
     ("ineq-probe", {"probe": "strichartz", "q": "4", "r": "2"}, "r"),
     ("ineq-probe", {"probe": "maximal", "p": "3"}, "p"),
     ("ineq-probe", {"probe": "leibniz", "s": "1"}, "s"),
+    ("ineq-probe", {"probe": "smoothing", "t_end": "0.02"}, "t_end"),
+    ("ineq-probe", {"probe": "smoothing", "t_end": "0.07"}, "t_end"),
+    ("ineq-probe", {"probe": "smoothing", "t_end": "1e300"}, "t_end"),
 ]
 # the field name, or field=value where an earlier case names the same field
 FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
@@ -159,6 +162,16 @@ def test_main_rejects_a_dt_that_asks_for_too_many_steps(tmp_path, capsys):
     cfg = write(tmp_path, "dt.cfg", "dt = 1e-300\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     assert "'dt'" in capsys.readouterr().err
+
+
+def test_main_rejects_an_ineq_probe_horizon_off_the_snapshot_lattice(tmp_path, capsys):
+    # 0.02 is below one snapshot spacing, 0.07 between two, 1e300 past the ceiling
+    for t_end in ("0.02", "0.07", "1e300"):
+        cfg = write(tmp_path, "p.cfg", f"probe = smoothing\nt_end = {t_end}\n")
+        assert main(["ineq-probe", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        assert "'t_end'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_reports_a_scatter_probe_too_short_for_the_decay_fit(tmp_path, capsys):

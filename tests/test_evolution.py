@@ -163,3 +163,8 @@ def test_report_drift_properties():
     )
     assert rep.mass_drift == pytest.approx(1e-9)
     assert rep.energy_drift == pytest.approx(1e-8)
+    assert rep.linf_flag is False
+    rep.linf = np.array([1.0, 12.0, 3.0])  # grew past 10x, then fell back
+    assert rep.linf_flag is True
+    rep.linf = np.array([0.0, 1.0])  # no initial value to compare with
+    assert rep.linf_flag is False

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, GridSpec, gaussian_field
+from gdnls.grid import ComplexField, GridSpec, ParameterError, gaussian_field
 from gdnls.probes import (
+    MAX_SNAPSHOTS,
+    SNAPSHOT_SPACING,
     ProbeEnsemble,
     ProbeReport,
     default_ensemble,
@@ -93,6 +95,20 @@ def test_maximal_ratio_grows_below_threshold():
         f = gaussian_field(fine, 1.0, v, 0.0)
         ratios.append(mixed_norm(free_trajectory(f, 1.0), spec) / sobolev_norm(f, s_bad))
     assert ratios[-1] > 1.5 * ratios[0]
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), 0.02, 0.07, 1e300,
+                                   SNAPSHOT_SPACING * (MAX_SNAPSHOTS + 1)])
+def test_free_trajectory_rejects_a_horizon_off_the_snapshot_lattice(t_end):
+    with pytest.raises(ParameterError) as exc:
+        free_trajectory(gaussian_field(SMALL_GRID, 1.0), t_end)
+    assert exc.value.name == "t_end"
+
+
+def test_free_trajectory_accepts_a_multiple_that_rounds():
+    # 3 * 0.05 is 0.15000000000000002 in binary, so only the 1e-9 relative rule admits 0.15
+    traj = free_trajectory(gaussian_field(SMALL_GRID, 1.0), 0.15)
+    assert len(traj) == 4
 
 
 def test_free_trajectory_rows_equal_one_snapshot_propagation():

@@ -10,7 +10,15 @@ from gdnls.scattering import (
     scatter_report,
     xt_accumulate,
 )
-from gdnls.spectral import free_group, free_propagate, xt_norm
+from gdnls.spectral import (
+    DEFAULT_Q_GRID,
+    MixedNormSpec,
+    free_group,
+    free_propagate,
+    mixed_norm,
+    sobolev_norm,
+    xt_norm,
+)
 
 GRID = GridSpec(1024, 160.0)
 
@@ -53,6 +61,77 @@ def test_xt_norms_of_an_evolved_trajectory_are_unchanged():
     got = xt_accumulate(traj, 0.5)
     assert [t for t, _ in got] == pytest.approx([t for t, _ in expect], rel=1e-13)
     assert [v for _, v in got] == pytest.approx([v for _, v in expect], rel=1e-13)
+
+
+def prefix_loop_xt_norm(traj, s):
+    """The seven terms as separate mixed_norm calls: the reference of the one-pass norm."""
+    grid = traj.grid
+    u = traj.values
+    xi = grid.xi
+    uhat = np.fft.fft(u, axis=-1)
+    ux = np.fft.ifft(1j * xi * uhat, axis=-1)
+    frac = np.abs(xi) ** (s - 0.5)
+    dsu = np.fft.ifft(frac * uhat, axis=-1)
+    dsux = np.fft.ifft(frac * 1j * xi * uhat, axis=-1)
+
+    t_ux = Trajectory(grid, traj.times, ux)
+    t_dsu = Trajectory(grid, traj.times, dsu)
+    t_dsux = Trajectory(grid, traj.times, dsux)
+
+    term1 = max(sobolev_norm(ComplexField(grid, row), s) for row in u)
+    term2 = mixed_norm(t_ux, MixedNormSpec("space", np.inf, 2.0))
+    term3 = max(
+        mixed_norm(traj, MixedNormSpec("space", q, np.inf)) for q in DEFAULT_Q_GRID
+    )
+    term4 = mixed_norm(traj, MixedNormSpec("time", 4.0, np.inf))
+    term5 = mixed_norm(t_dsu, MixedNormSpec("space", 4.0, np.inf))
+    term6 = mixed_norm(t_dsux, MixedNormSpec("space", np.inf, 2.0))
+    term7 = mixed_norm(t_dsu, MixedNormSpec("time", 4.0, np.inf))
+    return term1 + term2 + term3 + term4 + term5 + term6 + term7
+
+
+def prefix_loop_xt_accumulate(traj, s):
+    """Each dyadic prefix rebuilt as a Trajectory and normed from scratch."""
+    t_end = traj.times[-1]
+    out = []
+    for t_h in (t_end / 8.0, t_end / 4.0, t_end / 2.0, t_end):
+        n = int(np.count_nonzero(traj.times <= t_h + 1e-12))
+        if n < 2:
+            continue
+        prefix = Trajectory(traj.grid, traj.times[:n], traj.values[:n])
+        out.append((float(prefix.times[-1]), prefix_loop_xt_norm(prefix, s)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def uneven_traj():
+    # 135 snapshots; the dyadic horizons fall between them, so the prefix
+    # lengths 17, 34, 67, 135 are not in the ratio 1 : 2 : 4 : 8
+    cfg = EvolutionConfig("gdnls", GRID, dt=0.011, t_end=4.4, sigma=2.0,
+                          snapshot_stride=3)
+    return evolve(gaussian(0.05), cfg)[0]
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_one_pass_xt_norms_equal_the_prefix_loop(uneven_traj, s):
+    curve = xt_accumulate(uneven_traj, s)
+    assert curve == prefix_loop_xt_accumulate(uneven_traj, s)  # bit for bit
+    assert [t for t, _ in curve] == [0.528, 1.089, 2.178, uneven_traj.times[-1]]
+    assert xt_norm(uneven_traj, s) == prefix_loop_xt_norm(uneven_traj, s)
+
+
+def test_xt_accumulate_takes_each_transform_once(uneven_traj, fft_calls):
+    xt_accumulate(uneven_traj, 0.5)
+    # one batched fft and three batched iffts, one fft per row for the H^s norms
+    assert len(fft_calls) <= len(uneven_traj) + 4
+
+
+def test_xt_accumulate_checks_its_inputs(uneven_traj):
+    with pytest.raises(ValueError, match="s must lie"):
+        xt_accumulate(uneven_traj, 0.3)
+    one = Trajectory(GRID, uneven_traj.times[:1], uneven_traj.values[:1])
+    with pytest.raises(ValueError, match="at least 2 snapshots"):
+        xt_accumulate(one, 0.5)
 
 
 def test_pullback_cauchy_vanishes_on_free_flow():

@@ -142,9 +142,11 @@ def test_total_phase_increment_matches_pc_mass():
     assert phase_mass[-1] == pytest.approx(pc_mass_closed(p), rel=1e-8)
 
 
-def test_curly_i_rejects_right_endpoint():
-    with pytest.raises(ValueError):
-        curly_i(SolitonParams(1.0, 2.0 * (1.0 - 1e-9), 1.0))
+@pytest.mark.parametrize("closed_form", [curly_i, pc_mass_closed], ids=lambda f: f.__name__)
+def test_closed_forms_reject_the_right_endpoint(closed_form):
+    # an admissible speed, but c / (2 sqrt(omega)) = 1 - 1e-9 is inside the margin
+    with pytest.raises(ValueError, match="too close to 1"):
+        closed_form(SolitonParams(1.0, 2.0 * (1.0 - 1e-9), 1.0))
 
 
 def test_soliton_grid_resolves_tail():

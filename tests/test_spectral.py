@@ -285,19 +285,11 @@ def test_homogeneous_norm_matches_the_direct_sum(fields, s):
 
 
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
-def test_homogeneous_norm_makes_at_most_k_plus_1_ffts(grid, monkeypatch):
+def test_homogeneous_norm_makes_at_most_k_plus_1_ffts(grid, fft_calls):
     # one for the lattice part, TAYLOR_TERMS for the cusp part
-    lengths = []
-    fft = np.fft.fft
-
-    def counting(a, *args, **kwargs):
-        lengths.append(np.shape(a))
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting)
     sobolev_norm(box_filling_gaussian(grid, 0.0), 0.25, homogeneous=True)
-    assert set(lengths) == {(grid.n_points,)}
-    assert len(lengths) <= spectral.TAYLOR_TERMS + 1
+    assert set(fft_calls) == {(grid.n_points,)}
+    assert len(fft_calls) <= spectral.TAYLOR_TERMS + 1
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class ComplexField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.ascontiguousarray(self.values, dtype=np.complex128)  # the finiteness view needs it
         if v.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values must have shape ({self.grid.n_points},), got {v.shape}"
@@ -126,12 +126,12 @@ class Trajectory:
             raise ValueError("times must start at 0")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.ascontiguousarray(self.values, dtype=np.complex128)  # the finiteness view needs it
         if v.shape != (t.size, self.grid.n_points):
             raise ValueError(
                 f"values must have shape ({t.size}, {self.grid.n_points}), got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)

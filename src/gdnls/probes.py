@@ -27,7 +27,10 @@ DEFAULT_PROBE_GRID = GridSpec(2048, 256.0)
 SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
 # Ceiling on t_end / SNAPSHOT_SPACING.  The runs in the docs and tests sample at
 # most 161 snapshots (T = 8); one snapshot on DEFAULT_PROBE_GRID is 32 KiB, so
-# this keeps one trajectory near 130 MB.  A t_end that asks for more is a typo.
+# this keeps one trajectory near 130 MB.  free_group keeps the phase tables of
+# the last two time grids it was given, each the size of a trajectory, so at
+# this ceiling a process may also hold two ~130 MB tables.  A t_end that asks
+# for more is a typo.
 MAX_SNAPSHOTS = 4000
 
 

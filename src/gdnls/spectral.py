@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import EDGE_DECAY_THRESHOLD, ComplexField, GridSpec, Trajectory
+from .grid import EDGE_DECAY_THRESHOLD, ComplexField, GridSpec, Trajectory, _read_only
 
 SOBOLEV_ORDER_RANGE = (-2.0, 4.0)
 
@@ -68,7 +69,7 @@ def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
     itself, so the group is exact there.
     """
     times = np.asarray(times, dtype=float)
-    phase = np.exp(-1j * grid.xi**2 * times[..., None])
+    phase = _phase_table(grid, times.shape, times.tobytes())
     # Both factors are named arrays.  Given an unnamed FFT result, numpy
     # may multiply in place into it, and that path can round the last bit
     # differently from the product of a single row.
@@ -77,6 +78,19 @@ def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
     at_zero = times == 0
     out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
     return out
+
+
+# Two tables: the probes alternate between two horizons (T and 2T), and the
+# largest allowed horizon makes a table of about 130 MB on the probe grid.
+@lru_cache(maxsize=2)
+def _phase_table(grid: GridSpec, shape: tuple, times: bytes) -> np.ndarray:
+    """exp(-i xi^2 t_k), one row per time, built once per (grid, times); read-only.
+
+    Every probe member samples the same times, so the table is shared
+    across an ensemble instead of rebuilt for each member.
+    """
+    t = np.frombuffer(times, dtype=float).reshape(shape)
+    return _read_only(np.exp(-1j * grid.xi**2 * t[..., None]))
 
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
@@ -220,7 +234,6 @@ def sobolev_norm(f: ComplexField, s: float, homogeneous: bool = False) -> float:
     grid = f.grid
     if homogeneous and s > 0:
         return float(np.sqrt(_homogeneous_norm_sq(f, s)))
-    fhat2 = np.abs(np.fft.fft(f.values)) ** 2
     xi = grid.xi
     if homogeneous:
         with np.errstate(divide="ignore"):
@@ -231,8 +244,12 @@ def sobolev_norm(f: ComplexField, s: float, homogeneous: bool = False) -> float:
             w = np.ones_like(xi)
     else:
         w = (1.0 + xi**2) ** s
-    norm_sq = grid.box_length / grid.n_points**2 * np.sum(w * fhat2)
-    return float(np.sqrt(norm_sq))
+    return float(_lattice_norm(grid, np.fft.fft(f.values), w))
+
+
+def _lattice_norm(grid: GridSpec, fhat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sqrt(L/N^2 sum_k w_k |fhat_k|^2) along the last axis: one norm per row of fhat."""
+    return np.sqrt(grid.box_length / grid.n_points**2 * np.sum(w * np.abs(fhat) ** 2, axis=-1))
 
 
 def rescale(f: ComplexField, lam: float, sigma: float) -> ComplexField:
@@ -326,9 +343,10 @@ def xt_norm(traj: Trajectory, s: float) -> float:
 def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
     """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj.
 
-    The transforms and the per-row H^s norms are taken once; a prefix
-    reduces the row slices [:n] with the quadratures of mixed_norm, so
-    every value equals xt_norm of the prefix trajectory bit for bit.
+    fft(u), the transforms built on it and the per-row H^s norms read off
+    it are taken once; a prefix reduces the row slices [:n] with the
+    quadratures of mixed_norm, so every value equals xt_norm of the
+    prefix trajectory bit for bit.
     """
     if not 0.5 <= s <= 1.0:
         raise ValueError(f"s must lie in [1/2, 1], got {s}")
@@ -345,7 +363,7 @@ def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
     adsu = np.abs(np.fft.ifft(frac * uhat, axis=-1))
     adsux = np.abs(np.fft.ifft(frac * 1j * xi * uhat, axis=-1))
     # L^inf_t H^s_x term directly (H^s is not a Lebesgue inner norm)
-    hs = [sobolev_norm(ComplexField(grid, row), s) for row in u]
+    hs = _lattice_norm(grid, uhat, (1.0 + xi**2) ** s)
 
     h = grid.spacing
     out = []
@@ -353,7 +371,7 @@ def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
         t = traj.times[:n]
         sup_t = _time_quadrature(au[:n], t, np.inf)
         terms = (  # in the order of xt_norm's docstring; the outer call takes the outer norm
-            max(hs[:n]),
+            hs[:n].max(),
             _space_quadrature(_time_quadrature(aux[:n], t, 2.0), h, np.inf),
             max(_space_quadrature(sup_t, h, q) for q in DEFAULT_Q_GRID),
             _time_quadrature(_space_quadrature(au[:n], h, np.inf), t, 4.0),

@@ -108,3 +108,19 @@ def test_trajectory_validates_its_array():
     mat[1, 4] = np.inf
     with pytest.raises(ValueError):
         Trajectory(g, times, mat)
+
+
+def test_strided_arrays_are_accepted_and_checked():
+    # the finiteness check views the samples as float64 pairs, which needs a
+    # contiguous last axis; strided input is copied, not rejected
+    g = GridSpec(16, 8.0)
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+    np.testing.assert_array_equal(ComplexField(g, wide[:, 0]).values, wide[:, 0])
+    traj = Trajectory(g, np.array([0.0, 0.5, 1.0]), wide[:, ::2].T)
+    np.testing.assert_array_equal(traj.values, wide[:, ::2].T)
+    wide[5, 2] = complex(0.0, np.nan)  # non-finite in the imaginary part only
+    with pytest.raises(ValueError, match="non-finite"):
+        ComplexField(g, wide[:, 2])
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(g, np.array([0.0, 0.5, 1.0]), wide[:, ::2].T)

@@ -7,6 +7,8 @@ f = exp(-a x^2) one has fhat(xi) = sqrt(pi/a) exp(-xi^2/(4a)), hence
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,13 @@ from scipy.special import erfc
 
 from gdnls import spectral
 from gdnls.grid import ComplexField, GridSpec, Trajectory, gaussian_field
+from gdnls.probes import (
+    DEFAULT_PROBE_GRID,
+    SNAPSHOT_SPACING,
+    default_ensemble,
+    maximal_probe,
+    smoothing_probe,
+)
 from gdnls.solitons import SolitonParams, endpoint_waves, full_wave, soliton_grid
 from gdnls.spectral import (
     DEFAULT_Q_GRID,
@@ -21,6 +30,7 @@ from gdnls.spectral import (
     evaluate_interpolant,
     fourier_transform_samples,
     fractional_derivative,
+    free_group,
     free_propagate,
     l2_norm,
     lebesgue_norm,
@@ -136,6 +146,103 @@ def test_free_propagation_group_property():
     u = free_propagate(free_propagate(f, 0.3), 0.4)
     v = free_propagate(f, 0.7)
     np.testing.assert_allclose(u.values, v.values, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the phase table of free_group, built once per (grid, times)
+
+def fresh_phase_table(grid, times):
+    """exp(-i xi^2 t_k) built anew on every call: the reference for the cached table."""
+    return np.exp(-1j * grid.xi**2 * np.asarray(times, dtype=float)[..., None])
+
+
+def uncached_free_group(grid, values, times):
+    """free_group with a fresh phase table on every call."""
+    times = np.asarray(times, dtype=float)
+    phase = fresh_phase_table(grid, times)
+    vhat = np.fft.fft(values, axis=-1)
+    out = np.fft.ifft(phase * vhat, axis=-1)
+    at_zero = times == 0
+    out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
+    return out
+
+
+def cached_table(grid, times):
+    times = np.asarray(times, dtype=float)
+    return spectral._phase_table(grid, times.shape, times.tobytes())
+
+
+PHASE_TIMES = {
+    "probe-T4": SNAPSHOT_SPACING * np.arange(81),
+    "probe-T8": SNAPSHOT_SPACING * np.arange(161),
+    "pullback": -np.array([1.0, 2.0, 4.0, 8.0]),
+    "scalar": 0.7,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PHASE_TIMES))
+def test_phase_table_equals_a_fresh_exp_table(key):
+    times = PHASE_TIMES[key]
+    np.testing.assert_array_equal(cached_table(DEFAULT_PROBE_GRID, times),
+                                  fresh_phase_table(DEFAULT_PROBE_GRID, times))
+    f = gaussian_field(DEFAULT_PROBE_GRID, 1.0, 2.0, -1.0)
+    rows = np.broadcast_to(f.values, np.shape(times) + f.values.shape)
+    for values in (f.values, rows):  # one datum, or one row per time
+        np.testing.assert_array_equal(free_group(DEFAULT_PROBE_GRID, values, times),
+                                      uncached_free_group(DEFAULT_PROBE_GRID, values, times))
+
+
+def test_phase_table_is_read_only():
+    table = cached_table(GRID, PHASE_TIMES["probe-T4"])
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 2.0
+
+
+def test_grids_of_different_length_do_not_share_a_table():
+    times = PHASE_TIMES["probe-T4"]
+    short, long = GridSpec(1024, 64.0), GridSpec(1024, 128.0)
+    np.testing.assert_array_equal(cached_table(long, times), fresh_phase_table(long, times))
+    np.testing.assert_array_equal(cached_table(short, times), fresh_phase_table(short, times))
+    assert not np.array_equal(cached_table(short, times), cached_table(long, times))
+
+
+def test_an_ensemble_probe_builds_at_most_one_table():
+    ens = default_ensemble(seed=0)
+    spectral._phase_table.cache_clear()
+    smoothing_probe(ens, 4.0)
+    assert spectral._phase_table.cache_info().misses <= 1
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_free_group_on_threads_returns_the_serial_results(workers):
+    # gdnls sweep runs configs on threads, which share the two-entry cache;
+    # three time arrays on two grids make the threads evict each other's tables
+    grids = (GridSpec(1024, 64.0), GridSpec(1024, 96.0))
+    tasks = [(g, gaussian_field(g, a).values, PHASE_TIMES[key])
+             for a in (0.5, 2.0) for key in ("probe-T4", "probe-T8", "pullback")
+             for g in grids] * 3
+    serial = [uncached_free_group(*task) for task in tasks]
+    spectral._phase_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(free_group, *task) for task in tasks]
+            threaded = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, expect in zip(threaded, serial):
+        np.testing.assert_array_equal(got, expect)
+
+
+# both seeds and both horizons of criterion 11, each once: the uncached side
+# rebuilds the table for every member, about 3 s at T = 4 and 5 s at T = 8
+@pytest.mark.parametrize("seed, t_end", [(0, 4.0), (7, 8.0)])
+def test_probe_ratios_equal_the_uncached_reference(seed, t_end, monkeypatch):
+    ens = default_ensemble(seed=seed)
+    cached = maximal_probe(ens, 4.0, 0.25, t_end)
+    monkeypatch.setattr(spectral, "_phase_table", spectral._phase_table.__wrapped__)
+    assert maximal_probe(ens, 4.0, 0.25, t_end) == cached  # ratio, member and params
 
 
 def test_evaluate_interpolant_reproduces_samples():

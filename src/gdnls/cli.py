@@ -286,11 +286,21 @@ def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionCo
 
 
 def _atlas_setup(p: dict) -> list:
-    return [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
+    waves = [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
+    for sp in waves:
+        soliton_grid(sp)  # checks the grid size; a GridSpec holds no arrays
+    return waves
 
 
 def _theorem1_setup(p: dict) -> list:
-    return list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
+    waves = list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
+    if p["norm"] == "Hsc":  # the one norm on a grid, which grows as alpha_j falls
+        for name, (_, sp) in (("alpha0", waves[0]), ("num_points", waves[-1])):
+            try:
+                soliton_grid(sp)
+            except ParameterError as exc:
+                raise ParameterError(name, str(exc)) from None
+    return waves
 
 
 def _evolve_setup(p: dict):

@@ -9,27 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import ComplexField
+from .quadrature import cumulative_integral
 
 FORWARD = "forward"   # gDNLS frame -> DNLS frame
 INVERSE = "inverse"
 
 _DIRECTIONS = (FORWARD, INVERSE)
-
-
-def cumulative_from_left(values: np.ndarray, grid) -> np.ndarray:
-    """Running integral from the left box edge, spectrally accurate.
-
-    Antidifferentiates the trigonometric interpolant: the zero mode
-    contributes a linear ramp, the rest divide by i xi.
-    """
-    vhat = np.fft.fft(values)
-    xi = grid.xi
-    coef = np.zeros_like(vhat)
-    coef[1:] = vhat[1:] / (1j * xi[1:])
-    osc = np.fft.ifft(coef)
-    x = grid.x
-    ramp = (vhat[0].real / grid.n_points) * (x - x[0])
-    return ramp + np.real(osc - osc[0])
 
 
 def gauge_transform(u: ComplexField, direction: str = FORWARD) -> ComplexField:
@@ -38,6 +23,6 @@ def gauge_transform(u: ComplexField, direction: str = FORWARD) -> ComplexField:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     u.check_edge_decay()
     dens = np.abs(u.values) ** 2
-    phase = 0.5 * cumulative_from_left(dens, u.grid)
+    phase = 0.5 * cumulative_integral(dens, u.grid)
     sign = -1.0 if direction == FORWARD else 1.0
     return ComplexField(u.grid, u.values * np.exp(1j * sign * phase))

@@ -12,10 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError
-from .quadrature import integrate_halfline, cumulative_integral
+from .quadrature import integrate_halfline
 from .spectral import l2_norm, sobolev_norm, spatial_derivative
 
-_ENDPOINT_MARGIN = 1e-6  # largest allowed c/(2 sqrt(omega)) for the I(c) integrals
+_ENDPOINT_MARGIN = 1e-6  # largest allowed c/(2 sqrt(omega)) for the I(c) integral
+
+# Largest soliton grid: a complex array of 2^20 points is 16 MiB and a
+# homogeneous norm holds about ten at once.  Near the endpoint the grid
+# grows like 1/alpha; at 2^27 points one array alone would be 2 GiB.
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -67,38 +72,51 @@ def soliton_grid(p: SolitonParams, h_target: float = 0.5, min_n: int = 4096) -> 
     """Grid large enough to resolve phi, at least 80 long.
 
     The tail decays like exp(-alpha x / 2), so alpha * L >= 124 puts the
-    edge magnitude below the admissibility threshold.
+    edge magnitude below the admissibility threshold.  A grid of more
+    than MAX_GRID_POINTS points raises ParameterError naming c.
     """
     length = max(80.0, 124.0 / p.alpha)
     n = max(min_n, 2 ** math.ceil(math.log2(length / h_target)))
+    if n > MAX_GRID_POINTS:
+        raise ParameterError(
+            "c", f"speed {p.c} (alpha = {p.alpha:.3g}) needs a grid of {n} points, "
+                 f"more than {MAX_GRID_POINTS}")
     return GridSpec(n, length)
 
 
+def _phase_mass(p: SolitonParams, x) -> np.ndarray:
+    """Integral of amplitude^{2 sigma} from -inf to x, in closed form.
+
+    (2(sigma+1)/sigma) (arctan(beta tanh(sigma alpha x / 2)) + arctan beta)
+    with beta = sqrt((2 sqrt(w) + c) / (2 sqrt(w) - c)).  Since
+    (2 sqrt(w) + c)(2 sqrt(w) - c) = alpha^2, beta is written as a
+    quotient with no difference of nearly equal numbers: 2 sqrt(w) + c
+    cancels as c -> -2 sqrt(w), where the endpoint scans go.
+    """
+    two_sqrt_w = 2.0 * math.sqrt(p.omega)
+    beta = p.alpha / (two_sqrt_w - p.c) if p.c <= 0 else (two_sqrt_w + p.c) / p.alpha
+    ramp = np.arctan(beta * np.tanh(0.5 * p.sigma * p.alpha * np.asarray(x, dtype=float)))
+    return (2.0 * (p.sigma + 1.0) / p.sigma) * (ramp + math.atan(beta))
+
+
 def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
-    """Sample phi_{omega,c} on the grid, phase integral by cumulative quadrature."""
+    """Sample phi_{omega,c} = amplitude exp(i(c x / 2 - _phase_mass / (2 sigma + 2))) on the grid."""
     x = grid.x
     amp = amplitude(p, x)
     out = ComplexField(grid, amp.astype(np.complex128))
     out.check_edge_decay()
-    phase_mass = cumulative_integral(lambda y: amplitude(p, y) ** (2.0 * p.sigma), x)
-    phase = 0.5 * p.c * x - phase_mass / (2.0 * p.sigma + 2.0)
+    phase = 0.5 * p.c * x - _phase_mass(p, x) / (2.0 * p.sigma + 2.0)
     return ComplexField(grid, amp * np.exp(1j * phase))
-
-
-def _interior_speed_ratio(p: SolitonParams) -> float:
-    """p.speed_ratio, at most 1 - _ENDPOINT_MARGIN: the integrands in cosh x - ratio blow up at 1."""
-    gamma = p.speed_ratio
-    if gamma > 1.0 - _ENDPOINT_MARGIN:
-        raise ValueError(
-            f"c/(2 sqrt(omega)) = {gamma:.8f} too close to 1; the integrand is "
-            "non-integrable (or near-singular) at the right endpoint"
-        )
-    return gamma
 
 
 def curly_i(p: SolitonParams) -> float:
     """I(c) = integral over (0, inf) of (cosh x - c/(2 sqrt(w)))^(-1/sigma)."""
-    gamma = _interior_speed_ratio(p)
+    gamma = p.speed_ratio
+    if gamma > 1.0 - _ENDPOINT_MARGIN:  # the integrand blows up at gamma = 1
+        raise ValueError(
+            f"c/(2 sqrt(omega)) = {gamma:.8f} too close to 1; the integrand is "
+            "non-integrable (or near-singular) at the right endpoint"
+        )
     with np.errstate(over="ignore"):
         res = integrate_halfline(lambda x: (np.cosh(x) - gamma) ** (-1.0 / p.sigma))
     return res.value
@@ -111,11 +129,8 @@ def l2_mass_closed(p: SolitonParams) -> float:
 
 
 def pc_mass_closed(p: SolitonParams) -> float:
-    """Closed form for integral of |phi|^{p_c}, p_c = 2 sigma."""
-    gamma = _interior_speed_ratio(p)
-    with np.errstate(over="ignore"):
-        res = integrate_halfline(lambda x: 1.0 / (np.cosh(x) - gamma))
-    return (2.0 * (p.sigma + 1.0) / p.sigma) * (p.alpha / (2.0 * math.sqrt(p.omega))) * res.value
+    """Integral of |phi|^{p_c}, p_c = 2 sigma: (4(sigma+1)/sigma) arctan beta (see _phase_mass)."""
+    return float(_phase_mass(p, math.inf))
 
 
 def virial_ratio(p: SolitonParams, grid: GridSpec | None = None) -> float:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdnls
 from gdnls.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -29,6 +34,15 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # scipy.integrate was most of the import time; only curly_i's quadrature needs it
+    src = str(Path(gdnls.__file__).resolve().parents[1])
+    code = "import sys, gdnls.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- config parsing ----------------------------------------------------------
@@ -81,6 +95,11 @@ FIELD_CASES = [
     ("ineq-probe", {"probe": "smoothing", "t_end": "0.02"}, "t_end"),
     ("ineq-probe", {"probe": "smoothing", "t_end": "0.07"}, "t_end"),
     ("ineq-probe", {"probe": "smoothing", "t_end": "1e300"}, "t_end"),
+    # soliton grids past MAX_GRID_POINTS: 2^27, 2^28 and 2^27 points
+    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "20"}, "num_points"),
+    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "alpha0": "1e-6", "num_points": "4"},
+     "alpha0"),
+    ("soliton-atlas", {"sigma": "2", "c_grid": "-1.999999999999"}, "c_grid"),
 ]
 # the field name, or field=value where an earlier case names the same field
 FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
@@ -188,6 +207,31 @@ def test_main_rejects_an_endpoint_sequence_that_reaches_the_endpoint(tmp_path, c
     out = str(tmp_path / "o")
     assert main(["theorem1-scan", "--config", cfg, "--out", out]) == EXIT_VALIDATION
     assert "'alpha0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, text, field_name", [
+    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 20\n", "num_points"),
+    ("soliton-atlas", "sigma = 2\nc_grid = -1.999999999999\n", "c_grid"),
+], ids=["theorem1-scan", "soliton-atlas"])
+def test_main_rejects_a_soliton_grid_past_the_ceiling(tmp_path, capsys, monkeypatch,
+                                                      experiment, text, field_name):
+    # each grid is 2^27 points, 1 GiB for its sample points alone: none may be built
+    def no_samples(self):
+        raise AssertionError("grid samples were built")
+
+    for name in ("x", "xi"):
+        monkeypatch.setattr(GridSpec, name, property(no_samples))
+    cfg = write(tmp_path, "big.cfg", text)
+    out = tmp_path / "o"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert f"'{field_name}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_sizes_soliton_grids_only_for_hsc():
+    # the other norms are closed forms, so the long scan needs no grid
+    for norm in ("L2", "H1", "Lpc"):
+        validate_config("theorem1-scan", {"sigma": "2", "norm": norm, "num_points": "20"})
 
 
 def test_main_rejects_initial_data_that_does_not_decay_at_the_edge(tmp_path, capsys):

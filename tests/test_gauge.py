@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from gdnls.evolve import EvolutionConfig, evolve
-from gdnls.gauge import FORWARD, INVERSE, cumulative_from_left, gauge_transform
+from gdnls.gauge import FORWARD, INVERSE, gauge_transform
 from gdnls.grid import ComplexField, GridSpec, ResolutionError
 from gdnls.spectral import l2_norm
 
@@ -12,14 +11,6 @@ GRID = GridSpec(1024, 80.0)
 
 def datum(delta=0.3, vel=0.5):
     return ComplexField(GRID, delta * np.exp(-GRID.x**2 + 1j * vel * GRID.x))
-
-
-def test_cumulative_from_left_erf_oracle():
-    # running integral of a Gaussian density from the left edge
-    dens = np.exp(-GRID.x**2)
-    got = cumulative_from_left(dens, GRID)
-    expect = np.sqrt(np.pi) / 2.0 * (erf(GRID.x) - erf(GRID.x[0]))
-    np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_direction_validation():

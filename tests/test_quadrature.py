@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from gdnls.grid import GridSpec
 from gdnls.quadrature import (
     QuadratureError,
     QuadratureResult,
@@ -54,21 +55,28 @@ def test_result_validation():
 
 
 def test_cumulative_integral_gaussian_erf_oracle():
-    x = np.linspace(-20.0, 20.0, 801)
-    got = cumulative_integral(lambda y: np.exp(-(y**2)), x)
-    expect = math.sqrt(math.pi) / 2.0 * (erf(x) + 1.0)
-    np.testing.assert_allclose(got, expect, atol=1e-12)
+    # running integral of a Gaussian density from the left box edge; the
+    # first input is the gauge's density at the grid of tests/test_gauge.py
+    for grid, x0 in ((GridSpec(1024, 80.0), 0.0), (GridSpec(2048, 40.0), 3.0)):
+        x = grid.x
+        got = cumulative_integral(np.exp(-((x - x0) ** 2)), grid)
+        expect = math.sqrt(math.pi) / 2.0 * (erf(x - x0) - erf(x[0] - x0))
+        np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
 def test_cumulative_integral_sech_squared_oracle():
-    # running integral of sech^2 from -inf is tanh(x) + 1
-    x = np.linspace(-30.0, 30.0, 1201)
-    got = cumulative_integral(lambda y: 1.0 / np.cosh(y) ** 2, x)
-    np.testing.assert_allclose(got, np.tanh(x) + 1.0, atol=1e-12)
+    # running integral of k sech^2(k (y - x0)) is tanh(k (x - x0)) - tanh(k (x_0 - x0))
+    for grid, k, x0 in ((GridSpec(1024, 60.0), 1.0, 0.0), (GridSpec(2048, 60.0), 2.0, 1.0)):
+        x = grid.x
+        got = cumulative_integral(k / np.cosh(k * (x - x0)) ** 2, grid)
+        np.testing.assert_allclose(got, np.tanh(k * (x - x0)) - np.tanh(k * (x[0] - x0)),
+                                   atol=1e-12)
 
 
 def test_cumulative_integral_starts_near_zero():
-    x = np.linspace(-50.0, 50.0, 401)
-    got = cumulative_integral(lambda y: np.exp(-(y**2)), x)
-    assert abs(got[0]) < 1e-13
-    assert np.all(np.diff(got) >= -1e-15)
+    # a positive density: the running integral starts at 0 and never decreases
+    for grid, dens in ((GridSpec(512, 100.0), lambda y: np.exp(-(y**2))),
+                       (GridSpec(1024, 100.0), lambda y: 1.0 / np.cosh(y))):
+        got = cumulative_integral(dens(grid.x), grid)
+        assert abs(got[0]) < 1e-13
+        assert np.all(np.diff(got) >= -1e-15)

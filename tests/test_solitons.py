@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
-from gdnls.quadrature import cumulative_integral
+from gdnls.quadrature import QuadratureError, integrate_halfline
 from gdnls.solitons import (
+    MAX_GRID_POINTS,
     SolitonParams,
+    _phase_mass,
     amplitude,
     curly_i,
     endpoint_rate,
@@ -20,6 +22,70 @@ from gdnls.solitons import (
     virial_ratio,
 )
 from gdnls.spectral import l2_norm, lebesgue_norm, spatial_derivative
+
+# -- quadrature references for the closed-form phase and p_c-mass ------------
+
+# The Gauss-panel running integral that full_wave used before the closed form.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_CUTOFF_THRESHOLD = 1e-14
+_CUTOFF_WINDOW = 1e6
+
+
+def _find_left_cutoff(integrand, x0):
+    """Leftmost point a <= x0 with |integrand| below threshold on a sampled scan."""
+    step = 1.0
+    a = x0
+    while x0 - a < _CUTOFF_WINDOW:
+        a = a - step
+        if abs(integrand(np.asarray([a]))[0]) < _CUTOFF_THRESHOLD:
+            return a
+        step *= 2.0
+    raise QuadratureError(f"no left cutoff found within {_CUTOFF_WINDOW:g} of x_grid[0]")
+
+
+def _panel_gauss(integrand, left, right):
+    """Fixed-order Gauss-Legendre on each panel [left_i, right_i], vectorized."""
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    pts = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
+    vals = integrand(pts.ravel()).reshape(pts.shape)
+    return half * (vals @ _GAUSS_WEIGHTS)
+
+
+def gauss_panel_integral(integrand, x_grid):
+    """F(x_i) = integral of integrand from -inf to x_i on an increasing grid.
+
+    The improper tail is cut where the integrand falls below 1e-14 and
+    covered by 64 panels up to x_grid[0]; each grid cell is one panel.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    a = _find_left_cutoff(integrand, x_grid[0])
+    ramp = np.linspace(a, x_grid[0], 65)
+    head = np.sum(_panel_gauss(integrand, ramp[:-1], ramp[1:]))
+    panels = _panel_gauss(integrand, x_grid[:-1], x_grid[1:])
+    return head + np.concatenate([[0.0], np.cumsum(panels)])
+
+
+def quad_pc_mass(p):
+    """Integral of |phi|^{p_c} as the half-line quadrature in cosh x - c/(2 sqrt(w))."""
+    gamma = p.speed_ratio
+    with np.errstate(over="ignore"):
+        res = integrate_halfline(lambda x: 1.0 / (np.cosh(x) - gamma))
+    return (2.0 * (p.sigma + 1.0) / p.sigma) * (p.alpha / (2.0 * math.sqrt(p.omega))) * res.value
+
+
+def phase_density(p):
+    return lambda y: amplitude(p, y) ** (2.0 * p.sigma)
+
+
+# (omega, c, sigma), then the sigma = 1 and sigma = 2 endpoint scans down to alpha = 2^-7
+REFERENCE_WAVES = (
+    [pytest.param(SolitonParams(*args), id="{:g}-{:g}-{:g}".format(*args)) for args in
+     [(1.0, 0.0, 2.0), (1.0, 0.9, 1.0), (3.0, -2.0, 3.0), (1.0, 1.9, 0.5),
+      (1.0, 1.99, 3.0), (1.0, 0.0, 6.0)]]
+    + [pytest.param(p, id=f"endpoint-sigma{sigma:g}-j{j}") for sigma in (1.0, 2.0)
+       for j, (_, p) in enumerate(endpoint_waves(sigma, 1.0, 8))]
+)
 
 
 def test_params_validation():
@@ -138,11 +204,30 @@ def test_total_phase_increment_matches_pc_mass():
     # (2 sigma + 2); its total increment is the p_c-mass over (2 sigma + 2)
     p = SolitonParams(1.0, 0.5, 2.0)
     g = soliton_grid(p)
-    phase_mass = cumulative_integral(lambda y: amplitude(p, y) ** (2.0 * p.sigma), g.x)
+    phase_mass = gauss_panel_integral(phase_density(p), g.x)
     assert phase_mass[-1] == pytest.approx(pc_mass_closed(p), rel=1e-8)
 
 
-@pytest.mark.parametrize("closed_form", [curly_i, pc_mass_closed], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p", REFERENCE_WAVES)
+def test_phase_matches_the_quadrature_reference(p):
+    x = soliton_grid(p).x
+    ref = gauss_panel_integral(phase_density(p), x)
+    np.testing.assert_allclose(_phase_mass(p, x), ref, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", REFERENCE_WAVES)
+def test_pc_mass_matches_the_quadrature_reference(p):
+    assert pc_mass_closed(p) == pytest.approx(quad_pc_mass(p), rel=1e-13, abs=0.0)
+
+
+def test_pc_mass_is_finite_up_to_the_right_endpoint():
+    # c / (2 sqrt(omega)) = 1 - 1e-9; the limit at 1 is 4(sigma+1)/sigma * pi/2
+    val = pc_mass_closed(SolitonParams(1.0, 2.0 * (1.0 - 1e-9), 1.0))
+    assert math.isfinite(val)
+    assert val == pytest.approx(4.0 * math.pi, abs=1e-3)
+
+
+@pytest.mark.parametrize("closed_form", [curly_i], ids=lambda f: f.__name__)
 def test_closed_forms_reject_the_right_endpoint(closed_form):
     # an admissible speed, but c / (2 sqrt(omega)) = 1 - 1e-9 is inside the margin
     with pytest.raises(ValueError, match="too close to 1"):
@@ -154,6 +239,15 @@ def test_soliton_grid_resolves_tail():
     g = soliton_grid(p)
     assert p.alpha * g.box_length >= 124.0
     full_wave(p, g)  # edge-decay check inside must pass
+
+
+def test_soliton_grid_stops_at_max_grid_points():
+    # sigma = 2: alpha = 2^-12 needs 2^20 points, alpha = 2^-13 needs 2^21
+    *_, (_, last_fit), (_, too_far) = endpoint_waves(2.0, 1.0, 14)
+    assert soliton_grid(last_fit).n_points == MAX_GRID_POINTS
+    with pytest.raises(ParameterError, match="grid of 2097152 points") as exc:
+        soliton_grid(too_far)
+    assert exc.value.name == "c"
 
 
 # -- near-endpoint (Case 2) machinery ---------------------------------------
@@ -175,7 +269,7 @@ def gz_field(sigma, z, grid):
     x = grid.x
     prof = (1.0 - z * z) ** (1.0 / (2.0 * sigma)) * hz_profile(sigma, z, m * x)
     ComplexField(grid, prof.astype(np.complex128)).check_edge_decay()
-    phi = cumulative_integral(lambda y: hz_profile(sigma, z, y) ** (2.0 * sigma), m * x)
+    phi = gauss_panel_integral(lambda y: hz_profile(sigma, z, y) ** (2.0 * sigma), m * x)
     return ComplexField(grid, prof * np.exp(-1j * m * phi))
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.gauge import FORWARD, INVERSE, gauge_transform
 from gdnls.grid import ComplexField, GridSpec, ResolutionError
+from gdnls.quadrature import cumulative_integral
 from gdnls.spectral import l2_norm
 
 GRID = GridSpec(1024, 80.0)
@@ -11,6 +13,17 @@ GRID = GridSpec(1024, 80.0)
 
 def datum(delta=0.3, vel=0.5):
     return ComplexField(GRID, delta * np.exp(-GRID.x**2 + 1j * vel * GRID.x))
+
+
+def test_cumulative_from_left_erf_oracle():
+    # running integral of a Gaussian density from the left edge, as the
+    # gauge takes it, and the multiplier the gauge builds from it
+    dens = np.exp(-GRID.x**2)
+    expect = np.sqrt(np.pi) / 2.0 * (erf(GRID.x) - erf(GRID.x[0]))
+    np.testing.assert_allclose(cumulative_integral(dens, GRID), expect, atol=1e-12)
+    u = ComplexField(GRID, np.exp(-GRID.x**2 / 2.0).astype(complex))
+    v = gauge_transform(u, FORWARD)
+    np.testing.assert_allclose(v.values, u.values * np.exp(-0.5j * expect), atol=1e-12)
 
 
 def test_direction_validation():

@@ -55,8 +55,7 @@ def test_result_validation():
 
 
 def test_cumulative_integral_gaussian_erf_oracle():
-    # running integral of a Gaussian density from the left box edge; the
-    # first input is the gauge's density at the grid of tests/test_gauge.py
+    # running integral of a Gaussian density from the left box edge
     for grid, x0 in ((GridSpec(1024, 80.0), 0.0), (GridSpec(2048, 40.0), 3.0)):
         x = grid.x
         got = cumulative_integral(np.exp(-((x - x0) ** 2)), grid)

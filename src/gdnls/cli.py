@@ -215,6 +215,10 @@ _SCHEMAS = {
 }
 
 
+# (experiment, library parameter) -> the config field it comes from, where the names differ
+_CONFIG_FIELDS = {("soliton-atlas", "c"): "c_grid", ("theorem1-scan", "n_points"): "num_points"}
+
+
 def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
     """Check keys, then build the run's domain objects; messages name the field."""
     if experiment not in EXPERIMENTS:
@@ -237,7 +241,7 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
     try:
         _EXPERIMENTS[experiment][0](params)
     except ParameterError as exc:
-        field_name = "c_grid" if (experiment, exc.name) == ("soliton-atlas", "c") else exc.name
+        field_name = _CONFIG_FIELDS.get((experiment, exc.name), exc.name)
         raise ConfigError(f"field {field_name!r}: {exc}") from None
     return ExperimentConfig(experiment, params)
 
@@ -420,7 +424,7 @@ def _run_ineq_probe(p: dict):
         rep = leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]
-    checks = {"worst_ratio": rep.worst_ratio, **{k: v for k, v in rep.params.items()}}
+    checks = {"worst_ratio": rep.worst_ratio, "near_ties": rep.near_ties, **rep.params}
     return columns, rows, checks
 
 

@@ -15,22 +15,27 @@ import numpy as np
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from .spectral import (
     MixedNormSpec,
+    _free_moduli,
+    _mixed_quadrature,
     free_group,
     l2_norm,
     lebesgue_norm,
     fractional_derivative,
-    mixed_norm,
     sobolev_norm,
 )
 
 DEFAULT_PROBE_GRID = GridSpec(2048, 256.0)
 SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
+# Members whose ratio lies within this relative distance of the worst one
+# count as near ties; argmax picks the first of them, so a rounding change
+# can move worst_member among them.
+NEAR_TIE_RTOL = 1e-12
 # Ceiling on t_end / SNAPSHOT_SPACING.  The runs in the docs and tests sample at
 # most 161 snapshots (T = 8); one snapshot on DEFAULT_PROBE_GRID is 32 KiB, so
-# this keeps one trajectory near 130 MB.  free_group keeps the phase tables of
-# the last two time grids it was given, each the size of a trajectory, so at
-# this ceiling a process may also hold two ~130 MB tables.  A t_end that asks
-# for more is a typo.
+# this keeps the one (n_t, N) buffer a probe call reuses for all its members
+# near 130 MB.  free_group keeps the phase tables of the last two time grids it
+# was given, each the size of that buffer, so at this ceiling a process may
+# also hold two ~130 MB tables.  A t_end that asks for more is a typo.
 MAX_SNAPSHOTS = 4000
 
 
@@ -40,6 +45,8 @@ class ProbeEnsemble:
     seed: int
 
     def __post_init__(self):
+        if len({m.grid for m in self.members}) != 1:
+            raise ValueError("an ensemble needs at least one member, all on one grid")
         for m in self.members:
             m.check_edge_decay()
 
@@ -50,6 +57,7 @@ class ProbeReport:
     worst_ratio: float
     worst_member: int
     params: dict = field(default_factory=dict)
+    near_ties: int = 1  # members within NEAR_TIE_RTOL of worst_ratio, itself included
 
     def __post_init__(self):
         if not (np.isfinite(self.worst_ratio) and self.worst_ratio >= 0):
@@ -87,17 +95,22 @@ def check_horizon(t_end: float) -> None:
             "t_end", f"t_end = {t_end} is not a whole multiple of {SNAPSHOT_SPACING}")
 
 
-def free_trajectory(f: ComplexField, t_end: float) -> Trajectory:
+def _snapshot_times(t_end: float) -> np.ndarray:
+    """0, SNAPSHOT_SPACING, ..., t_end: the times every probe samples."""
     check_horizon(t_end)
-    n = int(round(t_end / SNAPSHOT_SPACING))
-    times = SNAPSHOT_SPACING * np.arange(n + 1)
+    return SNAPSHOT_SPACING * np.arange(int(round(t_end / SNAPSHOT_SPACING)) + 1)
+
+
+def free_trajectory(f: ComplexField, t_end: float) -> Trajectory:
+    times = _snapshot_times(t_end)
     return Trajectory(f.grid, times, free_group(f.grid, f.values, times))
 
 
 def _worst(ratios, inequality_id: str, params: dict) -> ProbeReport:
     ratios = np.asarray(ratios)
     k = int(np.argmax(ratios))
-    return ProbeReport(inequality_id, float(ratios[k]), k, params)
+    near_ties = int(np.count_nonzero(ratios[k] - ratios <= NEAR_TIE_RTOL * ratios[k]))
+    return ProbeReport(inequality_id, float(ratios[k]), k, params, near_ties)
 
 
 def check_strichartz_pair(q: float, r: float) -> None:
@@ -124,15 +137,18 @@ def check_leibniz_order(s: float) -> None:
 
 
 def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_norm) -> list:
-    """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member."""
-    ratios = []
-    for f in ens.members:
-        # traj stays alive until the next member's trajectory is built.  Freed
-        # first, as in a comprehension, its pages go back to the OS and are
-        # faulted in again for every member: about 30 % slower at T = 4.
-        traj = free_trajectory(f, t_end)
-        ratios.append(mixed_norm(traj, spec) / data_norm(f))
-    return ratios
+    """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member.
+
+    No trajectory is built: each member's moduli |D^d e^{it Lap} f| come
+    straight from its fhat through one (n_t, N) buffer that every member
+    reuses, and mixed_norm's quadratures reduce them.
+    """
+    times = _snapshot_times(t_end)
+    grid = ens.members[0].grid
+    buf = np.empty((len(times), grid.n_points), dtype=complex)
+    return [_mixed_quadrature(_free_moduli(grid, f.values, times, spec.derivative_order, buf),
+                              times, grid.spacing, spec) / data_norm(f)
+            for f in ens.members]
 
 
 def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> ProbeReport:

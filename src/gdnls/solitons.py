@@ -155,7 +155,9 @@ def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float
     """Yield (alpha_j, params) for alpha_j = alpha0 2^-j, c_j = -sqrt(4 omega - alpha_j^2).
 
     Lazy: if c_j rounds onto the endpoint -2 sqrt(omega), a
-    ParameterError naming alpha0 is raised at that j.
+    ParameterError is raised at that j.  It names alpha0 at j = 0, and
+    n_points at j > 0, where the first j waves exist and only the
+    sequence is too long.
     """
     for j in range(n_points):
         a = alpha0 * 2.0 ** -j
@@ -164,7 +166,11 @@ def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float
         except ParameterError as exc:
             if exc.name != "c":
                 raise
-            raise ParameterError("alpha0", f"alpha_{j} = {a:.3g} is too small: {exc}") from None
+            if j == 0:
+                raise ParameterError("alpha0", f"alpha_0 = {a:.3g} is too small: {exc}") from None
+            raise ParameterError(
+                "n_points", f"alpha_{j} = {a:.3g} is too small, so at most {j} points "
+                f"fit: {exc}") from None
         yield a, p
 
 

@@ -80,6 +80,26 @@ def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
     return out
 
 
+def _free_moduli(grid: GridSpec, values: np.ndarray, times: np.ndarray, order: float,
+                 buf: np.ndarray) -> np.ndarray:
+    """|D^order e^{i t_k Laplacian} f| for the datum f = values, one row per time.
+
+    buf is a complex (len(times), N) array that the caller reuses from
+    datum to datum; the batched inverse transform runs in it.  For order
+    0 the operations are free_group's, in its order, so the moduli are
+    those of free_group's rows bit for bit.
+    """
+    phase = _phase_table(grid, times.shape, times.tobytes())
+    vhat = np.fft.fft(values)
+    if order > 0:
+        vhat = np.abs(grid.xi) ** order * vhat
+    np.multiply(phase, vhat, out=buf)
+    np.fft.ifft(buf, out=buf)
+    if order == 0:
+        buf[times == 0] = values
+    return np.abs(buf)
+
+
 # Two tables: the probes alternate between two horizons (T and 2T), and the
 # largest allowed horizon makes a table of about 130 MB on the probe grid.
 @lru_cache(maxsize=2)
@@ -315,12 +335,20 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
         u = np.abs(np.fft.ifft(mult * np.fft.fft(traj.values, axis=-1), axis=-1))
     else:
         u = np.abs(traj.values)
-    h = traj.grid.spacing
+    return _mixed_quadrature(u, traj.times, traj.grid.spacing, spec)
+
+
+def _mixed_quadrature(u: np.ndarray, times: np.ndarray, h: float, spec: MixedNormSpec) -> float:
+    """The quadratures of spec over moduli u, one row per time and spacing h.
+
+    This is the reduction of mixed_norm, shared with the probes, which
+    build u without a trajectory.
+    """
     if spec.outer_variable == "time":
         inner = _space_quadrature(u, h, spec.inner_exponent)  # per-time spatial norm
-        outer = _time_quadrature(inner, traj.times, spec.outer_exponent)
+        outer = _time_quadrature(inner, times, spec.outer_exponent)
     else:
-        inner = _time_quadrature(u, traj.times, spec.inner_exponent)  # per-point time norm
+        inner = _time_quadrature(u, times, spec.inner_exponent)  # per-point time norm
         outer = _space_quadrature(inner, h, spec.outer_exponent)
     return float(outer)
 

@@ -209,6 +209,15 @@ def test_main_rejects_an_endpoint_sequence_that_reaches_the_endpoint(tmp_path, c
     assert "'alpha0'" in capsys.readouterr().err
 
 
+def test_main_names_num_points_when_a_later_speed_reaches_the_endpoint(tmp_path, capsys):
+    # alpha0 = 1 is fine; alpha_26 = 2^-26 is the first whose c_j rounds to -2
+    cfg = write(tmp_path, "t1.cfg", "sigma = 2\nnorm = L2\nnum_points = 30\n")
+    out = str(tmp_path / "o")
+    assert main(["theorem1-scan", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "'num_points'" in err and "alpha_26" in err and "'alpha0'" not in err
+
+
 @pytest.mark.parametrize("experiment, text, field_name", [
     ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 20\n", "num_points"),
     ("soliton-atlas", "sigma = 2\nc_grid = -1.999999999999\n", "c_grid"),
@@ -377,6 +386,18 @@ def test_sweep_end_to_end(tmp_path):
                  "--workers", "2", "--out", out]) == EXIT_OK
     assert (tmp_path / "o" / "one.csv").exists()
     assert (tmp_path / "o" / "two.json").exists()
+
+
+def test_ineq_probe_manifest_counts_near_ties_and_the_csv_does_not(tmp_path):
+    # seed 0, t_end 4.  Every member is unitary at (inf, 2); smoothing's count
+    # rests on last bits (8 here), so only a tie beside the worst member is pinned
+    for text, expect in (("probe = strichartz\nq = inf\nr = 2\n", lambda n: n == 120),
+                         ("probe = smoothing\n", lambda n: n >= 2)):
+        record = run(validate_config("ineq-probe", parse_config_text(text)), out_dir=tmp_path)
+        stem = f"ineq-probe-{record.config_hash}"
+        assert expect(json.loads((tmp_path / f"{stem}.json").read_text())["checks"]["near_ties"])
+        lines = (tmp_path / f"{stem}.csv").read_text().strip().split("\n")
+        assert lines[0] == "inequality_id,worst_ratio,worst_member" and len(lines) == 2
 
 
 def test_seed_override(tmp_path):

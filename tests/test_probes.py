@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gdnls.grid import ComplexField, GridSpec, ParameterError, gaussian_field
+from gdnls.grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from gdnls.probes import (
     MAX_SNAPSHOTS,
     SNAPSHOT_SPACING,
@@ -14,7 +14,7 @@ from gdnls.probes import (
     smoothing_probe,
     strichartz_probe,
 )
-from gdnls.spectral import MixedNormSpec, free_propagate, mixed_norm, sobolev_norm
+from gdnls.spectral import MixedNormSpec, free_propagate, l2_norm, mixed_norm, sobolev_norm
 
 SMALL_GRID = GridSpec(512, 128.0)
 
@@ -118,6 +118,62 @@ def test_free_trajectory_rows_equal_one_snapshot_propagation():
         traj = free_trajectory(f, 4.0)
         expect = np.stack([free_propagate(f, t).values for t in traj.times])
         np.testing.assert_array_equal(traj.values, expect)
+
+
+# probe -> (the probe on an ensemble and horizon, its spec, its data norm)
+FREE_PROBES = {
+    "strichartz-4-inf": (lambda ens, t: strichartz_probe(ens, 4.0, np.inf, t),
+                         MixedNormSpec("time", 4.0, np.inf), l2_norm),
+    "strichartz-inf-2": (lambda ens, t: strichartz_probe(ens, np.inf, 2.0, t),
+                         MixedNormSpec("time", np.inf, 2.0), l2_norm),
+    "smoothing": (smoothing_probe, MixedNormSpec("space", np.inf, 2.0, derivative_order=0.5),
+                  l2_norm),
+    "maximal": (lambda ens, t: maximal_probe(ens, 4.0, 0.25, t),
+                MixedNormSpec("space", 4.0, np.inf), lambda f: sobolev_norm(f, 0.25)),
+}
+
+
+@pytest.mark.parametrize("seed, t_end", [(0, 4.0), (0, 8.0), (7, 4.0), (7, 8.0)])
+def test_probes_equal_the_trajectory_reference(seed, t_end):
+    # the probes take each member's moduli straight from its fhat; the
+    # reference builds the member's trajectory and takes mixed_norm of it
+    ens = default_ensemble(seed=seed)
+    refs = {name: [] for name in FREE_PROBES}
+    for f in ens.members:  # one trajectory at a time: all 120 at T = 8 take 630 MB
+        traj = free_trajectory(f, t_end)
+        for name, (_, spec, data_norm) in FREE_PROBES.items():
+            refs[name].append(mixed_norm(traj, spec) / data_norm(f))
+    for name, (probe, spec, _) in FREE_PROBES.items():
+        ref = refs[name]
+        rep = probe(ens, t_end)
+        k = int(np.argmax(ref))
+        if spec.derivative_order == 0:  # the same operations: bit for bit, ties included
+            assert (rep.worst_ratio, rep.worst_member) == (ref[k], k), name
+        else:  # D^d is applied to fhat before the inverse transform, not after it
+            assert rep.worst_ratio == pytest.approx(ref[k], rel=1e-13, abs=0), name
+            assert ref[rep.worst_member] == pytest.approx(ref[k], rel=1e-13, abs=0), name
+
+
+@pytest.mark.parametrize("name", sorted(FREE_PROBES))
+def test_a_probe_makes_one_fft_and_one_batched_ifft_per_member(name, small_ensemble,
+                                                               fft_calls, monkeypatch):
+    def no_trajectory(self):
+        raise AssertionError("a probe built a Trajectory")
+
+    monkeypatch.setattr(Trajectory, "__post_init__", no_trajectory)
+    probe, _, _ = FREE_PROBES[name]
+    probe(small_ensemble, 1.0)
+    n, n_t = SMALL_GRID.n_points, 21
+    per_member = [(n,), (n_t, n)] + [(n,)] * (name == "maximal")  # sobolev_norm's fft
+    assert fft_calls == per_member * len(small_ensemble.members)
+
+
+def test_an_ensemble_lives_on_one_grid():
+    with pytest.raises(ValueError, match="one grid"):
+        ProbeEnsemble((gaussian_field(SMALL_GRID, 1.0),
+                       gaussian_field(GridSpec(512, 64.0), 1.0)), seed=0)
+    with pytest.raises(ValueError, match="at least one member"):
+        ProbeEnsemble((), seed=0)
 
 
 def test_leibniz_probe_hoelder_validation():

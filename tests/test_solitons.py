@@ -302,6 +302,9 @@ def test_endpoint_waves_fail_where_the_speed_rounds_onto_the_endpoint():
     assert ok[-1] == 2.0 ** -25
     with pytest.raises(ParameterError, match="alpha_26") as exc:
         list(waves)
+    assert exc.value.name == "n_points"  # alpha0 is fine; the sequence is too long
+    with pytest.raises(ParameterError, match="alpha_0") as exc:
+        next(endpoint_waves(2.0, 1.0, alpha0=2.0 ** -26))
     assert exc.value.name == "alpha0"
 
 

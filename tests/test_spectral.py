@@ -241,8 +241,15 @@ def test_free_group_on_threads_returns_the_serial_results(workers):
 def test_probe_ratios_equal_the_uncached_reference(seed, t_end, monkeypatch):
     ens = default_ensemble(seed=seed)
     cached = maximal_probe(ens, 4.0, 0.25, t_end)
-    monkeypatch.setattr(spectral, "_phase_table", spectral._phase_table.__wrapped__)
+    fresh, built = spectral._phase_table.__wrapped__, []
+
+    def uncached(*args):
+        built.append(args)
+        return fresh(*args)
+
+    monkeypatch.setattr(spectral, "_phase_table", uncached)
     assert maximal_probe(ens, 4.0, 0.25, t_end) == cached  # ratio, member and params
+    assert len(built) == len(ens.members)  # the probe looked the table up through spectral
 
 
 def test_evaluate_interpolant_reproduces_samples():

@@ -43,14 +43,15 @@ from .scattering import scatter_report
 from .solitons import (
     ENDPOINT_NORMS,
     SolitonParams,
+    check_hsc_sigma,
     endpoint_sequence,
     endpoint_slope,
     endpoint_waves,
     full_wave,
     hsc_norm,
     l2_mass_closed,
+    l2_mass_grid,
     pc_mass_closed,
-    soliton_grid,
     virial_ratio,
 )
 from .spectral import l2_norm
@@ -290,21 +291,14 @@ def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionCo
 
 
 def _atlas_setup(p: dict) -> list:
-    waves = [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
-    for sp in waves:
-        soliton_grid(sp)  # checks the grid size; a GridSpec holds no arrays
-    return waves
+    check_hsc_sigma(p["sigma"])  # every row has an hsc_norm
+    return [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
 
 
 def _theorem1_setup(p: dict) -> list:
-    waves = list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
-    if p["norm"] == "Hsc":  # the one norm on a grid, which grows as alpha_j falls
-        for name, (_, sp) in (("alpha0", waves[0]), ("num_points", waves[-1])):
-            try:
-                soliton_grid(sp)
-            except ParameterError as exc:
-                raise ParameterError(name, str(exc)) from None
-    return waves
+    if p["norm"] == "Hsc":
+        check_hsc_sigma(p["sigma"])
+    return list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
 
 
 def _evolve_setup(p: dict):
@@ -341,11 +335,9 @@ def _run_soliton_atlas(p: dict):
                "pc_mass_closed", "virial_ratio", "hsc_norm"]
     rows = []
     for c, sp in zip(p["c_grid"], _atlas_setup(p)):
-        grid = soliton_grid(sp)
-        phi = full_wave(sp, grid)
         rows.append([
-            float(c), sp.alpha, l2_mass_closed(sp), l2_norm(phi) ** 2,
-            pc_mass_closed(sp), virial_ratio(sp, grid), hsc_norm(sp, grid),
+            float(c), sp.alpha, l2_mass_closed(sp), l2_mass_grid(sp),
+            pc_mass_closed(sp), virial_ratio(sp), hsc_norm(sp),
         ])
     checks = {"virial_max_rel_err": max(abs(r[5] / p["omega"] - 1.0) for r in rows)}
     return columns, rows, checks

@@ -13,14 +13,23 @@ import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError
 from .quadrature import integrate_halfline
-from .spectral import l2_norm, sobolev_norm, spatial_derivative
+from .spectral import CUSP_WINDOW, _homogeneous_norm_sq, l2_norm
 
 _ENDPOINT_MARGIN = 1e-6  # largest allowed c/(2 sqrt(omega)) for the I(c) integral
 
 # Largest soliton grid: a complex array of 2^20 points is 16 MiB and a
-# homogeneous norm holds about ten at once.  Near the endpoint the grid
-# grows like 1/alpha; at 2^27 points one array alone would be 2 GiB.
+# homogeneous norm holds about ten at once.  soliton_grid grows like
+# 1/alpha at both ends of the speed range, the envelope grid as
+# c -> 2 sqrt(omega) only; at 2^27 points one array alone would be 2 GiB.
 MAX_GRID_POINTS = 2**20
+
+# Envelope grids (see _envelope_grid): the step is at most _ENVELOPE_STEP
+# times the distance theta / (sigma alpha) from the real axis of g's
+# nearest complex singularity.  |ghat(eta)| falls like
+# exp(-theta |eta| / (sigma alpha)), so at the band edge pi/h it is below
+# exp(-pi / _ENVELOPE_STEP) ~ 9e-18 of its peak.
+_ENVELOPE_STEP = 0.08
+_MIN_ENVELOPE_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -68,14 +77,22 @@ def amplitude(p: SolitonParams, x) -> np.ndarray:
     return (num / den) ** (1.0 / (2.0 * p.sigma))
 
 
-def soliton_grid(p: SolitonParams, h_target: float = 0.5, min_n: int = 4096) -> GridSpec:
-    """Grid large enough to resolve phi, at least 80 long.
+def _box_length(p: SolitonParams) -> float:
+    """At least 80, and long enough for the tail.
 
     The tail decays like exp(-alpha x / 2), so alpha * L >= 124 puts the
-    edge magnitude below the admissibility threshold.  A grid of more
-    than MAX_GRID_POINTS points raises ParameterError naming c.
+    edge magnitude below the admissibility threshold.
     """
-    length = max(80.0, 124.0 / p.alpha)
+    return max(80.0, 124.0 / p.alpha)
+
+
+def soliton_grid(p: SolitonParams, h_target: float = 0.5, min_n: int = 4096) -> GridSpec:
+    """Grid large enough to resolve phi, carrier included, on the box of _box_length.
+
+    A grid of more than MAX_GRID_POINTS points raises ParameterError
+    naming c.
+    """
+    length = _box_length(p)
     n = max(min_n, 2 ** math.ceil(math.log2(length / h_target)))
     if n > MAX_GRID_POINTS:
         raise ParameterError(
@@ -99,14 +116,60 @@ def _phase_mass(p: SolitonParams, x) -> np.ndarray:
     return (2.0 * (p.sigma + 1.0) / p.sigma) * (ramp + math.atan(beta))
 
 
-def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
-    """Sample phi_{omega,c} = amplitude exp(i(c x / 2 - _phase_mass / (2 sigma + 2))) on the grid."""
+def _envelope(p: SolitonParams, grid: GridSpec) -> ComplexField:
+    """Sample g = amplitude exp(-i _phase_mass / (2 sigma + 2)), so that phi = g e^{i c x / 2}.
+
+    Raises ResolutionError if |g| = |phi| does not decay at the box edge.
+    """
     x = grid.x
-    amp = amplitude(p, x)
-    out = ComplexField(grid, amp.astype(np.complex128))
-    out.check_edge_decay()
-    phase = 0.5 * p.c * x - _phase_mass(p, x) / (2.0 * p.sigma + 2.0)
-    return ComplexField(grid, amp * np.exp(1j * phase))
+    phase = _phase_mass(p, x) / (2.0 * p.sigma + 2.0)
+    g = ComplexField(grid, amplitude(p, x) * np.exp(-1j * phase))
+    g.check_edge_decay()
+    return g
+
+
+def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
+    """Sample phi_{omega,c} = g e^{i c x / 2} on the grid, g the envelope of _envelope."""
+    return ComplexField(grid, _envelope(p, grid).values * np.exp(0.5j * p.c * grid.x))
+
+
+def _envelope_band(p: SolitonParams) -> float:
+    """Frequency past which |ghat| is below exp(-pi / _ENVELOPE_STEP) of its peak.
+
+    g is analytic in the strip |Im x| < theta / (sigma alpha), with
+    theta = arccos(c / (2 sqrt(omega))) = atan2(alpha, c): its nearest
+    singularities sit at sigma alpha x = +-i theta.
+    """
+    return math.pi * p.sigma * p.alpha / (_ENVELOPE_STEP * math.atan2(p.alpha, p.c))
+
+
+def _cusp_reach(p: SolitonParams, length: float) -> float:
+    """Largest |eta| of the Hsc cusp window if the window reaches into g's band, else 0.
+
+    phihat(xi) = ghat(xi - c/2), so the cusp of |xi|^{2 s_c} at xi = 0
+    sits at eta = -c/2, and the window spans CUSP_WINDOW lattice spacings
+    2 pi / L each side of it (see hsc_norm).
+    """
+    half_width = CUSP_WINDOW * 2.0 * math.pi / length
+    if 0.5 * abs(p.c) - half_width < _envelope_band(p):
+        return 0.5 * abs(p.c) + half_width
+    return 0.0
+
+
+def _envelope_grid(p: SolitonParams) -> GridSpec:
+    """Grid for the envelope g on the box of _box_length: the grid of the grid-computed norms.
+
+    Its band pi/h covers g's band (_envelope_band) and, when that reaches
+    it, the Hsc cusp window about eta = -c/2.  It has at least 256
+    points, and more than MAX_GRID_POINTS raises ParameterError naming c.
+    """
+    length = _box_length(p)
+    need = max(_envelope_band(p), _cusp_reach(p, length)) * length / math.pi
+    if not need <= MAX_GRID_POINTS:
+        raise ParameterError(
+            "c", f"speed {p.c} (alpha = {p.alpha:.3g}) needs an envelope grid of {need:.3g} "
+                 f"points, more than {MAX_GRID_POINTS}")
+    return GridSpec(max(_MIN_ENVELOPE_POINTS, 2 ** math.ceil(math.log2(need))), length)
 
 
 def curly_i(p: SolitonParams) -> float:
@@ -133,19 +196,57 @@ def pc_mass_closed(p: SolitonParams) -> float:
     return float(_phase_mass(p, math.inf))
 
 
+def l2_mass_grid(p: SolitonParams, grid: GridSpec | None = None) -> float:
+    """Integral of |phi|^2 = |g|^2 by Riemann sum, on _envelope_grid(p) unless a grid is given."""
+    return l2_norm(_envelope(p, grid or _envelope_grid(p))) ** 2
+
+
 def virial_ratio(p: SolitonParams, grid: GridSpec | None = None) -> float:
-    """||phi_x||^2 / ||phi||^2 with spectral derivatives; equals omega."""
-    if grid is None:
-        grid = soliton_grid(p)
-    phi = full_wave(p, grid)
-    return (l2_norm(spatial_derivative(phi)) / l2_norm(phi)) ** 2
+    """||phi_x||^2 / ||phi||^2 = ||(d/dx + i c/2) g||^2 / ||g||^2, spectrally; equals omega.
+
+    Computed on _envelope_grid(p) unless a grid is given.
+    """
+    g = _envelope(p, grid or _envelope_grid(p))
+    ghat = np.fft.fft(g.values)
+    power = np.abs(ghat / np.max(np.abs(ghat))) ** 2  # scaled, so tiny waves do not underflow
+    return float(np.sum((g.grid.xi + 0.5 * p.c) ** 2 * power) / np.sum(power))
+
+
+def check_hsc_sigma(sigma: float) -> None:
+    """Hsc needs s_c = 1/2 - 1/(2 sigma) >= 0, i.e. sigma >= 1; raises ParameterError naming sigma.
+
+    For s_c < 0 the weight |xi|^{2 s_c} is singular at xi = 0, and for
+    sigma <= 1/2 the continuum norm diverges.
+    """
+    if not sigma >= 1.0:
+        raise ParameterError(
+            "sigma", f"the Hsc norm needs sigma >= 1 (s_c >= 0), got sigma = {sigma}")
 
 
 def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
-    """Scale-critical homogeneous Sobolev norm of phi on an auto-sized grid."""
-    if grid is None:
-        grid = soliton_grid(p)
-    return sobolev_norm(full_wave(p, grid), p.s_c, homogeneous=True)
+    """Scale-critical homogeneous Sobolev norm ||phi||_{Hdot^{s_c}}, taken from the envelope.
+
+    phi = g e^{i c x / 2}, so phihat(xi) = ghat(xi - c/2) and
+    ||phi||^2 = (1/2pi) integral |eta + c/2|^{2 s_c} |ghat(eta)|^2 d eta
+    (spectral._homogeneous_norm_sq with shift c/2), on a grid that
+    resolves g without the carrier: _envelope_grid(p), or the grid given,
+    used as given.  For sigma = 1, s_c = 0 and this is the L^2 norm of g.
+    sigma < 1 raises ParameterError naming sigma (check_hsc_sigma).
+
+    The cusp part, over the window of half-width a = CUSP_WINDOW 2 pi / L
+    about eta = -c/2, is left out when the window lies past g's band.
+    There |ghat|^2 <~ exp(-2 theta (|c|/2 - a) / (sigma alpha)) relative
+    to its peak, with theta = arccos(c / (2 sqrt(omega))) the distance of
+    g's nearest complex singularity (sigma alpha x = +-i theta): below
+    exp(-2 pi / _ENVELOPE_STEP) ~ 8e-35 past the band.  A window in the
+    band that the grid does not cover raises ValueError.
+    """
+    check_hsc_sigma(p.sigma)
+    g = _envelope(p, grid or _envelope_grid(p))
+    if p.s_c == 0:
+        return l2_norm(g)
+    cusp = _cusp_reach(p, g.grid.box_length) > 0.0
+    return math.sqrt(_homogeneous_norm_sq(g, p.s_c, 0.5 * p.c, cusp))
 
 
 ENDPOINT_NORMS = ("L2", "H1", "Lpc", "Hsc")

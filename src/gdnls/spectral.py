@@ -163,17 +163,31 @@ def _shifted_taylor(transform, g: np.ndarray, y: np.ndarray, index: np.ndarray,
 def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.ndarray:
     """Continuum Fourier transform fhat(xi) = integral f e^{-i xi x} dx by Riemann sum.
 
-    Spectrally accurate for fields that decay at the box edge; works for
-    arbitrary (off-lattice) frequencies.  With xi = 2 pi (k + e) / L,
-    |e| <= 1/2, and x_j = -L/2 + j h, the sum h sum_j f_j e^{-i xi x_j} is
-    h (-1)^k fft(f e^{z y})[k mod N] with y = 2x/L and z = -i pi e.
+    Spectrally accurate for fields that decay at the box edge, at every
+    frequency of the band |xi| <= pi/h, on the lattice or off it.  The sum
+    is periodic in xi with period 2 pi/h, so a target past the band would
+    alias onto an in-band frequency: such a target raises ValueError.
+    With xi = 2 pi (k + e) / L, |e| <= 1/2, and x_j = -L/2 + j h, the sum
+    h sum_j f_j e^{-i xi x_j} is h (-1)^k fft(f e^{z y})[k mod N] with
+    y = 2x/L and z = -i pi e.
     """
     grid = f.grid
     u = np.asarray(xi_targets, dtype=float) * (0.5 * grid.box_length / np.pi)
+    # |u| = N/2 is the Nyquist edge; the slack admits a target rounded past it
+    if np.any(np.abs(u) > 0.5 * grid.n_points * (1.0 + 8.0 * np.finfo(float).eps)):
+        raise ValueError(
+            f"frequency targets must lie in the band |xi| <= pi/h = {np.pi / grid.spacing:.17g}"
+            f"; the largest |xi| is {np.max(np.abs(xi_targets)):.17g}")
     k = np.rint(u).astype(np.int64)
     y = 2.0 * grid.x / grid.box_length
     out = _shifted_taylor(np.fft.fft, f.values, y, k % grid.n_points, -1j * np.pi * (u - k))
     return grid.spacing * np.where(k % 2, -out, out)
+
+
+# Half-width of the cusp window of a homogeneous norm, in lattice spacings
+# 2 pi / L: the erfc cutoff is centered at 20 spacings with width 4, so it
+# is below roundoff at 40.
+CUSP_WINDOW = 40
 
 
 def _cusp_panels(a: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,35 +195,51 @@ def _cusp_panels(a: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
 
     The cap keeps each panel short against the intrinsic variation scale
     2*pi/L of the transform, so 16-point Gauss resolves the integrand.
+    Each dyadic interval (a 2^-(k+1), a 2^-k], k = 0..52, is cut into at
+    most 64 equal panels.
     """
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    edges = [a]
-    while edges[-1] > a * 2.0**-53:
-        edges.append(edges[-1] / 2.0)
-    lefts, rights = [], []
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        m = min(64, max(1, int(np.ceil((hi - lo) / delta))))
-        sub = np.linspace(lo, hi, m + 1)
-        lefts.extend(sub[:-1])
-        rights.extend(sub[1:])
-    left = np.asarray(lefts)
-    right = np.asarray(rights)
-    mid = 0.5 * (left + right)
-    half = 0.5 * (right - left)
+    lo = a * 2.0 ** -np.arange(1, 54)  # left ends; each interval is as long as its left end
+    # the slack keeps a count that is an integer up to rounding from being bumped by it
+    count = np.clip(np.ceil(lo / delta - 1e-9), 1, 64).astype(np.int64)
+    step = lo / count
+    interval = np.repeat(np.arange(lo.size), count)
+    index = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
+    mid = lo[interval] + (index + 0.5) * step[interval]
+    half = 0.5 * step[interval]
     pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     wts = (half[:, None] * weights[None, :]).ravel()
     return pts, wts
 
 
-def _homogeneous_norm_sq(f: ComplexField, s: float) -> float:
-    """(1/2pi) integral |xi|^{2s} |fhat(xi)|^2 d xi.
+@lru_cache(maxsize=8)
+def _unit_cusp_panels(spacings: int) -> tuple[np.ndarray, np.ndarray]:
+    """_cusp_panels(spacings, 1), built once per window width; read-only.
 
-    The weight has a cusp at xi = 0, so the plain lattice sum converges
-    only algebraically.  The weight is split with a smooth erfc cutoff:
-    the cusp-free remainder is summed on the lattice (spectrally
-    accurate), and the compactly concentrated cusp part is integrated
-    with graded Gauss panels whose width never exceeds the lattice
-    spacing, so sharply concentrated spectra are still resolved.
+    The panels depend only on a / delta, so delta times these points and
+    weights are _cusp_panels(spacings * delta, delta) up to rounding.
+    """
+    pts, wts = _cusp_panels(float(spacings), 1.0)
+    return _read_only(pts), _read_only(wts)
+
+
+def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
+                         cusp: bool = True) -> float:
+    """(1/2pi) integral |xi + shift|^{2s} |fhat(xi)|^2 d xi.
+
+    This is the squared Hdot^s norm of f e^{i shift x}, whose transform is
+    fhat(xi - shift): a wave that is an envelope times a carrier can be
+    normed on a grid that resolves only the envelope.  The weight has a
+    cusp at xi = -shift, so the plain lattice sum converges only
+    algebraically.  The weight is split with a smooth erfc cutoff about
+    the cusp: the cusp-free remainder is summed on the lattice
+    (spectrally accurate), and the compactly concentrated cusp part, on
+    the window of CUSP_WINDOW lattice spacings each side of -shift, is
+    integrated with graded Gauss panels whose width never exceeds the
+    lattice spacing, so sharply concentrated spectra are still resolved.
+    The window must lie in the band |xi| <= pi/h, or
+    fourier_transform_samples raises.  cusp=False leaves the cusp part
+    out; the caller then owes a bound on |fhat| over the window.
     """
     from scipy.special import erfc
 
@@ -222,18 +252,19 @@ def _homogeneous_norm_sq(f: ComplexField, s: float) -> float:
         return 0.5 * erfc((np.abs(xi) - center) / width)
 
     # lattice part: fhat sampled on the grid frequencies
-    xi = grid.xi
+    xi = grid.xi + shift
     fhat = grid.spacing * np.fft.fft(f.values)
-    with np.errstate(divide="ignore"):
-        w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - chi(xi))
-    w_smooth[0] = 0.0
+    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - chi(xi))
     total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
+    if not cusp:
+        return total / (2.0 * np.pi)
 
-    # cusp part: chi is below roundoff past 10 transition widths
-    a = min(center + 5.0 * width, np.pi / grid.spacing)
-    pts, wts = _cusp_panels(a, delta)
-    weight = wts * pts ** (2.0 * s) * chi(pts)
-    fh = fourier_transform_samples(f, np.concatenate([pts, -pts]))
+    # cusp part: chi is below roundoff past 10 transition widths; on grids
+    # of fewer than 128 points the band, N/2 spacings wide, cuts the window
+    pts, wts = _unit_cusp_panels(min(CUSP_WINDOW, grid.n_points // 2))
+    pts = delta * pts
+    weight = delta * wts * pts ** (2.0 * s) * chi(pts)
+    fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
     for half in np.split(fh, 2):
         total += np.sum(weight * np.abs(half) ** 2)
     return total / (2.0 * np.pi)

@@ -54,3 +54,13 @@ def test_tracer_targets_resolve_with_the_arguments_their_hooks_read():
             if callable(fn):
                 read = re.findall(r'a\["(\w+)"\]', inspect.getsource(fn))
                 assert set(read) <= set(params), (module, attr, read)
+
+
+def test_tracer_hooks_reach_library_names_that_exist():
+    # hooks look some library names up at call time, e.g. solitons.soliton_grid
+    source = (ROOT / "perfbench" / "tracing.py").read_text()
+    reached = re.findall(r'sys\.modules\["gdnls\.(\w+)"\]\.(\w+)', source)
+    assert reached
+    missing = [f"{mod}.{name}" for mod, name in reached
+               if not hasattr(importlib.import_module(f"gdnls.{mod}"), name)]
+    assert missing == []

@@ -95,11 +95,12 @@ FIELD_CASES = [
     ("ineq-probe", {"probe": "smoothing", "t_end": "0.02"}, "t_end"),
     ("ineq-probe", {"probe": "smoothing", "t_end": "0.07"}, "t_end"),
     ("ineq-probe", {"probe": "smoothing", "t_end": "1e300"}, "t_end"),
-    # soliton grids past MAX_GRID_POINTS: 2^27, 2^28 and 2^27 points
-    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "20"}, "num_points"),
-    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "alpha0": "1e-6", "num_points": "4"},
-     "alpha0"),
-    ("soliton-atlas", {"sigma": "2", "c_grid": "-1.999999999999"}, "c_grid"),
+    # c_j rounds onto -2 sqrt(omega) from alpha_26 on, and already at alpha_0 = 1e-300
+    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "27"}, "num_points"),
+    ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "alpha0": "1e-300"}, "alpha0"),
+    # the Hsc norm needs s_c >= 0; the atlas has an hsc_norm column
+    ("theorem1-scan", {"sigma": "1e-300", "norm": "Hsc"}, "sigma"),
+    ("soliton-atlas", {"sigma": "0.5", "c_grid": "0"}, "sigma"),
 ]
 # the field name, or field=value where an earlier case names the same field
 FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
@@ -218,27 +219,38 @@ def test_main_names_num_points_when_a_later_speed_reaches_the_endpoint(tmp_path,
     assert "'num_points'" in err and "alpha_26" in err and "'alpha0'" not in err
 
 
-@pytest.mark.parametrize("experiment, text, field_name", [
-    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 20\n", "num_points"),
-    ("soliton-atlas", "sigma = 2\nc_grid = -1.999999999999\n", "c_grid"),
-], ids=["theorem1-scan", "soliton-atlas"])
-def test_main_rejects_a_soliton_grid_past_the_ceiling(tmp_path, capsys, monkeypatch,
-                                                      experiment, text, field_name):
-    # each grid is 2^27 points, 1 GiB for its sample points alone: none may be built
-    def no_samples(self):
-        raise AssertionError("grid samples were built")
-
-    for name in ("x", "xi"):
-        monkeypatch.setattr(GridSpec, name, property(no_samples))
-    cfg = write(tmp_path, "big.cfg", text)
+@pytest.mark.parametrize("experiment, text, code, field_name", [
+    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 20\n", EXIT_OK, None),
+    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 26\n", EXIT_OK, None),
+    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nnum_points = 27\n", EXIT_VALIDATION, "num_points"),
+    # alpha_7 = 1e-6 2^-7 is the first whose c_j rounds onto -2
+    ("theorem1-scan", "sigma = 2\nnorm = Hsc\nalpha0 = 1e-6\n", EXIT_VALIDATION, "num_points"),
+    ("theorem1-scan", "sigma = 1e-300\nnorm = Hsc\n", EXIT_VALIDATION, "sigma"),
+    ("soliton-atlas", "sigma = 2\nc_grid = -1.999999999999\n", EXIT_OK, None),
+    ("soliton-atlas", "sigma = 2\nomega = 1e-300\nc_grid = 0\n", EXIT_OK, None),
+], ids=["theorem1-scan", "theorem1-scan-26", "theorem1-scan-27", "theorem1-scan-alpha0",
+        "theorem1-scan-sigma", "soliton-atlas", "soliton-atlas-omega"])
+def test_main_runs_near_the_endpoint_or_names_the_field(tmp_path, capsys, experiment, text,
+                                                         code, field_name):
+    # the waves' grids resolve their envelopes, so they stay small as alpha -> 0
+    cfg = write(tmp_path, "near.cfg", text)
     out = tmp_path / "o"
-    assert main([experiment, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
-    assert f"'{field_name}'" in capsys.readouterr().err
-    assert not out.exists()
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if field_name is None:
+        assert err == ""
+        (csv,) = out.glob("*.csv")
+        assert "nan" not in csv.read_text() and "inf" not in csv.read_text()
+        (manifest,) = out.glob("*.json")
+        checks = json.loads(manifest.read_text())["checks"]
+        assert checks.get("virial_max_rel_err", 0.0) < 1e-13
+    else:
+        assert f"error: field '{field_name}'" in err
+        assert not out.exists()
 
 
 def test_validate_sizes_soliton_grids_only_for_hsc():
-    # the other norms are closed forms, so the long scan needs no grid
+    # the closed-form norms need no grid at all, so the long scan validates
     for norm in ("L2", "H1", "Lpc"):
         validate_config("theorem1-scan", {"sigma": "2", "norm": norm, "num_points": "20"})
 

@@ -10,18 +10,32 @@ from gdnls.quadrature import QuadratureError, integrate_halfline
 from gdnls.solitons import (
     MAX_GRID_POINTS,
     SolitonParams,
+    _cusp_reach,
+    _envelope,
+    _envelope_grid,
     _phase_mass,
     amplitude,
     curly_i,
     endpoint_rate,
+    endpoint_sequence,
+    endpoint_slope,
     endpoint_waves,
     full_wave,
+    hsc_norm,
     l2_mass_closed,
+    l2_mass_grid,
     pc_mass_closed,
     soliton_grid,
     virial_ratio,
 )
-from gdnls.spectral import l2_norm, lebesgue_norm, spatial_derivative
+from gdnls.spectral import (
+    CUSP_WINDOW,
+    _homogeneous_norm_sq,
+    l2_norm,
+    lebesgue_norm,
+    sobolev_norm,
+    spatial_derivative,
+)
 
 # -- quadrature references for the closed-form phase and p_c-mass ------------
 
@@ -248,6 +262,117 @@ def test_soliton_grid_stops_at_max_grid_points():
     with pytest.raises(ParameterError, match="grid of 2097152 points") as exc:
         soliton_grid(too_far)
     assert exc.value.name == "c"
+
+
+# -- grid norms on the envelope ----------------------------------------------
+
+
+def full_wave_norms(p):
+    """hsc_norm and virial_ratio as they were: norms of phi itself, carrier included."""
+    phi = full_wave(p, soliton_grid(p))
+    virial = (l2_norm(spatial_derivative(phi)) / l2_norm(phi)) ** 2
+    return sobolev_norm(phi, p.s_c, homogeneous=True), virial
+
+
+# the acceptance family, the atlas speeds of the CLI and spectral tests, and
+# the endpoint scans, where soliton_grid reaches 2^18 points at alpha = 2^-10
+HSC_WAVES = (
+    [pytest.param(SolitonParams(omega, c, sigma), id=f"family-{omega:g}-{c:g}-{sigma:g}")
+     for sigma in (1.0, 2.0, 3.0)
+     for omega, c in ((1.0, 0.0), (1.0, 0.5), (2.0, -1.0), (0.5, -0.3))]
+    + [pytest.param(SolitonParams(1.0, c, 2.0), id=f"atlas-{c:g}")
+       for c in (-0.9, -0.5, 0.0, 0.1, 0.5, 1.0)]
+    + [pytest.param(p, id=f"endpoint-sigma{sigma:g}-j{j}") for sigma in (1.0, 2.0, 3.0)
+       for j, (_, p) in enumerate(endpoint_waves(sigma, 1.0, 11))]
+)
+
+
+@pytest.mark.parametrize("p", HSC_WAVES)
+def test_envelope_norms_match_the_full_wave_reference(p):
+    hsc, virial = full_wave_norms(p)
+    assert hsc_norm(p) == pytest.approx(hsc, rel=1e-13, abs=0.0)
+    assert virial_ratio(p) == pytest.approx(virial, rel=1e-13, abs=0.0)
+
+
+# sigma from 1 to 3 across the speed range, near both endpoints
+SPEED_WAVES = [pytest.param(SolitonParams(1.0, c, sigma), id=f"{c:g}-{sigma:g}")
+               for sigma in (1.0, 1.5, 2.0, 2.5, 3.0)
+               for c in (-1.98, -1.5, -0.9, -0.3, 0.0, 0.5, 0.9, 1.5, 1.9)]
+
+
+@pytest.mark.parametrize("p", SPEED_WAVES)
+def test_envelope_grid_norms_match_the_identities(p):
+    assert virial_ratio(p) == pytest.approx(p.omega, rel=0.0, abs=1e-13)
+    assert l2_mass_grid(p) == pytest.approx(l2_mass_closed(p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", SPEED_WAVES)
+def test_envelope_grid_norms_are_converged(p):
+    grid = _envelope_grid(p)
+    finer = GridSpec(2 * grid.n_points, grid.box_length)
+    for norm in (hsc_norm, virial_ratio, l2_mass_grid):
+        assert norm(p, finer) == pytest.approx(norm(p), rel=1e-14, abs=0.0), norm.__name__
+
+
+def test_envelope_times_carrier_is_the_wave():
+    p = SolitonParams(1.0, -1.5, 2.0)
+    grid = soliton_grid(p)
+    np.testing.assert_array_equal(
+        full_wave(p, grid).values, _envelope(p, grid).values * np.exp(0.5j * p.c * grid.x))
+
+
+@pytest.mark.parametrize("sigma", [2.0, 3.0])
+def test_the_cusp_part_left_out_past_the_band_is_below_roundoff(sigma):
+    # from alpha_5 (sigma = 2) or alpha_7 (sigma = 3) on, the cusp window lies past
+    # g's band; on a grid that covers the window, its part changes nothing
+    skipped = [p for _, p in endpoint_waves(sigma, 1.0, 11)
+               if _cusp_reach(p, _envelope_grid(p).box_length) == 0.0]
+    assert len(skipped) >= 4
+    for p in skipped:
+        length = _envelope_grid(p).box_length
+        reach = 0.5 * abs(p.c) + CUSP_WINDOW * 2.0 * math.pi / length
+        grid = GridSpec(2 ** math.ceil(math.log2(reach * length / math.pi)), length)
+        g = _envelope(p, grid)
+        with_cusp = _homogeneous_norm_sq(g, p.s_c, 0.5 * p.c)
+        without = _homogeneous_norm_sq(g, p.s_c, 0.5 * p.c, cusp=False)
+        assert with_cusp - without <= 1e-30 * with_cusp
+        assert hsc_norm(p) == pytest.approx(math.sqrt(with_cusp), rel=1e-14, abs=0.0)
+
+
+def test_hsc_norm_raises_on_a_grid_short_of_the_cusp_window():
+    # the window about -c/2 = -0.75 reaches 0.75 + pi/5; 128 points on 400 end at pi/h = 1.005
+    p = SolitonParams(1.0, 1.5, 2.0)
+    with pytest.raises(ValueError, match="band"):
+        hsc_norm(p, GridSpec(128, 400.0))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.9, 1e-300])
+def test_hsc_norm_needs_sigma_at_least_one(sigma):
+    with pytest.raises(ParameterError, match="sigma >= 1") as exc:
+        hsc_norm(SolitonParams(1.0, 0.0, sigma))
+    assert exc.value.name == "sigma"
+
+
+def test_hsc_norm_at_sigma_one_is_the_l2_norm():
+    p = SolitonParams(1.0, -0.4, 1.0)
+    assert hsc_norm(p) == pytest.approx(math.sqrt(l2_mass_closed(p)), rel=1e-13)
+
+
+def test_a_long_endpoint_scan_stays_on_small_grids(fft_calls):
+    # every speed that stays admissible; soliton_grid would need 2^33 points at the end
+    rows = endpoint_sequence(2.0, 1.0, "Hsc", 26)
+    assert len(rows) == 26
+    assert max(shape[-1] for shape in fft_calls) <= 8192
+    assert endpoint_slope(rows) == pytest.approx(0.0, abs=0.05)
+
+
+def test_envelope_grid_stops_at_max_grid_points():
+    # near c = 2 sqrt(omega) the envelope's core is O(1) wide on a box of 124 / alpha
+    p = SolitonParams(1.0, 1.999998, 2.0)
+    with pytest.raises(ParameterError, match="2.19e[+]06 points") as exc:
+        _envelope_grid(p)
+    assert exc.value.name == "c"
+    assert _envelope_grid(SolitonParams(1e-300, 0.0, 2.0)).n_points == 2048
 
 
 # -- near-endpoint (Case 2) machinery ---------------------------------------

@@ -7,6 +7,7 @@ f = exp(-a x^2) one has fhat(xi) = sqrt(pi/a) exp(-xi^2/(4a)), hence
 """
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -354,6 +355,46 @@ def test_fourier_transform_samples_match_the_direct_sum(grid, peak):
     direct = direct_fourier_samples(f, targets[::stride])
     scale = grid.spacing * np.sum(np.abs(f.values))
     assert np.max(np.abs(got[::stride] - direct)) <= 1e-13 * scale
+
+
+def unchecked_fourier_samples(f, xi_targets):
+    """fourier_transform_samples without its band check: the kernel as it stands."""
+    grid = f.grid
+    u = np.asarray(xi_targets, dtype=float) * (0.5 * grid.box_length / np.pi)
+    k = np.rint(u).astype(np.int64)
+    y = 2.0 * grid.x / grid.box_length
+    out = spectral._shifted_taylor(np.fft.fft, f.values, y, k % grid.n_points,
+                                   -1j * np.pi * (u - k))
+    return grid.spacing * np.where(k % 2, -out, out)
+
+
+def test_fourier_transform_samples_reject_targets_past_the_band():
+    f = gaussian_field(GRID, 1.0, velocity=3.0)
+    band = np.pi / GRID.spacing
+    inside = np.array([-band, -0.5 * band, 0.3, band])  # both Nyquist edges included
+    np.testing.assert_array_equal(fourier_transform_samples(f, inside),
+                                  unchecked_fourier_samples(f, inside))
+    # the Riemann sum has period 2 band, so this target would alias onto past - 2 band
+    past = band + 2.0 * np.pi / GRID.box_length
+    np.testing.assert_array_equal(unchecked_fourier_samples(f, [past]),
+                                  unchecked_fourier_samples(f, [past - 2.0 * band]))
+    message = f"pi/h = {band:.17g}; the largest |xi| is {past:.17g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fourier_transform_samples(f, np.array([0.0, -past]))
+
+
+@pytest.mark.parametrize("length", [80.0, 3968.0, 124.0 * 2**10, 980836.2970092912])
+def test_cached_cusp_panels_scale_to_the_direct_build(length):
+    # at the last length, rounding put (a/2) / delta just past 20 and, before
+    # the panel count took a slack, gave the direct build three more panels
+    delta = 2.0 * np.pi / length
+    pts, wts = spectral._unit_cusp_panels(spectral.CUSP_WINDOW)
+    direct_pts, direct_wts = spectral._cusp_panels(spectral.CUSP_WINDOW * delta, delta)
+    for scaled, direct in ((delta * pts, direct_pts), (delta * wts, direct_wts)):
+        assert scaled.shape == direct.shape
+        assert np.max(np.abs(scaled - direct)) <= 2.0 * np.spacing(np.max(direct))
+    assert not pts.flags.writeable and not wts.flags.writeable
+    assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW)[0] is pts  # built once
 
 
 @pytest.mark.parametrize("lam, shift", [

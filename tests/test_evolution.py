@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,105 @@ def test_evolve_matches_the_physical_space_stepper(equation, sigma):
     traj, _ = evolve(u0, cfg)
     ref = _physical_space_ifrk4(u0, equation, sigma, cfg.dt, cfg.n_steps)
     assert np.max(np.abs(traj.values[-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _single_call_evolve(u0, cfg):
+    """Reference: the stepper loop as it stood before the inverse transforms were
+    paired, one (N,) call per transform and the snapshots kept in growing lists."""
+    xi, h, n = cfg.grid.xi, cfg.grid.spacing, cfg.grid.n_points
+    sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
+    ixi = 1j * xi
+    mask = (np.abs(np.fft.fftfreq(n, d=1.0 / n)) < n / 3.0).astype(float)
+    exp_half = np.exp(-1j * xi**2 * (0.5 * cfg.dt))
+    exp_full = exp_half * exp_half
+
+    def nonlinear_hat(what, v):
+        if cfg.equation == "gdnls":
+            return mask * np.fft.fft(np.abs(v) ** (2.0 * sigma) * np.fft.ifft(ixi * what))
+        return ixi * (mask * np.fft.fft(np.abs(v) ** 2 * v))
+
+    def energy(v):
+        ux = np.fft.ifft(1j * xi * np.fft.fft(v))
+        kinetic = 0.5 * h * np.sum(np.abs(ux) ** 2)
+        inter = h * np.sum(np.abs(v) ** (2.0 * sigma) * np.imag(v * np.conj(ux)))
+        return float(kinetic - inter / (2.0 * sigma + 2.0))
+
+    def sample(v):
+        return float(h * np.sum(np.abs(v) ** 2)), energy(v), float(np.max(np.abs(v)))
+
+    dt = cfg.dt
+    v = u0.values
+    vhat = np.fft.fft(v)
+    times, snaps, samples = [0.0], [v], [sample(v)]
+    for k in range(1, cfg.n_steps + 1):
+        a1 = nonlinear_hat(vhat, v)
+        w = exp_half * (vhat - 0.5 * dt * a1)
+        a2 = nonlinear_hat(w, np.fft.ifft(w))
+        w = exp_half * vhat - 0.5 * dt * a2
+        a3 = nonlinear_hat(w, np.fft.ifft(w))
+        w = exp_full * vhat - dt * exp_half * a3
+        a4 = nonlinear_hat(w, np.fft.ifft(w))
+        vhat = exp_full * vhat - dt / 6.0 * (exp_full * a1 + 2.0 * exp_half * (a2 + a3) + a4)
+        v = np.fft.ifft(vhat)
+        if k % cfg.snapshot_stride == 0 or k == cfg.n_steps:
+            times.append(k * dt)
+            snaps.append(v)
+            samples.append(sample(v))
+    mass, energies, linf = (np.asarray(column) for column in zip(*samples))
+    return np.asarray(times), np.stack(snaps), mass, energies, linf
+
+
+@pytest.mark.parametrize("equation, sigma", [
+    ("gdnls", 1.0), ("gdnls", 2.0), ("gdnls", 2.5), ("dnls", 1.0)])
+@pytest.mark.parametrize("stride, rows", [(5, 9), (7, 7), (10**9, 2)])
+def test_evolve_is_bit_identical_to_the_single_call_stepper(equation, sigma, stride, rows):
+    # 40 steps: stride 5 divides them, 7 does not, 10**9 (gauge-check's) exceeds them
+    u0 = ComplexField(GRID, 0.5 * np.exp(-GRID.x**2 + 0.3j * GRID.x))
+    cfg = EvolutionConfig(equation, GRID, dt=1e-3, t_end=0.04, sigma=sigma,
+                          snapshot_stride=stride)
+    traj, rep = evolve(u0, cfg)
+    times, values, mass, energy, linf = _single_call_evolve(u0, cfg)
+    assert traj.values.shape == (rows, GRID.n_points)
+    assert np.array_equal(traj.times, times) and np.array_equal(rep.times, times)
+    assert np.array_equal(traj.values, values)
+    assert np.array_equal(rep.mass, mass)
+    assert np.array_equal(rep.energy, energy)
+    assert np.array_equal(rep.linf, linf)
+
+
+@pytest.mark.parametrize("equation", ["gdnls", "dnls"])
+def test_evolve_is_bit_identical_on_a_large_grid(equation):
+    # 2^14 points make 256 KiB arrays, the size from which numpy reuses a
+    # temporary operand in place, a path that can round the last bit differently
+    grid = GridSpec(16384, 80.0)
+    u0 = ComplexField(grid, 0.5 * np.exp(-grid.x**2 + 0.3j * grid.x))
+    cfg = EvolutionConfig(equation, grid, dt=1e-3, t_end=0.005, sigma=2.5,
+                          snapshot_stride=2)
+    traj, rep = evolve(u0, cfg)
+    times, values, mass, energy, linf = _single_call_evolve(u0, cfg)
+    assert np.array_equal(traj.values, values)
+    assert np.array_equal(rep.energy, energy)
+    assert np.array_equal(rep.linf, linf)
+
+
+@pytest.mark.parametrize("n_steps", [3, 7])
+def test_a_gdnls_step_makes_four_forward_and_four_paired_inverse_calls(n_steps, fft_calls):
+    n = GRID.n_points
+    cfg = EvolutionConfig("gdnls", GRID, dt=1e-3, t_end=n_steps * 1e-3, sigma=2.0,
+                          snapshot_stride=10**9)
+    traj, _ = evolve(gaussian(), cfg)
+    # set-up: fft(u0) and ifft(i xi vhat); each snapshot's energy: one fft, one ifft
+    fixed = 2 + 2 * len(traj)
+    assert Counter(fft_calls) == {(n,): 4 * n_steps + fixed, (2, n): 4 * n_steps}
+
+
+@pytest.mark.parametrize("n_steps", [3, 7])
+def test_a_dnls_step_makes_eight_single_calls(n_steps, fft_calls):
+    cfg = EvolutionConfig("dnls", GRID, dt=1e-3, t_end=n_steps * 1e-3,
+                          snapshot_stride=10**9)
+    traj, _ = evolve(gaussian(), cfg)
+    # set-up: fft(u0); each snapshot's energy: one fft, one ifft
+    assert Counter(fft_calls) == {(GRID.n_points,): 8 * n_steps + 1 + 2 * len(traj)}
 
 
 def test_snapshot_times_and_stride():

@@ -363,7 +363,7 @@ def _run_evolve(p: dict):
     rows = [[float(t), float(m), float(e), float(a)]
             for t, m, e, a in zip(rep.times, rep.mass, rep.energy, rep.linf)]
     checks = {"mass_drift": rep.mass_drift, "energy_drift": rep.energy_drift,
-              "linf_flag": rep.linf_flag}
+              "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin}
     return columns, rows, checks
 
 
@@ -374,6 +374,7 @@ def _run_scatter_probe(p: dict):
     rows = [[float(t), float(v)] for t, v in report.xt_norm_curve]
     checks = {
         "mass_drift": rep.mass_drift,
+        "min_cfl_margin": rep.min_cfl_margin,
         "xt_final": report.xt_norm_curve[-1][1],
         "decay_exponent": report.decay_exponent,
         "cauchy_diffs": [d for _, _, d in report.pullback_cauchy],

@@ -9,6 +9,7 @@ formed pointwise and then truncated spectrally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ class ConservedReport:
     mass: np.ndarray
     energy: np.ndarray
     linf: np.ndarray
+    # min over the run's states of 1 - dt * max|u|^{2 sigma} * xi_max; NaN when not recorded
+    min_cfl_margin: float = math.nan
 
     @property
     def mass_drift(self) -> float:
@@ -91,76 +94,131 @@ def _dealias_mask(n: int) -> np.ndarray:
     return (np.abs(k) < n / 3.0).astype(float)
 
 
-def _nonlinear_hat(v, vx, ixi, mask, equation: str, sigma: float) -> np.ndarray:
-    """Fourier coefficients of N(v), truncated by `mask`.
+class _Stepper:
+    """Integrating-factor RK4 for one run, on work arrays allocated once.
 
-    gdnls: mask * fft(|v|^{2 sigma} v_x); dnls: i xi mask * fft(|v|^2 v), which
-    does not read v_x.
+    Write L = mask (gdnls) or i xi mask (dnls) for the 2/3-rule truncation, so
+    that stage k's nonlinear term is L f_k with f_k = fft(|v|^{2 sigma} v_x)
+    (gdnls) or fft(|v|^2 v) (dnls).  With E = e^{-i xi^2 dt} and
+    Eh = e^{-i xi^2 dt / 2}, a step is
+        w2 = Eh vhat - dt/2 Eh L f1,   w3 = Eh vhat - dt/2 L f2,
+        w4 = E vhat - dt Eh L f3,
+        vhat' = E vhat - dt/6 E L f1 - dt/3 Eh L (f2 + f3) - dt/6 L f4,
+    and the six coefficient arrays, L folded in, are built once.  The rest of
+    a step is arithmetic into fixed arrays, with |v|^{2 sigma} formed as
+    (re^2 + im^2)^sigma.
+
+    `v` (and for gdnls `vx`) hold the state in physical space.  For gdnls each
+    stage's v = ifft(w) and v_x = ifft(i xi w) are one (2, N) inverse call:
+    pocketfft runs a 2-row call on its multi-transform SIMD path, cheaper than
+    two (N,) calls, and each row equals the single call bit for bit.  The
+    step's closing pair carries v_x into the next step's stage 1.  dnls reads
+    only v and makes (N,) calls.
     """
-    if equation == "gdnls":
-        return mask * np.fft.fft(np.abs(v) ** (2.0 * sigma) * vx)
-    return ixi * (mask * np.fft.fft(np.abs(v) ** 2 * v))
 
+    def __init__(self, cfg: EvolutionConfig, v0: np.ndarray):
+        n, xi, dt = cfg.grid.n_points, cfg.grid.xi, cfg.dt
+        self.sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
+        self._cfl = dt * np.pi / cfg.grid.spacing  # dt * xi_max
+        self._ixi = 1j * xi
+        lin = _dealias_mask(n).astype(complex)
+        if cfg.equation == "dnls":
+            lin *= self._ixi
+        self._eh = np.exp(-1j * xi**2 * (0.5 * dt))
+        self._e = self._eh * self._eh
+        self._stage = (0.5 * dt * self._eh * lin, 0.5 * dt * lin, dt * self._eh * lin)
+        self._close = (dt / 6.0 * self._e * lin, dt / 3.0 * self._eh * lin, dt / 6.0 * lin)
+        self._ehv, self._ev, self._acc, self._f, self._tmp, self._prod = np.empty(
+            (6, n), dtype=complex)
+        self.power = np.empty(n)
+        self._squares = np.empty(2 * n)
+        self.vhat = np.fft.fft(v0)
+        if cfg.equation == "gdnls":
+            # pair[0] holds (w, i xi w), pair[1] their inverse transforms (v, v_x)
+            self._pair = np.empty((2, 2, n), dtype=complex)
+            self._w, self.v, self.vx = self._pair[0, 0], self._pair[1, 0], self._pair[1, 1]
+            np.fft.ifft(self._ixi * self.vhat, out=self.vx)
+        else:
+            self._pair = None
+            (self._w, self.v), self.vx = np.empty((2, n), dtype=complex), None
+        self.v[:] = v0
 
-def _physical(what, ixi, work):
-    """(v, v_x) = (ifft(what), ifft(i xi what)), or (ifft(what), None) when work is None.
+    def guard(self) -> float:
+        """dt * xi_max * max|v|^{2 sigma} of the current state; NaN passes through max.
 
-    work is a (2, 2, N) buffer: the pair goes in work[0] and through one (2, N)
-    inverse transform into work[1].  pocketfft runs a 2-row call on its
-    multi-transform SIMD path, cheaper than two (N,) calls, and each row equals
-    the single call bit for bit.  The rows returned are views into work[1] and
-    hold only until the next call.  dnls reads only v, so it passes None.
-    """
-    if work is None:
-        return np.fft.ifft(what), None
-    work[0, 0] = what
-    np.multiply(ixi, what, out=work[0, 1])
-    np.fft.ifft(work[0], out=work[1])
-    return work[1, 0], work[1, 1]
+        Forms |v|^{2 sigma} = (re^2 + im^2)^sigma into the array the next
+        step's stage 1 reads, so the guard costs only the max.
+        """
+        self._modulus_power()
+        return self._cfl * float(np.max(self.power))
 
+    def derivative(self) -> np.ndarray:
+        """v_x of the current state: the carried one (gdnls), or ifft(i xi vhat) (dnls)."""
+        return np.fft.ifft(self._ixi * self.vhat) if self.vx is None else self.vx
 
-def _check_cfl(v: np.ndarray, cfg: EvolutionConfig, sigma: float) -> None:
-    xi_max = np.pi / cfg.grid.spacing
-    guard = cfg.dt * np.max(np.abs(v)) ** (2.0 * sigma) * xi_max
-    if not np.isfinite(guard) or guard > 1.0:
-        raise StabilityError(
-            f"CFL-like guard dt*max|u|^(2 sigma)*xi_max = {guard:.3g} exceeds 1"
-        )
+    def step(self) -> None:
+        """Advance vhat, v and vx by dt.  guard() must have run on the current state."""
+        ehv, ev, acc, tmp = self._ehv, self._ev, self._acc, self._tmp
+        c1, c2, c3 = self._stage
+        d1, d23, d4 = self._close
+        np.multiply(self._eh, self.vhat, out=ehv)
+        np.multiply(self._e, self.vhat, out=ev)
+        f = self._transform()
+        np.subtract(ev, np.multiply(d1, f, out=tmp), out=acc)
+        self._stage_state(ehv, c1, f)
+        f = self._transform()
+        np.subtract(acc, np.multiply(d23, f, out=tmp), out=acc)
+        self._stage_state(ehv, c2, f)
+        f = self._transform()
+        np.subtract(acc, np.multiply(d23, f, out=tmp), out=acc)
+        self._stage_state(ev, c3, f)
+        f = self._transform()
+        np.subtract(acc, np.multiply(d4, f, out=tmp), out=self.vhat)
+        np.copyto(self._w, self.vhat)
+        self._invert()
 
+    def _modulus_power(self) -> None:
+        sq = self._squares
+        np.square(self.v.view(np.float64), out=sq)
+        np.add(sq[0::2], sq[1::2], out=self.power)
+        if self.sigma != 1.0:
+            np.power(self.power, self.sigma, out=self.power)
 
-def _ifrk4_step(vhat, v, vx, cfg: EvolutionConfig, ixi, mask, exp_half, exp_full,
-                work) -> np.ndarray:
-    """One integrating-factor RK4 step of u_t = i u_xx - N(u) on the Fourier coefficients.
+    def _transform(self) -> np.ndarray:
+        """fft(|v|^{2 sigma} v_x) (gdnls) or fft(|v|^2 v) (dnls), from the last power formed."""
+        np.multiply(self.power, self.v if self.vx is None else self.vx, out=self._prod)
+        return np.fft.fft(self._prod, out=self._f)
 
-    (v, vx) = _physical(vhat, ...) is the state in physical space; stage 1 reads
-    it as given.  Stages 2-4 overwrite work.
-    """
-    eq, sigma, dt = cfg.equation, cfg.sigma, cfg.dt
-    a1 = _nonlinear_hat(v, vx, ixi, mask, eq, sigma)
-    w = exp_half * (vhat - 0.5 * dt * a1)
-    a2 = _nonlinear_hat(*_physical(w, ixi, work), ixi, mask, eq, sigma)
-    w = exp_half * vhat - 0.5 * dt * a2
-    a3 = _nonlinear_hat(*_physical(w, ixi, work), ixi, mask, eq, sigma)
-    w = exp_full * vhat - dt * exp_half * a3
-    a4 = _nonlinear_hat(*_physical(w, ixi, work), ixi, mask, eq, sigma)
-    return exp_full * vhat - dt / 6.0 * (exp_full * a1 + 2.0 * exp_half * (a2 + a3) + a4)
+    def _stage_state(self, base, coef, f) -> None:
+        """Stage vector w = base - coef * f, taken to physical space with its power."""
+        np.subtract(base, np.multiply(coef, f, out=self._tmp), out=self._w)
+        self._invert()
+        self._modulus_power()
+
+    def _invert(self) -> None:
+        if self._pair is None:
+            np.fft.ifft(self._w, out=self.v)
+            return
+        np.multiply(self._ixi, self._w, out=self._pair[0, 1])
+        np.fft.ifft(self._pair[0], out=self._pair[1])
 
 
 def _mass(v: np.ndarray, h: float) -> float:
     return float(h * np.sum(np.abs(v) ** 2))
 
 
-def _energy(v: np.ndarray, xi: np.ndarray, h: float, sigma: float) -> float:
+def _energy(v: np.ndarray, ux: np.ndarray, power: np.ndarray, h: float,
+            sigma: float) -> float:
     """Candidate energy 1/2 ||u_x||^2 - 1/(2 sigma + 2) Im int |u|^{2 sigma} u conj(u_x).
 
+    ux is u_x and power is |u|^{2 sigma}, both as the stepper holds them.
     Not asserted a priori to be conserved; the drift is monitored and
     the functional flagged if it does not refine with the scheme order.
     (With the conjugation the other way the interaction term changes
     sign and the functional visibly drifts.)
     """
-    ux = np.fft.ifft(1j * xi * np.fft.fft(v))
     kinetic = 0.5 * h * np.sum(np.abs(ux) ** 2)
-    inter = h * np.sum(np.abs(v) ** (2.0 * sigma) * np.imag(v * np.conj(ux)))
+    inter = h * np.sum(power * np.imag(v * np.conj(ux)))
     return float(kinetic - inter / (2.0 * sigma + 2.0))
 
 
@@ -168,18 +226,16 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     """March u0 to t_end, storing snapshots every snapshot_stride steps.
 
     u0 must pass check_edge_decay(), as gauge_transform and full_wave require.
+    Every state the run reaches, u0 and the final one included, must satisfy
+    the CFL-like guard dt * max|u|^{2 sigma} * xi_max <= 1 and be finite;
+    otherwise StabilityError names the time.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum grid does not match the configured grid")
     u0.check_edge_decay()
     n_steps = cfg.n_steps
-    xi = cfg.grid.xi
     h = cfg.grid.spacing
-    sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
-    ixi = 1j * xi
-    mask = _dealias_mask(cfg.grid.n_points)
-    exp_half = np.exp(-1j * xi**2 * (0.5 * cfg.dt))
-    exp_full = exp_half * exp_half
+    stepper = _Stepper(cfg, u0.values)
 
     stride = cfg.snapshot_stride
     n_snap = 1 + n_steps // stride + (n_steps % stride != 0)
@@ -189,33 +245,39 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     energy = np.empty(n_snap)
     linf = np.empty(n_snap)
 
-    def store(j, t, v):
+    def margin(t):
+        guard = stepper.guard()
+        if guard <= 1.0:
+            return 1.0 - guard
+        if math.isnan(guard):  # max passes a NaN through; u0 is finite, so j >= 1 here
+            raise StabilityError(
+                f"state became non-finite at t = {t:.6g}; "
+                f"last good snapshot at t = {times[j - 1]:.6g}"
+            )
+        raise StabilityError(
+            f"CFL-like guard dt*max|u|^(2 sigma)*xi_max = {guard:.3g} exceeds 1 "
+            f"at t = {t:.6g}"
+        )
+
+    def store(j, t):
+        v = stepper.v
         times[j] = t
         snaps[j] = v
         mass[j] = _mass(v, h)
-        energy[j] = _energy(v, xi, h, sigma)
+        energy[j] = _energy(v, stepper.derivative(), stepper.power, h, stepper.sigma)
         linf[j] = float(np.max(np.abs(v)))
 
-    work = np.empty((2, 2, cfg.grid.n_points), dtype=complex) if cfg.equation == "gdnls" else None
-    v = u0.values
-    vhat = np.fft.fft(v)
-    vx = np.fft.ifft(ixi * vhat) if work is not None else None
-    store(0, 0.0, v)
+    min_margin = margin(0.0)
+    store(0, 0.0)
     j = 1
-
     for k in range(1, n_steps + 1):
-        _check_cfl(v, cfg, sigma)
-        vhat = _ifrk4_step(vhat, v, vx, cfg, ixi, mask, exp_half, exp_full, work)
-        v, vx = _physical(vhat, ixi, work)
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise StabilityError(
-                f"state became non-finite at t = {k * cfg.dt:.6g}; "
-                f"last good snapshot at t = {times[j - 1]:.6g}"
-            )
+        stepper.step()
+        min_margin = min(min_margin, margin(k * cfg.dt))
         if k % stride == 0 or k == n_steps:
-            store(j, k * cfg.dt, v)
+            store(j, k * cfg.dt)
             j += 1
 
     traj = Trajectory(cfg.grid, times, snaps)
-    report = ConservedReport(times=times.copy(), mass=mass, energy=energy, linf=linf)
+    report = ConservedReport(times=times.copy(), mass=mass, energy=energy, linf=linf,
+                             min_cfl_margin=min_margin)
     return traj, report

@@ -26,6 +26,25 @@ def fft_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def poison_ifft(monkeypatch):
+    """poison_ifft(k) makes np.fft.ifft fill its result with NaN from call k + 1 on."""
+
+    def arm(good_calls):
+        transform, count = np.fft.ifft, [0]
+
+        def ifft(a, *args, **kwargs):
+            out = transform(a, *args, **kwargs)
+            count[0] += 1
+            if count[0] > good_calls:
+                out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+
+    return arm
+
+
 _ACCEPTANCE = {}
 
 

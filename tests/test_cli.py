@@ -171,6 +171,28 @@ def test_main_numerical_failure_exit_code(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
 
+def test_evolve_reports_the_library_conserved_report(tmp_path):
+    cfg = validate_config("evolve", {"t_end": "0.05"})
+    record = run(cfg, out_dir=tmp_path)
+    p = cfg.parameters
+    grid = GridSpec(p["n_points"], p["box_length"])
+    _, rep = evolve(gaussian_field(grid, p["width"], amplitude=p["delta"]),
+                    EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
+                                    sigma=p["sigma"], snapshot_stride=p["snapshot_stride"]))
+    assert record.checks == {"mass_drift": rep.mass_drift, "energy_drift": rep.energy_drift,
+                             "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin}
+    assert 0.0 < rep.min_cfl_margin < 1.0
+    manifest = json.loads((tmp_path / f"evolve-{cfg.config_hash()}.json").read_text())
+    assert manifest["checks"]["min_cfl_margin"] == rep.min_cfl_margin
+
+
+def test_main_exits_3_when_the_state_turns_non_finite(tmp_path, capsys, poison_ifft):
+    poison_ifft(19)  # NaN from stage 4 of step 5 on
+    cfg = write(tmp_path, "nan.cfg", "t_end = 0.01\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert "state became non-finite at t = 0.005" in capsys.readouterr().err
+
+
 def test_main_rejects_dt_that_does_not_divide_t_end(tmp_path, capsys):
     cfg = write(tmp_path, "dt.cfg", "dt = 0.3\nt_end = 0.5\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -276,10 +298,11 @@ def test_scatter_probe_reports_the_library_scatter_report():
     record = run(cfg)
     p = cfg.parameters
     grid = GridSpec(p["n_points"], p["box_length"])
-    traj, _ = evolve(gaussian_field(grid, p["width"], amplitude=p["delta"]),
-                     EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
-                                     sigma=p["sigma"], snapshot_stride=10))  # 0.02 / dt
+    traj, conserved = evolve(gaussian_field(grid, p["width"], amplitude=p["delta"]),
+                             EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
+                                             sigma=p["sigma"], snapshot_stride=10))  # 0.02 / dt
     rep = scatter_report(traj, p["s"], p["s_prime"])
+    assert record.checks["min_cfl_margin"] == conserved.min_cfl_margin
     assert record.csv_text() == "T,xt_norm\n" + "".join(
         f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)
     assert record.checks["xt_final"] == rep.xt_norm_curve[-1][1]

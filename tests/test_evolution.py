@@ -94,7 +94,7 @@ def test_energy_drift_refines_at_fourth_order():
 def test_cfl_guard_triggers():
     big = ComplexField(GRID, 5.0 * np.exp(-GRID.x**2).astype(complex))
     cfg = EvolutionConfig("gdnls", GRID, dt=1e-2, t_end=0.1, sigma=2.0)
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match=r"CFL-like guard .* exceeds 1 at t = 0$"):
         evolve(big, cfg)
 
 
@@ -136,8 +136,9 @@ def test_evolve_matches_the_physical_space_stepper(equation, sigma):
 
 
 def _single_call_evolve(u0, cfg):
-    """Reference: the stepper loop as it stood before the inverse transforms were
-    paired, one (N,) call per transform and the snapshots kept in growing lists."""
+    """Reference: the IFRK4 loop stage by stage, one (N,) call per transform, the
+    mask applied to each stage's result, |v|^{2 sigma} from np.abs, the energy from
+    ifft(i xi fft(v)) and the snapshots kept in growing lists."""
     xi, h, n = cfg.grid.xi, cfg.grid.spacing, cfg.grid.n_points
     sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
     ixi = 1j * xi
@@ -181,57 +182,99 @@ def _single_call_evolve(u0, cfg):
     return np.asarray(times), np.stack(snaps), mass, energies, linf
 
 
+def _assert_matches(traj, rep, reference):
+    """Times exact; values, mass, energy and linf to 1e-13 relative in the max norm."""
+    times, values, mass, energy, linf = reference
+    assert traj.values.shape == values.shape
+    assert np.array_equal(traj.times, times) and np.array_equal(rep.times, times)
+    for got, want in ((traj.values, values), (rep.mass, mass), (rep.energy, energy),
+                      (rep.linf, linf)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("equation, sigma", [
     ("gdnls", 1.0), ("gdnls", 2.0), ("gdnls", 2.5), ("dnls", 1.0)])
 @pytest.mark.parametrize("stride, rows", [(5, 9), (7, 7), (10**9, 2)])
-def test_evolve_is_bit_identical_to_the_single_call_stepper(equation, sigma, stride, rows):
+def test_evolve_matches_the_single_call_stepper(equation, sigma, stride, rows):
     # 40 steps: stride 5 divides them, 7 does not, 10**9 (gauge-check's) exceeds them
     u0 = ComplexField(GRID, 0.5 * np.exp(-GRID.x**2 + 0.3j * GRID.x))
     cfg = EvolutionConfig(equation, GRID, dt=1e-3, t_end=0.04, sigma=sigma,
                           snapshot_stride=stride)
     traj, rep = evolve(u0, cfg)
-    times, values, mass, energy, linf = _single_call_evolve(u0, cfg)
     assert traj.values.shape == (rows, GRID.n_points)
-    assert np.array_equal(traj.times, times) and np.array_equal(rep.times, times)
-    assert np.array_equal(traj.values, values)
-    assert np.array_equal(rep.mass, mass)
-    assert np.array_equal(rep.energy, energy)
-    assert np.array_equal(rep.linf, linf)
+    _assert_matches(traj, rep, _single_call_evolve(u0, cfg))
 
 
 @pytest.mark.parametrize("equation", ["gdnls", "dnls"])
-def test_evolve_is_bit_identical_on_a_large_grid(equation):
-    # 2^14 points make 256 KiB arrays, the size from which numpy reuses a
-    # temporary operand in place, a path that can round the last bit differently
+def test_evolve_matches_the_single_call_stepper_on_a_large_grid(equation):
     grid = GridSpec(16384, 80.0)
     u0 = ComplexField(grid, 0.5 * np.exp(-grid.x**2 + 0.3j * grid.x))
     cfg = EvolutionConfig(equation, grid, dt=1e-3, t_end=0.005, sigma=2.5,
                           snapshot_stride=2)
     traj, rep = evolve(u0, cfg)
-    times, values, mass, energy, linf = _single_call_evolve(u0, cfg)
-    assert np.array_equal(traj.values, values)
-    assert np.array_equal(rep.energy, energy)
-    assert np.array_equal(rep.linf, linf)
+    _assert_matches(traj, rep, _single_call_evolve(u0, cfg))
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 16384])
+def test_each_row_of_a_paired_inverse_transform_equals_the_single_call(n):
+    # the gdnls stepper's (2, N) ifft must not round differently from two (N,) calls
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        pair = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        out = np.empty_like(pair)
+        np.fft.ifft(pair, out=out)
+        assert np.array_equal(out[0], np.fft.ifft(pair[0]))
+        assert np.array_equal(out[1], np.fft.ifft(pair[1]))
 
 
 @pytest.mark.parametrize("n_steps", [3, 7])
 def test_a_gdnls_step_makes_four_forward_and_four_paired_inverse_calls(n_steps, fft_calls):
     n = GRID.n_points
     cfg = EvolutionConfig("gdnls", GRID, dt=1e-3, t_end=n_steps * 1e-3, sigma=2.0,
-                          snapshot_stride=10**9)
-    traj, _ = evolve(gaussian(), cfg)
-    # set-up: fft(u0) and ifft(i xi vhat); each snapshot's energy: one fft, one ifft
-    fixed = 2 + 2 * len(traj)
-    assert Counter(fft_calls) == {(n,): 4 * n_steps + fixed, (2, n): 4 * n_steps}
+                          snapshot_stride=1)
+    evolve(gaussian(), cfg)
+    # set-up: fft(u0) and ifft(i xi vhat); the snapshots' energy reads the carried v_x
+    assert Counter(fft_calls) == {(n,): 4 * n_steps + 2, (2, n): 4 * n_steps}
 
 
 @pytest.mark.parametrize("n_steps", [3, 7])
 def test_a_dnls_step_makes_eight_single_calls(n_steps, fft_calls):
     cfg = EvolutionConfig("dnls", GRID, dt=1e-3, t_end=n_steps * 1e-3,
-                          snapshot_stride=10**9)
+                          snapshot_stride=2)
     traj, _ = evolve(gaussian(), cfg)
-    # set-up: fft(u0); each snapshot's energy: one fft, one ifft
-    assert Counter(fft_calls) == {(GRID.n_points,): 8 * n_steps + 1 + 2 * len(traj)}
+    # set-up: fft(u0); each snapshot's energy: ifft(i xi vhat)
+    assert Counter(fft_calls) == {(GRID.n_points,): 8 * n_steps + 1 + len(traj)}
+
+
+@pytest.mark.parametrize("equation, sigma", [("gdnls", 2.0), ("gdnls", 1.5), ("dnls", 1.0)])
+def test_min_cfl_margin_is_the_smallest_over_the_states(equation, sigma):
+    u0 = ComplexField(GRID, 0.9 * np.exp(-GRID.x**2 + 0.4j * GRID.x))
+    cfg = EvolutionConfig(equation, GRID, dt=2e-3, t_end=0.1, sigma=sigma,
+                          snapshot_stride=1)
+    traj, rep = evolve(u0, cfg)
+    xi_max = np.pi / GRID.spacing
+    guards = [cfg.dt * xi_max * np.max(np.abs(u)) ** (2.0 * sigma) for u in traj.values]
+    assert 0.0 < rep.min_cfl_margin < 1.0
+    assert abs(rep.min_cfl_margin - (1.0 - max(guards))) <= 1e-14
+
+
+@pytest.mark.parametrize("equation", ["gdnls", "dnls"])
+@pytest.mark.parametrize("bad_step", [3, 10])
+def test_a_state_that_turns_non_finite_names_the_time(poison_ifft, equation, bad_step):
+    # 10 steps, snapshots every 4.  Before step bad_step the run makes one set-up
+    # ifft (gdnls: i xi vhat; dnls: the first snapshot's energy), 4 per step, and
+    # for dnls one per later snapshot; the poison then starts at stage 2 of
+    # bad_step, so that step leaves the first non-finite state.
+    stride = 4
+    cfg = EvolutionConfig(equation, GRID, dt=1e-3, t_end=0.01, sigma=1.0,
+                          snapshot_stride=stride)
+    snapshot_calls = (bad_step - 1) // stride if equation == "dnls" else 0
+    poison_ifft(1 + 4 * (bad_step - 1) + snapshot_calls)
+    with pytest.raises(StabilityError) as exc:
+        evolve(gaussian(), cfg)
+    last_good = stride * ((bad_step - 1) // stride) * cfg.dt
+    assert str(exc.value) == (f"state became non-finite at t = {bad_step * cfg.dt:.6g}; "
+                              f"last good snapshot at t = {last_good:.6g}")
 
 
 def test_snapshot_times_and_stride():

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -432,15 +433,28 @@ _EXPERIMENTS = {
 }
 
 
+@cache
+def _versions() -> dict:
+    """Python, numpy and scipy versions and the machine, looked up once per process.
+
+    scipy's version is read from its installed metadata, so scipy is not imported.
+    """
+    import platform
+    from importlib import metadata
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": metadata.version("scipy"), "machine": platform.machine()}
+
+
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRecord:
     """Dispatch a validated config, write CSV + manifest, return the record."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     columns, rows, checks = _EXPERIMENTS[config.experiment][1](config.parameters)
     record = ResultRecord(
         experiment=config.experiment,
         config_hash=config.config_hash(),
         version=__version__,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         columns=columns,
         rows=rows,
         checks=checks,
@@ -458,7 +472,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRe
             "config_hash": record.config_hash,
             "version": record.version,
             "timestamp": record.timestamp,
-            "wall_time_s": time.time() - t0,
+            "wall_time_s": time.perf_counter() - t0,
+            "versions": _versions(),
             "checks": _jsonable(record.checks),
         }
         (out / f"{stem}.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -32,10 +32,11 @@ SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
 NEAR_TIE_RTOL = 1e-12
 # Ceiling on t_end / SNAPSHOT_SPACING.  The runs in the docs and tests sample at
 # most 161 snapshots (T = 8); one snapshot on DEFAULT_PROBE_GRID is 32 KiB, so
-# this keeps the one (n_t, N) buffer a probe call reuses for all its members
-# near 130 MB.  free_group keeps the phase tables of the last two time grids it
-# was given, each the size of that buffer, so at this ceiling a process may
-# also hold two ~130 MB tables.  A t_end that asks for more is a typo.
+# this keeps the complex (n_t, N) buffer a probe call reuses for all its members
+# near 130 MB, and its float (2, n_t, N) array of moduli and powers as well.
+# free_group keeps the phase tables of the last two time grids it was given,
+# each the size of the complex buffer, so at this ceiling a process may also
+# hold two ~130 MB tables.  A t_end that asks for more is a typo.
 MAX_SNAPSHOTS = 4000
 
 
@@ -140,14 +141,18 @@ def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_nor
     """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member.
 
     No trajectory is built: each member's moduli |D^d e^{it Lap} f| come
-    straight from its fhat through one (n_t, N) buffer that every member
-    reuses, and mixed_norm's quadratures reduce them.
+    straight from its fhat through one complex (n_t, N) buffer that every
+    member reuses, and mixed_norm's quadratures reduce them.  The moduli
+    and the quadrature's powers go into the two halves of one float
+    (2, n_t, N) array, also reused, so no member allocates an (n_t, N) array.
     """
     times = _snapshot_times(t_end)
     grid = ens.members[0].grid
     buf = np.empty((len(times), grid.n_points), dtype=complex)
-    return [_mixed_quadrature(_free_moduli(grid, f.values, times, spec.derivative_order, buf),
-                              times, grid.spacing, spec) / data_norm(f)
+    moduli, work = np.empty((2,) + buf.shape)
+    return [_mixed_quadrature(
+                _free_moduli(grid, f.values, times, spec.derivative_order, buf, moduli),
+                times, grid.spacing, spec, work) / data_norm(f)
             for f in ens.members]
 
 

@@ -81,13 +81,14 @@ def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
 
 
 def _free_moduli(grid: GridSpec, values: np.ndarray, times: np.ndarray, order: float,
-                 buf: np.ndarray) -> np.ndarray:
+                 buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|D^order e^{i t_k Laplacian} f| for the datum f = values, one row per time.
 
     buf is a complex (len(times), N) array that the caller reuses from
-    datum to datum; the batched inverse transform runs in it.  For order
-    0 the operations are free_group's, in its order, so the moduli are
-    those of free_group's rows bit for bit.
+    datum to datum; the batched inverse transform runs in it.  The moduli
+    go into out, a float array of buf's shape, when one is given.  For
+    order 0 the operations are free_group's, in its order, so the moduli
+    are those of free_group's rows bit for bit.
     """
     phase = _phase_table(grid, times.shape, times.tobytes())
     vhat = np.fft.fft(values)
@@ -97,7 +98,7 @@ def _free_moduli(grid: GridSpec, values: np.ndarray, times: np.ndarray, order: f
     np.fft.ifft(buf, out=buf)
     if order == 0:
         buf[times == 0] = values
-    return np.abs(buf)
+    return np.abs(buf, out=out)
 
 
 # Two tables: the probes alternate between two horizons (T and 2T), and the
@@ -344,17 +345,36 @@ def evaluate_interpolant(f: ComplexField, points: np.ndarray) -> np.ndarray:
                            1j * np.pi * (u - m))
 
 
-def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    """(integral g^q dt)^{1/q} along axis 0 by trapezoid; exact max for q = inf."""
+def _power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.ndarray:
+    """values**q, into out when given: np.square for q = 2, as ** dispatches it."""
+    if q == 2.0:
+        return np.square(values, out=out)
+    return np.power(values, q, out=out)
+
+
+def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """(integral g^q dt)^{1/q} along axis 0 by trapezoid; exact max for q = inf.
+
+    These are np.trapezoid(values_pow**q, times, axis=0)'s operations in
+    its order, so the result equals it bit for bit; they run in place in
+    one array of values_pow's shape, work when it is given.
+    """
     if np.isinf(q):
         return values_pow.max(axis=0)
-    return np.trapezoid(values_pow**q, times, axis=0) ** (1.0 / q)
+    y = _power(values_pow, q, work)
+    s = y[:-1]
+    np.add(s, y[1:], out=s)  # row k + 1 is read before row k is written: no copy
+    s *= np.diff(times).reshape((-1,) + (1,) * (y.ndim - 1))
+    s /= 2.0
+    return np.add.reduce(s, axis=0) ** (1.0 / q)
 
 
-def _space_quadrature(values_pow: np.ndarray, h: float, q: float) -> np.ndarray:
+def _space_quadrature(values_pow: np.ndarray, h: float, q: float,
+                      work: np.ndarray | None = None) -> np.ndarray:
     if np.isinf(q):
         return values_pow.max(axis=-1)
-    return (h * np.sum(values_pow**q, axis=-1)) ** (1.0 / q)
+    return (h * np.sum(_power(values_pow, q, work), axis=-1)) ** (1.0 / q)
 
 
 def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
@@ -369,17 +389,19 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
     return _mixed_quadrature(u, traj.times, traj.grid.spacing, spec)
 
 
-def _mixed_quadrature(u: np.ndarray, times: np.ndarray, h: float, spec: MixedNormSpec) -> float:
+def _mixed_quadrature(u: np.ndarray, times: np.ndarray, h: float, spec: MixedNormSpec,
+                      work: np.ndarray | None = None) -> float:
     """The quadratures of spec over moduli u, one row per time and spacing h.
 
     This is the reduction of mixed_norm, shared with the probes, which
-    build u without a trajectory.
+    build u without a trajectory and pass work, a float array of u's
+    shape, for the inner quadrature's powers.
     """
     if spec.outer_variable == "time":
-        inner = _space_quadrature(u, h, spec.inner_exponent)  # per-time spatial norm
+        inner = _space_quadrature(u, h, spec.inner_exponent, work)  # per-time spatial norm
         outer = _time_quadrature(inner, times, spec.outer_exponent)
     else:
-        inner = _time_quadrature(u, times, spec.inner_exponent)  # per-point time norm
+        inner = _time_quadrature(u, times, spec.inner_exponent, work)  # per-point time norm
         outer = _space_quadrature(inner, h, spec.outer_exponent)
     return float(outer)
 

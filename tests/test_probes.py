@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdnls import probes
 from gdnls.grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from gdnls.probes import (
     MAX_SNAPSHOTS,
@@ -166,6 +167,22 @@ def test_a_probe_makes_one_fft_and_one_batched_ifft_per_member(name, small_ensem
     n, n_t = SMALL_GRID.n_points, 21
     per_member = [(n,), (n_t, n)] + [(n,)] * (name == "maximal")  # sobolev_norm's fft
     assert fft_calls == per_member * len(small_ensemble.members)
+
+
+@pytest.mark.parametrize("name", sorted(FREE_PROBES))
+def test_every_member_reduces_in_the_same_two_arrays(name, small_ensemble, monkeypatch):
+    # the moduli and the quadrature's powers are allocated once per probe call
+    seen, reduce = [], probes._mixed_quadrature
+
+    def recording(u, times, h, spec, work=None):
+        seen.append((u.ctypes.data, None if work is None else work.ctypes.data))
+        assert work is None or not np.shares_memory(u, work)
+        return reduce(u, times, h, spec, work)
+
+    monkeypatch.setattr(probes, "_mixed_quadrature", recording)
+    FREE_PROBES[name][0](small_ensemble, 1.0)
+    assert len(seen) == len(small_ensemble.members)
+    assert len(set(seen)) == 1 and None not in seen[0]
 
 
 def test_an_ensemble_lives_on_one_grid():

@@ -519,6 +519,54 @@ def test_default_q_grid_within_range():
     assert min(DEFAULT_Q_GRID) >= 4.0 and max(DEFAULT_Q_GRID) <= 16.0
 
 
+def assert_time_quadrature_is_the_trapezoid(u, times, q):
+    # the reference is numpy's trapezoid, which the library no longer calls
+    ref = np.trapezoid(u**q, times, axis=0) ** (1.0 / q)
+    assert np.array_equal(spectral._time_quadrature(u, times, q), ref)
+    assert np.array_equal(spectral._time_quadrature(u, times, q, np.empty_like(u)), ref)
+
+
+@pytest.mark.parametrize("seed, t_end", [(0, 4.0), (0, 8.0), (7, 4.0), (7, 8.0)])
+def test_quadratures_are_numpys_on_probe_moduli(seed, t_end):
+    # per-point time norms of the (n_t, N) moduli, and per-time vectors of spatial norms
+    ens = default_ensemble(seed=seed)
+    grid = ens.members[0].grid
+    times = SNAPSHOT_SPACING * np.arange(round(t_end / SNAPSHOT_SPACING) + 1)
+    buf = np.empty((len(times), grid.n_points), dtype=complex)
+    for f in ens.members[::8]:
+        for order in (0.0, 0.5):
+            u = spectral._free_moduli(grid, f.values, times, order, buf)
+            for q in (2.0, 4.0):
+                assert_time_quadrature_is_the_trapezoid(u, times, q)
+                per_time = spectral._space_quadrature(u, grid.spacing, q, np.empty_like(u))
+                assert np.array_equal(per_time, (grid.spacing * np.sum(u**q, axis=-1)) ** (1 / q))
+                assert_time_quadrature_is_the_trapezoid(per_time, times, q)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_time_quadrature_is_the_trapezoid_on_xt_norm_prefixes(q):
+    rng = np.random.default_rng(3)
+    u = np.abs(rng.standard_normal((401, 4096)) + 1j * rng.standard_normal((401, 4096)))
+    times = np.linspace(0.0, 5.0, 401)
+    for n in (51, 101, 201, 401):
+        assert_time_quadrature_is_the_trapezoid(u[:n], times[:n], q)
+
+
+def test_time_quadrature_allocates_no_power_array_when_given_work():
+    import tracemalloc
+
+    u = np.abs(np.random.default_rng(0).standard_normal((81, 2048)))
+    times = SNAPSHOT_SPACING * np.arange(81)
+    for work, bound in ((np.empty_like(u), 0.1), (None, 1.1)):
+        tracemalloc.start()
+        try:
+            spectral._time_quadrature(u, times, 2.0, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * u.nbytes, (work is None, peak / u.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 

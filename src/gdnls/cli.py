@@ -39,7 +39,6 @@ from .probes import (
     smoothing_probe,
     strichartz_probe,
 )
-from .quadrature import QuadratureError
 from .scattering import scatter_report
 from .solitons import (
     ENDPOINT_NORMS,
@@ -435,15 +434,11 @@ _EXPERIMENTS = {
 
 @cache
 def _versions() -> dict:
-    """Python, numpy and scipy versions and the machine, looked up once per process.
-
-    scipy's version is read from its installed metadata, so scipy is not imported.
-    """
+    """Python and numpy versions and the machine, looked up once per process."""
     import platform
-    from importlib import metadata
 
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": metadata.version("scipy"), "machine": platform.machine()}
+            "machine": platform.machine()}
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRecord:
@@ -571,7 +566,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StabilityError, QuadratureError, ResolutionError, RuntimeError, ValueError) as exc:
+    except (StabilityError, ResolutionError, RuntimeError, ValueError) as exc:
         # ValueError here is a library precondition that only the run's numbers
         # can break (ConfigError is handled above), e.g. too short a decay fit
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,23 +1,22 @@
 """Integrals of the soliton identities and the gauge.
 
-`integrate_halfline` is adaptive quadrature over (0, inf) for the
-improper integrals without a closed form; `cumulative_integral` is the
-one running integral, spectral on the grid samples.
+`integrate_halfline` is the trapezoid rule on the line for the improper
+integrals without a closed form; `cumulative_integral` is the one
+running integral, spectral on the grid samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+MAX_POINTS = 2**21  # largest point count of integrate_halfline: 16 MiB per integrand array
+
 
 class QuadratureError(RuntimeError):
-    """Quadrature did not converge; carries the partial value if available."""
-
-    def __init__(self, message: str, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A quadrature needs more work than its stated cap."""
 
 
 @dataclass(frozen=True)
@@ -33,28 +32,27 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
-def integrate_halfline(integrand) -> QuadratureResult:
-    """Adaptive integral of integrand over (0, inf), absolute and relative tolerance 1e-10.
+def integrate_halfline(integrand, strip: float, decay: float) -> QuadratureResult:
+    """Integral over (0, inf) of an even integrand by the trapezoid rule on the line.
 
-    The integrand must be continuous on (0, inf) and decay at least
-    exponentially at infinity.
+    For an integrand analytic in |Im x| < strip that decays like
+    exp(-decay x), the step h = 2 pi min(strip, pi/2) / 40, with half
+    weight at 0, errs by about e^-40 relative, and the sum stops at
+    X = (40 + decay ln 2) / decay + 2.  More than MAX_POINTS points raise
+    QuadratureError.  Overflow in the far tail gives 0.
     """
-    from scipy.integrate import quad  # most of `import gdnls` if imported at module level
-
-    count = 0
-
-    def f(x):
-        nonlocal count
-        count += 1
-        return integrand(x)
-
-    out = quad(f, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=500, full_output=True)
-    value, err = out[0], out[1]
-    if len(out) > 3:  # warning message present -> did not converge
+    if not (strip > 0 and decay > 0):
+        raise ValueError(f"strip and decay must be positive, got {strip} and {decay}")
+    h = 2.0 * math.pi * min(strip, 0.5 * math.pi) / 40.0
+    n = math.floor(((40.0 + decay * math.log(2.0)) / decay + 2.0) / h) + 1
+    if n > MAX_POINTS:
         raise QuadratureError(
-            f"half-line quadrature did not converge: {out[3]}", partial=value
-        )
-    return QuadratureResult(value, err, count)
+            f"the trapezoid rule needs {n} points, more than the cap of {MAX_POINTS}")
+    with np.errstate(over="ignore"):
+        f = integrand(h * np.arange(n))
+    value = float(h * (0.5 * f[0] + np.sum(f[1:])))
+    # the discretisation error, and the tail past X for exp(-decay x) decay
+    return QuadratureResult(value, math.exp(-40.0) * abs(value) + abs(f[-1]) / decay, n)
 
 
 def cumulative_integral(values: np.ndarray, grid) -> np.ndarray:

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError
-from .quadrature import integrate_halfline
+from .quadrature import QuadratureError, integrate_halfline
 from .spectral import CUSP_WINDOW, _homogeneous_norm_sq, l2_norm
-
-_ENDPOINT_MARGIN = 1e-6  # largest allowed c/(2 sqrt(omega)) for the I(c) integral
 
 # Largest soliton grid: a complex array of 2^20 points is 16 MiB and a
 # homogeneous norm holds about ten at once.  soliton_grid grows like
@@ -61,11 +59,6 @@ class SolitonParams:
     @property
     def p_c(self) -> float:
         return 2.0 * self.sigma
-
-    @property
-    def speed_ratio(self) -> float:
-        """c / (2 sqrt(omega)), in (-1, 1)."""
-        return self.c / (2.0 * math.sqrt(self.omega))
 
 
 def amplitude(p: SolitonParams, x) -> np.ndarray:
@@ -173,16 +166,24 @@ def _envelope_grid(p: SolitonParams) -> GridSpec:
 
 
 def curly_i(p: SolitonParams) -> float:
-    """I(c) = integral over (0, inf) of (cosh x - c/(2 sqrt(w)))^(-1/sigma)."""
-    gamma = p.speed_ratio
-    if gamma > 1.0 - _ENDPOINT_MARGIN:  # the integrand blows up at gamma = 1
-        raise ValueError(
-            f"c/(2 sqrt(omega)) = {gamma:.8f} too close to 1; the integrand is "
-            "non-integrable (or near-singular) at the right endpoint"
-        )
-    with np.errstate(over="ignore"):
-        res = integrate_halfline(lambda x: (np.cosh(x) - gamma) ** (-1.0 / p.sigma))
-    return res.value
+    """I(c) = integral over (0, inf) of (cosh x - gamma)^-nu, gamma = c/(2 sqrt(w)), nu = 1/sigma.
+
+    By the trapezoid rule over the strip |Im x| < arccos gamma, shrunk by sqrt(nu/2) for
+    nu > 2 to outrun the integrand's growth off the real axis (README, "I(c)").
+    """
+    nu = 1.0 / p.sigma
+    two_sqrt_w = 2.0 * math.sqrt(p.omega)
+    one_minus_gamma = (two_sqrt_w - p.c) / two_sqrt_w
+    strip = min(2.0 * math.atan2(math.sqrt(two_sqrt_w - p.c), math.sqrt(two_sqrt_w + p.c)),
+                0.5 * math.pi) / max(1.0, math.sqrt(0.5 * nu))
+
+    def integrand(x):  # (2 sinh^2(x/2) + 1 - gamma)^-nu, neither cancelling nor overflowing
+        return np.exp(-nu * x) * (0.5 * np.expm1(-x) ** 2 + one_minus_gamma * np.exp(-x)) ** -nu
+
+    try:
+        return integrate_halfline(integrand, strip, nu).value
+    except QuadratureError as exc:  # the point cap, as gamma -> 1
+        raise QuadratureError(f"I(c) at c = {p.c}: {exc}") from None
 
 
 def l2_mass_closed(p: SolitonParams) -> float:

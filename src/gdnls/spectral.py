@@ -8,6 +8,7 @@ that the Fourier-side sums agree with the physical Riemann sums
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -213,15 +214,27 @@ def _cusp_panels(a: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+def _cutoff(u: np.ndarray) -> np.ndarray:
+    """erfc((u - 20) / 4) / 2 at u = |xi| / delta >= 0 lattice spacings from the cusp.
+
+    math.erfc is taken only below u = 128; past it chi is 0, as erfc(27) < 1e-318.
+    """
+    arg = (u - 20.0) / 4.0
+    chi = np.zeros_like(arg)
+    band = np.flatnonzero(arg < 27.0)
+    chi[band] = [0.5 * math.erfc(t) for t in arg[band]]
+    return chi
+
+
 @lru_cache(maxsize=8)
-def _unit_cusp_panels(spacings: int) -> tuple[np.ndarray, np.ndarray]:
-    """_cusp_panels(spacings, 1), built once per window width; read-only.
+def _unit_cusp_panels(spacings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_cusp_panels(spacings, 1) and _cutoff there, built once per window width; read-only.
 
     The panels depend only on a / delta, so delta times these points and
     weights are _cusp_panels(spacings * delta, delta) up to rounding.
     """
     pts, wts = _cusp_panels(float(spacings), 1.0)
-    return _read_only(pts), _read_only(wts)
+    return _read_only(pts), _read_only(wts), _read_only(_cutoff(pts))
 
 
 def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
@@ -233,7 +246,7 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
     normed on a grid that resolves only the envelope.  The weight has a
     cusp at xi = -shift, so the plain lattice sum converges only
     algebraically.  The weight is split with a smooth erfc cutoff about
-    the cusp: the cusp-free remainder is summed on the lattice
+    the cusp (_cutoff): the cusp-free remainder is summed on the lattice
     (spectrally accurate), and the compactly concentrated cusp part, on
     the window of CUSP_WINDOW lattice spacings each side of -shift, is
     integrated with graded Gauss panels whose width never exceeds the
@@ -242,29 +255,22 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
     fourier_transform_samples raises.  cusp=False leaves the cusp part
     out; the caller then owes a bound on |fhat| over the window.
     """
-    from scipy.special import erfc
-
     grid = f.grid
     delta = 2.0 * np.pi / grid.box_length
-    width = 4.0 * delta  # erfc transition scale; centered at 5 widths
-    center = 5.0 * width
-
-    def chi(xi):
-        return 0.5 * erfc((np.abs(xi) - center) / width)
 
     # lattice part: fhat sampled on the grid frequencies
     xi = grid.xi + shift
     fhat = grid.spacing * np.fft.fft(f.values)
-    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - chi(xi))
+    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - _cutoff(np.abs(xi) / delta))
     total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
     if not cusp:
         return total / (2.0 * np.pi)
 
     # cusp part: chi is below roundoff past 10 transition widths; on grids
     # of fewer than 128 points the band, N/2 spacings wide, cuts the window
-    pts, wts = _unit_cusp_panels(min(CUSP_WINDOW, grid.n_points // 2))
+    pts, wts, chi = _unit_cusp_panels(min(CUSP_WINDOW, grid.n_points // 2))
     pts = delta * pts
-    weight = delta * wts * pts ** (2.0 * s) * chi(pts)
+    weight = delta * wts * pts ** (2.0 * s) * chi
     fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
     for half in np.split(fh, 2):
         total += np.sum(weight * np.abs(half) ** 2)

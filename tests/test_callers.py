@@ -64,3 +64,25 @@ def test_tracer_hooks_reach_library_names_that_exist():
     missing = [f"{mod}.{name}" for mod, name in reached
                if not hasattr(importlib.import_module(f"gdnls.{mod}"), name)]
     assert missing == []
+
+
+def test_the_tracer_counts_the_trapezoid_rule(monkeypatch):
+    # a 4-point sigma = 1 L2 scan calls the rule once per wave, and the
+    # tracer's evaluation count is the sum of the rule's point counts
+    from gdnls import quadrature, solitons
+
+    results, rule = [], quadrature.integrate_halfline
+
+    def recording(*args, **kwargs):
+        results.append(rule(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_halfline", recording)
+    monkeypatch.setattr(solitons, "integrate_halfline", recording)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        rows = solitons.endpoint_sequence(1.0, 1.0, "L2", 4)
+    assert len(rows) == 4 and len(results) == 4
+    spans = [s for s in tracer.spans if s.name == "quadrature.integrate_halfline"]
+    assert len(spans) == 4
+    assert tracer.counts[0]["quadrature.evaluations"] == sum(r.evaluations for r in results)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -36,13 +37,34 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # scipy.integrate was most of the import time; only curly_i's quadrature needs it
+def test_the_library_has_no_scipy_import():
+    # scipy is a test dependency only
+    for path in sorted(Path(gdnls.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [m for m in imported if m.split(".")[0] == "scipy"], path.name
+
+
+def test_the_norm_commands_leave_scipy_unloaded(tmp_path):
+    # every theorem1-scan norm and the atlas, through cli.run, in a fresh interpreter
     src = str(Path(gdnls.__file__).resolve().parents[1])
-    code = "import sys, gdnls.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    code = (
+        "import sys\n"
+        "from gdnls.cli import parse_config_text, run, validate_config\n"
+        "for norm in ('L2', 'H1', 'Lpc', 'Hsc'):\n"
+        "    text = f'sigma = 2\\nnorm = {norm}\\nnum_points = 4\\n'\n"
+        "    run(validate_config('theorem1-scan', parse_config_text(text)), sys.argv[1])\n"
+        f"run(validate_config('soliton-atlas', parse_config_text({ATLAS!r})), sys.argv[1])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         check=True)
     assert out.stdout.strip() == "False"
+    assert len(list(tmp_path.glob("*.csv"))) == 5
 
 
 # -- config parsing ----------------------------------------------------------
@@ -271,6 +293,14 @@ def test_main_runs_near_the_endpoint_or_names_the_field(tmp_path, capsys, experi
         assert not out.exists()
 
 
+def test_main_exits_3_naming_c_past_the_i_of_c_point_cap(tmp_path, capsys):
+    # sigma = 1, 1 - c/2 = 5e-9: the rule for I(c) would need 2.7e6 points
+    cfg = write(tmp_path, "cap.cfg", "sigma = 1\nc_grid = 0.5, 1.99999999\n")
+    assert main(["soliton-atlas", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "I(c) at c = 1.99999999" in err and "cap of 2097152" in err
+
+
 def test_validate_sizes_soliton_grids_only_for_hsc():
     # the closed-form norms need no grid at all, so the long scan validates
     for norm in ("L2", "H1", "Lpc"):
@@ -461,7 +491,6 @@ def test_ineq_probe_matches_the_benchmark_reference(text, ratio, member):
 def test_manifest_records_utc_time_wall_time_and_versions(tmp_path):
     import platform
     from datetime import datetime, timedelta
-    from importlib import metadata
 
     cfg = validate_config("soliton-atlas", parse_config_text(ATLAS))
     record = run(cfg, out_dir=tmp_path)
@@ -471,7 +500,6 @@ def test_manifest_records_utc_time_wall_time_and_versions(tmp_path):
     assert 0 < manifest["wall_time_s"] < 60
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__,
-                                    "scipy": metadata.version("scipy"),
                                     "machine": platform.machine()}
 
 

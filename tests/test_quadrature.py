@@ -6,6 +6,7 @@ from scipy.special import erf
 
 from gdnls.grid import GridSpec
 from gdnls.quadrature import (
+    MAX_POINTS,
     QuadratureError,
     QuadratureResult,
     cumulative_integral,
@@ -13,38 +14,47 @@ from gdnls.quadrature import (
 )
 
 
+# even integrands analytic in |Im x| < pi/2 that decay at least like e^-x
 @pytest.mark.parametrize(
     "func, expect",
     [
-        (lambda x: np.exp(-x), 1.0),
-        (lambda x: 1.0 / (1.0 + x**2), math.pi / 2.0),
+        (lambda x: 1.0 / np.cosh(x) ** 2, 1.0),
+        (lambda x: 1.0 / np.cosh(x), math.pi / 2.0),
         (lambda x: np.exp(-(x**2)), math.sqrt(math.pi) / 2.0),
-        (lambda x: x**2 * np.exp(-x), 2.0),
+        (lambda x: 1.0 / np.cosh(0.5 * x) ** 2, 2.0),
     ],
 )
 def test_halfline_known_integrals(func, expect):
-    res = integrate_halfline(func)
-    assert res.value == pytest.approx(expect, rel=1e-10)
-    assert res.error_estimate < 1e-8
-    assert res.evaluations > 0
+    res = integrate_halfline(func, 0.5 * math.pi, 1.0)
+    assert res.value == pytest.approx(expect, rel=1e-14)
+    assert res.error_estimate < 1e-14
+    # h = pi^2 / 40 and X = 42 + ln 2
+    assert res.evaluations == math.floor((42.0 + math.log(2.0)) / (math.pi**2 / 40.0)) + 1
 
 
 def test_halfline_sech_like_kernel():
-    # integral of 1/cosh over (0, inf) is pi/2
-    res = integrate_halfline(lambda x: 2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x)))
-    assert res.value == pytest.approx(math.pi / 2.0, rel=1e-10)
+    # integral of 1/cosh over (0, inf) is pi/2; cosh overflows in the far tail
+    res = integrate_halfline(lambda x: 1.0 / np.cosh(x), math.pi, 1.0)
+    assert res.value == pytest.approx(math.pi / 2.0, rel=1e-14)
 
 
 def test_halfline_sqrt_sech_frozen_oracle():
     # reference 2.622057554292 from an independent 10^6-point composite
-    # Simpson rule on [0, 60]
-    res = integrate_halfline(lambda x: (2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))) ** 0.5)
+    # Simpson rule on [0, 60]; sqrt(sech) is analytic in |Im x| < pi/2
+    res = integrate_halfline(lambda x: (2.0 * np.exp(-x) / (1.0 + np.exp(-2.0 * x))) ** 0.5,
+                             0.5 * math.pi, 0.5)
     assert res.value == pytest.approx(2.622057554292, abs=1e-8)
+    # Gamma(1/4)^2 / (2 sqrt(2 pi)), the closed form of the same integral
+    assert res.value == pytest.approx(math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi)),
+                                      rel=1e-14)
 
 
-def test_halfline_raises_on_divergent_integrand():
-    with pytest.raises(QuadratureError):
-        integrate_halfline(lambda x: 1.0 / (1.0 + x))
+def test_halfline_raises_past_the_point_cap():
+    # a strip of 1e-5 asks for h = pi 1e-5 / 20 and about 5.8e6 points
+    with pytest.raises(QuadratureError, match=f"more than the cap of {MAX_POINTS}"):
+        integrate_halfline(lambda x: 1.0 / np.cosh(x), 1e-5, 1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        integrate_halfline(lambda x: 1.0 / np.cosh(x), 0.0, 1.0)
 
 
 def test_result_validation():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta, hyp2f1
 
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
-from gdnls.quadrature import QuadratureError, integrate_halfline
+from gdnls.quadrature import MAX_POINTS, QuadratureError
 from gdnls.solitons import (
     MAX_GRID_POINTS,
     SolitonParams,
@@ -80,12 +82,17 @@ def gauss_panel_integral(integrand, x_grid):
     return head + np.concatenate([[0.0], np.cumsum(panels)])
 
 
+def quad_halfline(integrand):
+    """scipy's adaptive quad over (0, inf); cosh overflows harmlessly in the far tail."""
+    with np.errstate(over="ignore"):
+        return quad(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=500)[0]
+
+
 def quad_pc_mass(p):
     """Integral of |phi|^{p_c} as the half-line quadrature in cosh x - c/(2 sqrt(w))."""
-    gamma = p.speed_ratio
-    with np.errstate(over="ignore"):
-        res = integrate_halfline(lambda x: 1.0 / (np.cosh(x) - gamma))
-    return (2.0 * (p.sigma + 1.0) / p.sigma) * (p.alpha / (2.0 * math.sqrt(p.omega))) * res.value
+    gamma = p.c / (2.0 * math.sqrt(p.omega))
+    res = quad_halfline(lambda x: 1.0 / (np.cosh(x) - gamma))
+    return (2.0 * (p.sigma + 1.0) / p.sigma) * (p.alpha / (2.0 * math.sqrt(p.omega))) * res
 
 
 def phase_density(p):
@@ -241,11 +248,77 @@ def test_pc_mass_is_finite_up_to_the_right_endpoint():
     assert val == pytest.approx(4.0 * math.pi, abs=1e-3)
 
 
-@pytest.mark.parametrize("closed_form", [curly_i], ids=lambda f: f.__name__)
-def test_closed_forms_reject_the_right_endpoint(closed_form):
-    # an admissible speed, but c / (2 sqrt(omega)) = 1 - 1e-9 is inside the margin
-    with pytest.raises(ValueError, match="too close to 1"):
-        closed_form(SolitonParams(1.0, 2.0 * (1.0 - 1e-9), 1.0))
+# -- I(c) against its references ----------------------------------------------
+
+CURLY_I_SIGMAS = (0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
+
+
+def hyp2f1_curly_i(p):
+    """I(c) = (1 - gamma)^-nu B(nu, 1/2) 2F1(1/2, nu; nu + 1/2; -(1 + gamma)/(1 - gamma)).
+
+    gamma = c / (2 sqrt(omega)) and nu = 1/sigma; 1 - gamma and 1 + gamma
+    are taken from 2 sqrt(omega) -+ c, which do not cancel.
+    """
+    two_sqrt_w = 2.0 * math.sqrt(p.omega)
+    nu = 1.0 / p.sigma
+    beta_sq = (two_sqrt_w + p.c) / (two_sqrt_w - p.c)
+    return (((two_sqrt_w - p.c) / two_sqrt_w) ** -nu * beta(nu, 0.5)
+            * hyp2f1(0.5, nu, nu + 0.5, -beta_sq))
+
+
+@pytest.mark.parametrize("sigma", CURLY_I_SIGMAS, ids=lambda s: f"{s:.4g}")
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_curly_i_matches_the_hyp2f1_closed_form(sigma, omega):
+    for c in 2.0 * math.sqrt(omega) * np.array(
+            [-0.9999995, -0.99, -0.75, -0.3, 0.0, 0.3, 0.75, 0.9, 0.99, 0.995]):
+        p = SolitonParams(omega, c, sigma)
+        assert curly_i(p) == pytest.approx(hyp2f1_curly_i(p), rel=1e-13, abs=0.0), c
+
+
+@pytest.mark.parametrize("sigma", CURLY_I_SIGMAS, ids=lambda s: f"{s:.4g}")
+def test_curly_i_matches_adaptive_quadrature_on_interior_waves(sigma):
+    for c in (-1.5, -0.5, 0.0, 0.5, 1.5):
+        gamma = c / 2.0
+        ref = quad_halfline(lambda x: (np.cosh(x) - gamma) ** (-1.0 / sigma))
+        assert curly_i(SolitonParams(1.0, c, sigma)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_curly_i_is_theta_over_sin_theta_at_sigma_one(omega):
+    # int_0^inf dx / (cosh x + cos theta) = theta / sin theta, cos theta = -gamma;
+    # sin theta = alpha / (2 sqrt(omega)) exactly, where math.sin(theta) loses digits near pi
+    two_sqrt_w = 2.0 * math.sqrt(omega)
+    for one_minus_gamma in (2.0, 1.5, 1.0, 0.5, 1e-2, 1e-4, 1e-6):
+        c = two_sqrt_w * (1.0 - one_minus_gamma)
+        alpha = math.sqrt((two_sqrt_w - c) * (two_sqrt_w + c))
+        if not alpha > 0:
+            continue
+        theta = 2.0 * math.atan2(alpha, two_sqrt_w - c)
+        assert curly_i(SolitonParams(omega, c, 1.0)) == pytest.approx(
+            theta * two_sqrt_w / alpha, rel=1e-13, abs=0.0), one_minus_gamma
+
+
+@pytest.mark.parametrize("sigma", CURLY_I_SIGMAS, ids=lambda s: f"{s:.4g}")
+def test_curly_i_tends_to_its_left_endpoint_limit(sigma):
+    # I -> int_0^inf (cosh x + 1)^-nu dx = 2^-nu B(nu, 1/2) as c -> -2 sqrt(omega);
+    # at alpha = 2^-25, 1 + gamma is about 4e-16
+    *_, (_, p) = endpoint_waves(sigma, 1.0, 26)
+    nu = 1.0 / sigma
+    assert curly_i(p) == pytest.approx(2.0 ** -nu * beta(nu, 0.5), rel=1e-13, abs=0.0)
+
+
+def test_curly_i_raises_past_the_point_cap():
+    # sigma = 1 at gamma = 1 - 1e-9 needs about 6e6 points
+    p = SolitonParams(1.0, 2.0 * (1.0 - 1e-9), 1.0)
+    with pytest.raises(QuadratureError, match=f"c = {p.c}.*cap of {MAX_POINTS}"):
+        curly_i(p)
+
+
+@pytest.mark.parametrize("sigma, one_minus_gamma", [(1.0, 1e-8), (10.0, 1e-6)])
+def test_curly_i_runs_under_the_point_cap(sigma, one_minus_gamma):
+    # both past the old endpoint margin 1e-6 of gamma, or on it
+    p = SolitonParams(1.0, 2.0 * (1.0 - one_minus_gamma), sigma)
+    assert curly_i(p) == pytest.approx(hyp2f1_curly_i(p), rel=1e-12, abs=0.0)
 
 
 def test_soliton_grid_resolves_tail():

@@ -388,13 +388,23 @@ def test_cached_cusp_panels_scale_to_the_direct_build(length):
     # at the last length, rounding put (a/2) / delta just past 20 and, before
     # the panel count took a slack, gave the direct build three more panels
     delta = 2.0 * np.pi / length
-    pts, wts = spectral._unit_cusp_panels(spectral.CUSP_WINDOW)
+    pts, wts, chi = spectral._unit_cusp_panels(spectral.CUSP_WINDOW)
     direct_pts, direct_wts = spectral._cusp_panels(spectral.CUSP_WINDOW * delta, delta)
     for scaled, direct in ((delta * pts, direct_pts), (delta * wts, direct_wts)):
         assert scaled.shape == direct.shape
         assert np.max(np.abs(scaled - direct)) <= 2.0 * np.spacing(np.max(direct))
-    assert not pts.flags.writeable and not wts.flags.writeable
+    assert np.array_equal(chi, spectral._cutoff(pts))
+    assert not any(a.flags.writeable for a in (pts, wts, chi))
     assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW)[0] is pts  # built once
+
+
+def test_cutoff_is_the_erfc_of_scipy():
+    # scipy's erfc differs from math.erfc only by rounding, and only in its
+    # far tail; past 128 spacings the cutoff is 0 exactly
+    u = np.concatenate([np.linspace(0.0, 160.0, 20001), spectral._unit_cusp_panels(40)[0]])
+    chi = spectral._cutoff(u)
+    np.testing.assert_allclose(chi, 0.5 * erfc((u - 20.0) / 4.0), rtol=1e-13, atol=1e-300)
+    assert np.all(chi[u >= 128.0] == 0.0)
 
 
 @pytest.mark.parametrize("lam, shift", [

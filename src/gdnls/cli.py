@@ -60,16 +60,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-EXPERIMENTS = (
-    "soliton-atlas",
-    "evolve",
-    "scatter-probe",
-    "gauge-check",
-    "ineq-probe",
-    "theorem1-scan",
-)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -149,84 +139,20 @@ def _to_float_list(key, val):
         raise ConfigError(f"field {key!r}: expected comma-separated numbers, got {val!r}") from None
 
 
-# per-experiment schema: key -> (converter, default); None default = required
+# keys every experiment takes; see the schemas of _EXPERIMENTS
 _COMMON = {"seed": (_to_int, 0), "output_path": (str, "")}
-
-_SCHEMAS = {
-    "soliton-atlas": {
-        "sigma": (_to_float, None),
-        "omega": (_to_float, 1.0),
-        "c_grid": (_to_float_list, None),
-        **_COMMON,
-    },
-    "theorem1-scan": {
-        "sigma": (_to_float, None),
-        "omega": (_to_float, 1.0),
-        "norm": (str, None),
-        "num_points": (_to_int, 11),
-        "alpha0": (_to_float, 1.0),
-        **_COMMON,
-    },
-    "evolve": {
-        "equation": (str, "gdnls"),
-        "sigma": (_to_float, 2.0),
-        "datum": (str, "gaussian"),
-        "omega": (_to_float, 1.0),
-        "c": (_to_float, 0.0),
-        "delta": (_to_float, 0.1),
-        "width": (_to_float, 1.0),
-        "n_points": (_to_int, 2048),
-        "box_length": (_to_float, 80.0),
-        "dt": (_to_float, 1e-3),
-        "t_end": (_to_float, 1.0),
-        "snapshot_stride": (_to_int, 10),
-        **_COMMON,
-    },
-    "scatter-probe": {
-        "sigma": (_to_float, 2.0),
-        "delta": (_to_float, 0.05),
-        "width": (_to_float, 1.0),
-        "n_points": (_to_int, 4096),
-        "box_length": (_to_float, 160.0),
-        "dt": (_to_float, 2e-3),
-        "t_end": (_to_float, 8.0),
-        "s": (_to_float, 0.5),
-        "s_prime": (_to_float, 0.4),
-        **_COMMON,
-    },
-    "gauge-check": {
-        "delta": (_to_float, 0.3),
-        "width": (_to_float, 1.0),
-        "velocity": (_to_float, 0.5),
-        "n_points": (_to_int, 2048),
-        "box_length": (_to_float, 80.0),
-        "dt": (_to_float, 1e-3),
-        "t_end": (_to_float, 0.5),
-        **_COMMON,
-    },
-    "ineq-probe": {
-        "probe": (str, None),
-        "q": (_to_float, 4.0),
-        "r": (_to_float, math.inf),
-        "p": (_to_float, 4.0),
-        "s": (_to_float, 0.25),
-        "t_end": (_to_float, 4.0),
-        **_COMMON,
-    },
-}
-
 
 # (experiment, library parameter) -> the config field it comes from, where the names differ
 _CONFIG_FIELDS = {("soliton-atlas", "c"): "c_grid", ("theorem1-scan", "n_points"): "num_points"}
 
 
 def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
-    """Check keys, then build the run's domain objects; messages name the field."""
-    if experiment not in EXPERIMENTS:
+    """Check keys and values, then build the run's domain objects; messages name the field."""
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
-    schema = _SCHEMAS[experiment]
+    schema, setup, _ = _EXPERIMENTS[experiment]
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
@@ -238,9 +164,15 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
             raise ConfigError(f"field {key!r}: required for experiment {experiment}")
         else:
             params[key] = default
-    _validate_semantics(experiment, params)
+    for key in ("sigma", "omega", "dt", "t_end", "delta", "width",
+                "box_length", "alpha0", "s", "s_prime", "velocity"):
+        if key in params:
+            _require(math.isfinite(params[key]), key, "must be finite")
+    for key in ("omega", "delta", "width"):  # SolitonParams and EvolutionConfig check sigma
+        if key in params:
+            _require(params[key] > 0, key, "must be positive")
     try:
-        _EXPERIMENTS[experiment][0](params)
+        setup(params)
     except ParameterError as exc:
         field_name = _CONFIG_FIELDS.get((experiment, exc.name), exc.name)
         raise ConfigError(f"field {field_name!r}: {exc}") from None
@@ -252,37 +184,8 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"field {field_name!r}: {message}")
 
 
-def _validate_semantics(experiment: str, p: dict) -> None:
-    """The checks that no domain object built by the *_setup functions makes."""
-    for key in ("sigma", "omega", "dt", "t_end", "delta", "width",
-                "box_length", "alpha0", "s", "s_prime", "velocity"):
-        if key in p:
-            _require(math.isfinite(p[key]), key, "must be finite")
-    for key in ("omega", "delta", "width"):  # SolitonParams and EvolutionConfig check sigma
-        if key in p:
-            _require(p[key] > 0, key, "must be positive")
-
-    if experiment == "soliton-atlas":
-        _require(len(p["c_grid"]) >= 1, "c_grid", "must contain at least one speed")
-    elif experiment == "theorem1-scan":
-        _require(p["norm"] in ENDPOINT_NORMS, "norm",
-                 f"must be one of {', '.join(ENDPOINT_NORMS)}")
-        _require(p["num_points"] >= 4, "num_points", "must be >= 4 for a slope fit")
-        _require(0 < p["alpha0"] <= 2.0 * math.sqrt(p["omega"]), "alpha0",
-                 "must lie in (0, 2 sqrt(omega)]")
-    elif experiment == "evolve":
-        _require(p["datum"] in ("gaussian", "soliton"), "datum",
-                 "must be 'gaussian' or 'soliton'")
-    elif experiment == "scatter-probe":
-        _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
-        _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
-    elif experiment == "ineq-probe":
-        _require(p["probe"] in ("strichartz", "smoothing", "maximal", "leibniz"),
-                 "probe", "must be one of strichartz, smoothing, maximal, leibniz")
-
-
 # ---------------------------------------------------------------------------
-# domain objects: built once by validate_config, again by each run
+# setups: the checks no domain object makes, then the domain objects the run uses
 
 def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionConfig:
     return EvolutionConfig(equation, GridSpec(p["n_points"], p["box_length"]),
@@ -291,23 +194,32 @@ def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionCo
 
 
 def _atlas_setup(p: dict) -> list:
+    _require(len(p["c_grid"]) >= 1, "c_grid", "must contain at least one speed")
     check_hsc_sigma(p["sigma"])  # every row has an hsc_norm
     return [SolitonParams(p["omega"], c, p["sigma"]) for c in p["c_grid"]]
 
 
 def _theorem1_setup(p: dict) -> list:
+    _require(p["norm"] in ENDPOINT_NORMS, "norm",
+             f"must be one of {', '.join(ENDPOINT_NORMS)}")
+    _require(p["num_points"] >= 4, "num_points", "must be >= 4 for a slope fit")
+    _require(0 < p["alpha0"] <= 2.0 * math.sqrt(p["omega"]), "alpha0",
+             "must lie in (0, 2 sqrt(omega)]")
     if p["norm"] == "Hsc":
         check_hsc_sigma(p["sigma"])
     return list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
 
 
 def _evolve_setup(p: dict):
+    _require(p["datum"] in ("gaussian", "soliton"), "datum", "must be 'gaussian' or 'soliton'")
     cfg = _evolution(p, p["equation"], p["sigma"], p["snapshot_stride"])
     wave = SolitonParams(p["omega"], p["c"], p["sigma"]) if p["datum"] == "soliton" else None
     return cfg, wave
 
 
 def _scatter_setup(p: dict) -> EvolutionConfig:
+    _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
+    _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
     cfg = _evolution(p, "gdnls", p["sigma"], 1)  # checks dt before the division
     return replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
 
@@ -318,13 +230,9 @@ def _gauge_setup(p: dict):
 
 
 def _ineq_setup(p: dict) -> None:
+    _require(p["probe"] in _PROBES, "probe", f"must be one of {', '.join(_PROBES)}")
     check_horizon(p["t_end"])
-    if p["probe"] == "strichartz":
-        check_strichartz_pair(p["q"], p["r"])
-    elif p["probe"] == "maximal":
-        check_maximal_exponents(p["p"], p["s"])
-    elif p["probe"] == "leibniz":
-        check_leibniz_order(p["s"])
+    _PROBES[p["probe"]][0](p)
 
 
 # ---------------------------------------------------------------------------
@@ -398,38 +306,103 @@ def _run_gauge_check(p: dict):
 
 
 def _run_ineq_probe(p: dict):
-    ens = default_ensemble(seed=p["seed"])
-    if p["probe"] == "strichartz":
-        rep = strichartz_probe(ens, p["q"], p["r"], p["t_end"])
-    elif p["probe"] == "smoothing":
-        rep = smoothing_probe(ens, p["t_end"])
-    elif p["probe"] == "maximal":
-        rep = maximal_probe(ens, p["p"], p["s"], p["t_end"])
-    else:
-        rng = np.random.default_rng(p["seed"])
-        grid = ens.members[0].grid
-        pairs = []
-        for _ in range(50):
-            a, b = 0.5 + rng.random(2) * 2.0
-            xa, xb = rng.uniform(-4, 4, size=2)
-            pairs.append((gaussian_field(grid, a, center=xa),
-                          gaussian_field(grid, b, center=xb)))
-        rep = leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
+    rep = _PROBES[p["probe"]][1](default_ensemble(seed=p["seed"]), p)
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]
     checks = {"worst_ratio": rep.worst_ratio, "near_ties": rep.near_ties, **rep.params}
     return columns, rows, checks
 
 
-# experiment -> (builder of the domain objects its run uses, runner)
-_EXPERIMENTS = {
-    "soliton-atlas": (_atlas_setup, _run_soliton_atlas),
-    "theorem1-scan": (_theorem1_setup, _run_theorem1_scan),
-    "evolve": (_evolve_setup, _run_evolve),
-    "scatter-probe": (_scatter_setup, _run_scatter_probe),
-    "gauge-check": (_gauge_setup, _run_gauge_check),
-    "ineq-probe": (_ineq_setup, _run_ineq_probe),
+def _run_leibniz(ens, p: dict):
+    """The Leibniz probe over 50 seeded pairs of Gaussians on the ensemble's grid."""
+    rng = np.random.default_rng(p["seed"])
+    grid = ens.members[0].grid
+    pairs = []
+    for _ in range(50):
+        a, b = 0.5 + rng.random(2) * 2.0
+        xa, xb = rng.uniform(-4, 4, size=2)
+        pairs.append((gaussian_field(grid, a, center=xa),
+                      gaussian_field(grid, b, center=xb)))
+    return leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
+
+
+# probe -> (its precondition check, its run on the default ensemble).  Entries call
+# the library by module-global name, never through a stored function object, so a
+# wrapper installed on the module attribute (perfbench/tracing.py) sees each call.
+_PROBES = {
+    "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]),
+                   lambda ens, p: strichartz_probe(ens, p["q"], p["r"], p["t_end"])),
+    "smoothing": (lambda p: None, lambda ens, p: smoothing_probe(ens, p["t_end"])),
+    "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]),
+                lambda ens, p: maximal_probe(ens, p["p"], p["s"], p["t_end"])),
+    "leibniz": (lambda p: check_leibniz_order(p["s"]), _run_leibniz),
 }
+
+# experiment -> (schema: key -> (converter, default), None default = required;
+#                setup, run by validate_config; run, called by run())
+_EXPERIMENTS = {
+    "soliton-atlas": ({
+        "sigma": (_to_float, None),
+        "omega": (_to_float, 1.0),
+        "c_grid": (_to_float_list, None),
+        **_COMMON,
+    }, _atlas_setup, _run_soliton_atlas),
+    "evolve": ({
+        "equation": (str, "gdnls"),
+        "sigma": (_to_float, 2.0),
+        "datum": (str, "gaussian"),
+        "omega": (_to_float, 1.0),
+        "c": (_to_float, 0.0),
+        "delta": (_to_float, 0.1),
+        "width": (_to_float, 1.0),
+        "n_points": (_to_int, 2048),
+        "box_length": (_to_float, 80.0),
+        "dt": (_to_float, 1e-3),
+        "t_end": (_to_float, 1.0),
+        "snapshot_stride": (_to_int, 10),
+        **_COMMON,
+    }, _evolve_setup, _run_evolve),
+    "scatter-probe": ({
+        "sigma": (_to_float, 2.0),
+        "delta": (_to_float, 0.05),
+        "width": (_to_float, 1.0),
+        "n_points": (_to_int, 4096),
+        "box_length": (_to_float, 160.0),
+        "dt": (_to_float, 2e-3),
+        "t_end": (_to_float, 8.0),
+        "s": (_to_float, 0.5),
+        "s_prime": (_to_float, 0.4),
+        **_COMMON,
+    }, _scatter_setup, _run_scatter_probe),
+    "gauge-check": ({
+        "delta": (_to_float, 0.3),
+        "width": (_to_float, 1.0),
+        "velocity": (_to_float, 0.5),
+        "n_points": (_to_int, 2048),
+        "box_length": (_to_float, 80.0),
+        "dt": (_to_float, 1e-3),
+        "t_end": (_to_float, 0.5),
+        **_COMMON,
+    }, _gauge_setup, _run_gauge_check),
+    "ineq-probe": ({
+        "probe": (str, None),
+        "q": (_to_float, 4.0),
+        "r": (_to_float, math.inf),
+        "p": (_to_float, 4.0),
+        "s": (_to_float, 0.25),
+        "t_end": (_to_float, 4.0),
+        **_COMMON,
+    }, _ineq_setup, _run_ineq_probe),
+    "theorem1-scan": ({
+        "sigma": (_to_float, None),
+        "omega": (_to_float, 1.0),
+        "norm": (str, None),
+        "num_points": (_to_int, 11),
+        "alpha0": (_to_float, 1.0),
+        **_COMMON,
+    }, _theorem1_setup, _run_theorem1_scan),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 @cache
@@ -444,7 +417,7 @@ def _versions() -> dict:
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRecord:
     """Dispatch a validated config, write CSV + manifest, return the record."""
     t0 = time.perf_counter()
-    columns, rows, checks = _EXPERIMENTS[config.experiment][1](config.parameters)
+    columns, rows, checks = _EXPERIMENTS[config.experiment][2](config.parameters)
     record = ResultRecord(
         experiment=config.experiment,
         config_hash=config.config_hash(),
@@ -566,9 +539,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StabilityError, ResolutionError, RuntimeError, ValueError) as exc:
+    except (StabilityError, ResolutionError, RuntimeError, ValueError, MemoryError) as exc:
         # ValueError here is a library precondition that only the run's numbers
-        # can break (ConfigError is handled above), e.g. too short a decay fit
+        # can break (ConfigError is handled above), e.g. too short a decay fit;
+        # MemoryError is the last resort for arrays that validation let through
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -250,7 +250,16 @@ def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
     return math.sqrt(_homogeneous_norm_sq(g, p.s_c, 0.5 * p.c, cusp))
 
 
-ENDPOINT_NORMS = ("L2", "H1", "Lpc", "Hsc")
+# norm -> its value at a wave: L2 and H1 by the closed mass formula (the virial identity
+# gives ||phi||_H1^2 = (1+omega) ||phi||_L2^2), Lpc the p_c-th power of the L^{p_c} norm,
+# Hsc on a grid.  Entries call by module-global name, which a tracer may wrap (cli._PROBES).
+_ENDPOINT_NORMS = {
+    "L2": lambda p: math.sqrt(l2_mass_closed(p)),
+    "H1": lambda p: math.sqrt((1.0 + p.omega) * l2_mass_closed(p)),
+    "Lpc": lambda p: pc_mass_closed(p),
+    "Hsc": lambda p: hsc_norm(p),
+}
+ENDPOINT_NORMS = tuple(_ENDPOINT_NORMS)
 
 
 def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float = 1.0):
@@ -278,26 +287,15 @@ def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float
 
 def endpoint_sequence(sigma: float, omega: float, norm: str,
                       n_points: int = 11, alpha0: float = 1.0) -> list:
-    """Rows (alpha_j, c_j, value) of one norm of phi along endpoint_waves.
+    """Rows (alpha, c, value) of one norm (_ENDPOINT_NORMS) of phi along endpoint_waves.
 
-    L2 and H1 use the closed mass formula (the virial identity gives
-    ||phi||_H1^2 = (1+omega) ||phi||_L2^2); Lpc is the p_c-th power of
-    the L^{p_c} norm; Hsc is grid-computed.
+    alpha is the wave's own sqrt(4 omega - c^2), which differs from the
+    nominal alpha_j where c_j rounds.
     """
-    if norm not in ENDPOINT_NORMS:
+    if norm not in _ENDPOINT_NORMS:
         raise ValueError(f"norm must be one of {ENDPOINT_NORMS}, got {norm!r}")
-    rows = []
-    for a, p in endpoint_waves(sigma, omega, n_points, alpha0):
-        if norm == "L2":
-            v = math.sqrt(l2_mass_closed(p))
-        elif norm == "H1":
-            v = math.sqrt((1.0 + omega) * l2_mass_closed(p))
-        elif norm == "Lpc":
-            v = pc_mass_closed(p)
-        else:
-            v = hsc_norm(p)
-        rows.append((a, p.c, v))
-    return rows
+    value = _ENDPOINT_NORMS[norm]
+    return [(p.alpha, p.c, value(p)) for _, p in endpoint_waves(sigma, omega, n_points, alpha0)]
 
 
 def endpoint_slope(rows) -> float:

@@ -124,10 +124,7 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
 
 def lebesgue_norm(f: ComplexField, p: float) -> float:
     """L^p norm by Riemann sum (exact max for p = inf)."""
-    a = np.abs(f.values)
-    if np.isinf(p):
-        return float(a.max())
-    return float((f.grid.spacing * np.sum(a**p)) ** (1.0 / p))
+    return float(_space_quadrature(np.abs(f.values), f.grid.spacing, p))
 
 
 def l2_norm(f: ComplexField) -> float:

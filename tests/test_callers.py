@@ -86,3 +86,21 @@ def test_the_tracer_counts_the_trapezoid_rule(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "quadrature.integrate_halfline"]
     assert len(spans) == 4
     assert tracer.counts[0]["quadrature.evaluations"] == sum(r.evaluations for r in results)
+
+
+def test_the_tracer_sees_the_norms_and_probes_the_cli_looks_up_by_name(tmp_path):
+    # the experiment, probe and endpoint-norm tables call the library by module-global
+    # name; a table that held the function object itself would run untraced
+    from gdnls import cli
+
+    configs = [cli.validate_config("theorem1-scan",
+                                   {"sigma": "2", "norm": "Hsc", "num_points": "4"}),
+               cli.validate_config("ineq-probe", {"probe": "smoothing", "t_end": "0.5"})]
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        for cfg in configs:
+            cli.run(cfg, tmp_path)
+    names = [s.name for s in tracer.spans]
+    assert names.count("solitons.hsc_norm") == 4
+    assert names.count("probes.smoothing_probe") == 1
+    assert names.count("cli.run") == 2

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdnls
+from gdnls import cli
 from gdnls.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -191,6 +193,17 @@ def test_main_numerical_failure_exit_code(tmp_path):
         "sigma = 2\ndelta = 5\ndt = 1e-2\nt_end = 0.1\nn_points = 1024\n",
     )
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+
+
+def test_main_maps_memory_error_to_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def out_of_memory(p):
+        raise MemoryError("Unable to allocate 305. GiB")
+
+    schema, setup, _ = cli._EXPERIMENTS["gauge-check"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "gauge-check", (schema, setup, out_of_memory))
+    cfg = write(tmp_path, "gauge.cfg", "")
+    assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: Unable to allocate 305. GiB\n"
 
 
 def test_evolve_reports_the_library_conserved_report(tmp_path):
@@ -518,3 +531,14 @@ def test_seed_override(tmp_path):
                  str(tmp_path / "o"), "--seed", "7"]) == EXIT_OK
     manifest = next((tmp_path / "o").glob("*.json"))
     assert json.loads(manifest.read_text())["config"]["seed"] == 7
+
+
+def test_each_experiment_section_of_the_docs_lists_its_schema_keys():
+    # the key column of each `## <experiment>` table; seed and output_path are common
+    text = (Path(__file__).resolve().parents[1] / "docs" / "experiments.md").read_text()
+    sections = dict(re.findall(r"^## (\S+)\n(.*?)(?=^## |\Z)", text, re.M | re.S))
+    assert set(sections) == set(cli.EXPERIMENTS)
+    for experiment, (schema, _, _) in cli._EXPERIMENTS.items():
+        first_cells = re.findall(r"^\| ([^|]*) \|", sections[experiment], re.M)
+        documented = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(documented) == sorted(set(schema) - {"seed", "output_path"}), experiment

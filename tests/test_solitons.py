@@ -506,6 +506,14 @@ def test_endpoint_waves_fail_where_the_speed_rounds_onto_the_endpoint():
     assert exc.value.name == "alpha0"
 
 
+def test_endpoint_rows_carry_the_waves_own_alpha():
+    # at alpha0 = 0.7 the nominal alpha_j is off from the wave's by 2.3e-7 at j = 15
+    rows = endpoint_sequence(1.5, 1.0, "L2", 24, 0.7)
+    assert len(rows) == 24
+    assert all(a == SolitonParams(1.0, c, 1.5).alpha for a, c, _ in rows)
+    assert rows[15][0] != 0.7 * 2.0 ** -15
+
+
 def test_endpoint_rate_validation():
     with pytest.raises(ValueError):
         endpoint_rate(2.0, 1.0, "Linf")

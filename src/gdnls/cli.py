@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolve import EvolutionConfig, StabilityError, evolve
+from .evolve import EvolutionConfig, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
-from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, gaussian_field
+from .grid import ComplexField, GridSpec, ParameterError, gaussian_field
 from .probes import (
     check_horizon,
     check_leibniz_order,
@@ -442,41 +442,30 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> ResultRe
             "timestamp": record.timestamp,
             "wall_time_s": time.perf_counter() - t0,
             "versions": _versions(),
-            "checks": _jsonable(record.checks),
+            "checks": record.checks,
         }
-        (out / f"{stem}.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        text = json.dumps(manifest, indent=2, default=lambda v: v.item())  # numpy scalars
+        (out / f"{stem}.json").write_text(text + "\n")
     return record
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def sweep(configs, workers: int = 1, out_dir=None) -> list:
-    """Run configs concurrently; output order matches input order.
+    """Run configs, concurrently when workers > 1; output order matches input order.
 
     Per-run isolation: a failure is returned as the exception object in
-    that slot, siblings are unaffected.
+    that slot, siblings are unaffected.  With workers <= 1 the runs go in
+    the calling thread, so Ctrl-C stops them at once.
     """
-    results = [None] * len(configs)
-    if not configs:
-        return results
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(run, cfg, out_dir): i for i, cfg in enumerate(configs)}
-        for fut, i in futures.items():
-            try:
-                results[i] = fut.result()
-            except Exception as exc:  # isolate sibling runs
-                results[i] = exc
-    return results
+    def attempt(cfg):
+        try:
+            return run(cfg, out_dir)
+        except Exception as exc:  # the one failure rule of a run, single or swept
+            return exc
+
+    if workers <= 1:
+        return [attempt(cfg) for cfg in configs]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(attempt, configs))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="results")
         sp.add_argument("--seed", type=int, default=None)
+        sp.set_defaults(workers=1)
     sw = sub.add_parser("sweep", help="run several configs concurrently")
     sw.add_argument("--config", action="append", required=True,
                     help="repeatable; each file names its experiment")
@@ -504,14 +494,10 @@ def _load_config(path: str, experiment: str | None, seed_override) -> Experiment
         raw = parse_config_text(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    named = raw.pop("experiment", None)  # a single run's subcommand takes precedence
+    experiment = experiment or named
     if experiment is None:
-        experiment = raw.pop("experiment", None)
-        if experiment is None:
-            raise ConfigError(
-                f"config {path}: sweep configs must carry an 'experiment' key"
-            )
-    else:
-        raw.pop("experiment", None)
+        raise ConfigError(f"config {path}: sweep configs must carry an 'experiment' key")
     if seed_override is not None:
         raw["seed"] = str(seed_override)
     return validate_config(experiment, raw)
@@ -519,32 +505,23 @@ def _load_config(path: str, experiment: str | None, seed_override) -> Experiment
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    single = args.command != "sweep"
+    paths = [args.config] if single else args.config
     try:
-        if args.command == "sweep":
-            configs = [_load_config(p, None, args.seed) for p in args.config]
-            results = sweep(configs, workers=args.workers, out_dir=args.out)
-            for path, r in zip(args.config, results):
-                if isinstance(r, Exception):
-                    print(f"error: {path}: {r}", file=sys.stderr)
-                else:
-                    print(f"{r.experiment} {r.config_hash}: ok")
-            failed = any(isinstance(r, Exception) for r in results)
-            return EXIT_NUMERICAL if failed else EXIT_OK
-        config = _load_config(args.config, args.command, args.seed)
-        record = run(config, out_dir=args.out)
-        print(f"{record.experiment} {record.config_hash}: ok")
-        for key, val in record.checks.items():
-            print(f"  {key} = {val}")
-        return EXIT_OK
+        configs = [_load_config(p, args.command if single else None, args.seed) for p in paths]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (StabilityError, ResolutionError, RuntimeError, ValueError, MemoryError) as exc:
-        # ValueError here is a library precondition that only the run's numbers
-        # can break (ConfigError is handled above), e.g. too short a decay fit;
-        # MemoryError is the last resort for arrays that validation let through
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    results = sweep(configs, workers=args.workers, out_dir=args.out)
+    for path, r in zip(paths, results):
+        if isinstance(r, Exception):
+            print(f"numerical failure: {r}" if single else f"error: {path}: {r}", file=sys.stderr)
+            continue
+        print(f"{r.experiment} {r.config_hash}: ok")
+        if single:
+            for key, val in r.checks.items():
+                print(f"  {key} = {val}")
+    return EXIT_NUMERICAL if any(isinstance(r, Exception) for r in results) else EXIT_OK
 
 
 if __name__ == "__main__":

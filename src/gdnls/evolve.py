@@ -245,36 +245,27 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     energy = np.empty(n_snap)
     linf = np.empty(n_snap)
 
-    def margin(t):
+    min_margin = math.inf
+    j = 0
+    for k in range(n_steps + 1):
+        if k:
+            stepper.step()
+        t = k * cfg.dt
         guard = stepper.guard()
-        if guard <= 1.0:
-            return 1.0 - guard
         if math.isnan(guard):  # max passes a NaN through; u0 is finite, so j >= 1 here
-            raise StabilityError(
-                f"state became non-finite at t = {t:.6g}; "
-                f"last good snapshot at t = {times[j - 1]:.6g}"
-            )
-        raise StabilityError(
-            f"CFL-like guard dt*max|u|^(2 sigma)*xi_max = {guard:.3g} exceeds 1 "
-            f"at t = {t:.6g}"
-        )
-
-    def store(j, t):
-        v = stepper.v
-        times[j] = t
-        snaps[j] = v
-        mass[j] = _mass(v, h)
-        energy[j] = _energy(v, stepper.derivative(), stepper.power, h, stepper.sigma)
-        linf[j] = float(np.max(np.abs(v)))
-
-    min_margin = margin(0.0)
-    store(0, 0.0)
-    j = 1
-    for k in range(1, n_steps + 1):
-        stepper.step()
-        min_margin = min(min_margin, margin(k * cfg.dt))
+            raise StabilityError(f"state became non-finite at t = {t:.6g}; "
+                                 f"last good snapshot at t = {times[j - 1]:.6g}")
+        if guard > 1.0:
+            raise StabilityError(f"CFL-like guard dt*max|u|^(2 sigma)*xi_max = {guard:.3g} "
+                                 f"exceeds 1 at t = {t:.6g}")
+        min_margin = min(min_margin, 1.0 - guard)
         if k % stride == 0 or k == n_steps:
-            store(j, k * cfg.dt)
+            v = stepper.v
+            times[j] = t
+            snaps[j] = v
+            mass[j] = _mass(v, h)
+            energy[j] = _energy(v, stepper.derivative(), stepper.power, h, stepper.sigma)
+            linf[j] = float(np.max(np.abs(v)))
             j += 1
 
     traj = Trajectory(cfg.grid, times, snaps)

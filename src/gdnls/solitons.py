@@ -263,7 +263,7 @@ ENDPOINT_NORMS = tuple(_ENDPOINT_NORMS)
 
 
 def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float = 1.0):
-    """Yield (alpha_j, params) for alpha_j = alpha0 2^-j, c_j = -sqrt(4 omega - alpha_j^2).
+    """Yield the waves of speed c_j = -sqrt(4 omega - alpha_j^2), alpha_j = alpha0 2^-j.
 
     Lazy: if c_j rounds onto the endpoint -2 sqrt(omega), a
     ParameterError is raised at that j.  It names alpha0 at j = 0, and
@@ -282,7 +282,7 @@ def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float
             raise ParameterError(
                 "n_points", f"alpha_{j} = {a:.3g} is too small, so at most {j} points "
                 f"fit: {exc}") from None
-        yield a, p
+        yield p
 
 
 def endpoint_sequence(sigma: float, omega: float, norm: str,
@@ -295,7 +295,7 @@ def endpoint_sequence(sigma: float, omega: float, norm: str,
     if norm not in _ENDPOINT_NORMS:
         raise ValueError(f"norm must be one of {ENDPOINT_NORMS}, got {norm!r}")
     value = _ENDPOINT_NORMS[norm]
-    return [(p.alpha, p.c, value(p)) for _, p in endpoint_waves(sigma, omega, n_points, alpha0)]
+    return [(p.alpha, p.c, value(p)) for p in endpoint_waves(sigma, omega, n_points, alpha0)]
 
 
 def endpoint_slope(rows) -> float:

@@ -295,8 +295,6 @@ def sobolev_norm(f: ComplexField, s: float, homogeneous: bool = False) -> float:
             w = np.abs(xi) ** (2.0 * s)
         if s < 0:
             w[0] = 0.0
-        else:
-            w = np.ones_like(xi)
     else:
         w = (1.0 + xi**2) ** s
     return float(_lattice_norm(grid, np.fft.fft(f.values), w))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,37 @@ def test_main_maps_memory_error_to_a_numerical_failure(tmp_path, capsys, monkeyp
     cfg = write(tmp_path, "gauge.cfg", "")
     assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical failure: Unable to allocate 305. GiB\n"
+
+
+# validates, then the L2 mass prefactor overflows a float (OverflowError)
+OVERFLOW = "sigma = 1e-300\nomega = 1e-300\nalpha0 = 1e-150\nnorm = L2\nnum_points = 4\n"
+
+
+def test_main_reports_any_failure_of_a_single_run_as_numerical(tmp_path, capsys):
+    cfg = write(tmp_path, "overflow.cfg", OVERFLOW)
+    assert main(["theorem1-scan", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    swept = write(tmp_path, "swept.cfg", "experiment = theorem1-scan\n" + OVERFLOW)
+    assert main(["sweep", "--config", swept, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {swept}: ") and "Traceback" not in err
+
+
+def test_sweep_with_one_worker_runs_in_the_calling_thread(monkeypatch):
+    threads = []
+
+    def record_thread(p):
+        threads.append(threading.current_thread())
+        return ["x"], [[1.0]], {}
+
+    schema, setup, _ = cli._EXPERIMENTS["gauge-check"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "gauge-check", (schema, setup, record_thread))
+    cfg = validate_config("gauge-check", {})
+    results = sweep([cfg, cfg], workers=1)
+    assert [r.rows for r in results] == [[[1.0]], [[1.0]]]
+    assert threads == [threading.current_thread()] * 2
 
 
 def test_evolve_reports_the_library_conserved_report(tmp_path):

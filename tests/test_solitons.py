@@ -105,7 +105,7 @@ REFERENCE_WAVES = (
      [(1.0, 0.0, 2.0), (1.0, 0.9, 1.0), (3.0, -2.0, 3.0), (1.0, 1.9, 0.5),
       (1.0, 1.99, 3.0), (1.0, 0.0, 6.0)]]
     + [pytest.param(p, id=f"endpoint-sigma{sigma:g}-j{j}") for sigma in (1.0, 2.0)
-       for j, (_, p) in enumerate(endpoint_waves(sigma, 1.0, 8))]
+       for j, p in enumerate(endpoint_waves(sigma, 1.0, 8))]
 )
 
 
@@ -302,7 +302,7 @@ def test_curly_i_is_theta_over_sin_theta_at_sigma_one(omega):
 def test_curly_i_tends_to_its_left_endpoint_limit(sigma):
     # I -> int_0^inf (cosh x + 1)^-nu dx = 2^-nu B(nu, 1/2) as c -> -2 sqrt(omega);
     # at alpha = 2^-25, 1 + gamma is about 4e-16
-    *_, (_, p) = endpoint_waves(sigma, 1.0, 26)
+    *_, p = endpoint_waves(sigma, 1.0, 26)
     nu = 1.0 / sigma
     assert curly_i(p) == pytest.approx(2.0 ** -nu * beta(nu, 0.5), rel=1e-13, abs=0.0)
 
@@ -330,7 +330,7 @@ def test_soliton_grid_resolves_tail():
 
 def test_soliton_grid_stops_at_max_grid_points():
     # sigma = 2: alpha = 2^-12 needs 2^20 points, alpha = 2^-13 needs 2^21
-    *_, (_, last_fit), (_, too_far) = endpoint_waves(2.0, 1.0, 14)
+    *_, last_fit, too_far = endpoint_waves(2.0, 1.0, 14)
     assert soliton_grid(last_fit).n_points == MAX_GRID_POINTS
     with pytest.raises(ParameterError, match="grid of 2097152 points") as exc:
         soliton_grid(too_far)
@@ -356,7 +356,7 @@ HSC_WAVES = (
     + [pytest.param(SolitonParams(1.0, c, 2.0), id=f"atlas-{c:g}")
        for c in (-0.9, -0.5, 0.0, 0.1, 0.5, 1.0)]
     + [pytest.param(p, id=f"endpoint-sigma{sigma:g}-j{j}") for sigma in (1.0, 2.0, 3.0)
-       for j, (_, p) in enumerate(endpoint_waves(sigma, 1.0, 11))]
+       for j, p in enumerate(endpoint_waves(sigma, 1.0, 11))]
 )
 
 
@@ -398,7 +398,7 @@ def test_envelope_times_carrier_is_the_wave():
 def test_the_cusp_part_left_out_past_the_band_is_below_roundoff(sigma):
     # from alpha_5 (sigma = 2) or alpha_7 (sigma = 3) on, the cusp window lies past
     # g's band; on a grid that covers the window, its part changes nothing
-    skipped = [p for _, p in endpoint_waves(sigma, 1.0, 11)
+    skipped = [p for p in endpoint_waves(sigma, 1.0, 11)
                if _cusp_reach(p, _envelope_grid(p).box_length) == 0.0]
     assert len(skipped) >= 4
     for p in skipped:
@@ -496,8 +496,8 @@ def test_gz_matches_rescaled_wave_pointwise():
 def test_endpoint_waves_fail_where_the_speed_rounds_onto_the_endpoint():
     # 4 - alpha_j^2 rounds to 4 once alpha_j < 2^-26
     waves = endpoint_waves(2.0, 1.0, n_points=40)
-    ok = [a for _, (a, _) in zip(range(26), waves)]
-    assert ok[-1] == 2.0 ** -25
+    ok = [p for _, p in zip(range(26), waves)]
+    assert ok[-1].alpha == 2.0 ** -25
     with pytest.raises(ParameterError, match="alpha_26") as exc:
         list(waves)
     assert exc.value.name == "n_points"  # alpha0 is fine; the sequence is too long

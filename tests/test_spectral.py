@@ -430,7 +430,7 @@ def _sigma3_fields():
 
 
 def _endpoint_fields():
-    return [full_wave(p, soliton_grid(p)) for _, p in endpoint_waves(2.0, 1.0, 8)]
+    return [full_wave(p, soliton_grid(p)) for p in endpoint_waves(2.0, 1.0, 8)]
 
 
 def _atlas_fields():

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolve import EvolutionConfig, evolve
+from .evolve import MAX_STEPS, EvolutionConfig, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
 from .grid import ComplexField, GridSpec, ParameterError, gaussian_field
 from .probes import (
@@ -143,7 +143,8 @@ def _to_float_list(key, val):
 _COMMON = {"seed": (_to_int, 0), "output_path": (str, "")}
 
 # (experiment, library parameter) -> the config field it comes from, where the names differ
-_CONFIG_FIELDS = {("soliton-atlas", "c"): "c_grid", ("theorem1-scan", "n_points"): "num_points"}
+_CONFIG_FIELDS = {("soliton-atlas", "c"): "c_grid", ("theorem1-scan", "n_points"): "num_points",
+                  ("scatter-probe", "snapshot_stride"): "t_end"}
 
 
 def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
@@ -220,7 +221,8 @@ def _evolve_setup(p: dict):
 def _scatter_setup(p: dict) -> EvolutionConfig:
     _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
     _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
-    cfg = _evolution(p, "gdnls", p["sigma"], 1)  # checks dt before the division
+    # checks dt before the division, storing at most 2 snapshots; replace checks the rest
+    cfg = _evolution(p, "gdnls", p["sigma"], MAX_STEPS)
     return replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
 
 

@@ -21,6 +21,10 @@ from .grid import ComplexField, GridSpec, ParameterError, Trajectory
 # 8000 steps; a dt that asks for more than this is a typo, not a run.
 MAX_STEPS = 10**7
 
+# Ceiling on the stored trajectory, n_snapshots * n_points * 16 bytes.  The
+# largest in the docs is scatter-probe's at its defaults, 26 MB.
+MAX_TRAJECTORY_BYTES = 2**30
+
 
 class StabilityError(RuntimeError):
     """CFL-type guard violated or the state left the finite range."""
@@ -53,10 +57,23 @@ class EvolutionConfig:
                 f"steps exceeds {MAX_STEPS:.0e}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ParameterError("dt", f"dt = {self.dt} does not divide t_end = {self.t_end}")
+        size = 16 * self.n_snapshots * self.grid.n_points
+        if size > MAX_TRAJECTORY_BYTES:
+            raise ParameterError(
+                "snapshot_stride",
+                f"{self.n_snapshots} snapshots of {self.grid.n_points} points take "
+                f"{size / 2**30:.3g} GiB, more than {MAX_TRAJECTORY_BYTES / 2**30:g} GiB: "
+                "raise snapshot_stride or shorten t_end")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+    @property
+    def n_snapshots(self) -> int:
+        """Stored states: every snapshot_stride-th step from step 0, and the last step."""
+        stride = self.snapshot_stride
+        return 1 + self.n_steps // stride + (self.n_steps % stride != 0)
 
 
 @dataclass
@@ -238,7 +255,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     stepper = _Stepper(cfg, u0.values)
 
     stride = cfg.snapshot_stride
-    n_snap = 1 + n_steps // stride + (n_steps % stride != 0)
+    n_snap = cfg.n_snapshots
     times = np.empty(n_snap)
     snaps = np.empty((n_snap, cfg.grid.n_points), dtype=complex)
     mass = np.empty(n_snap)

@@ -15,6 +15,10 @@ import numpy as np
 
 EDGE_DECAY_THRESHOLD = 1e-12
 
+# Largest grid: one complex field of 2^24 points is 256 MiB.  Soliton grids stop
+# at solitons.MAX_GRID_POINTS = 2^20 points.
+MAX_N_POINTS = 2**24
+
 
 class ResolutionError(RuntimeError):
     """A field does not decay at the box edge / a profile is unresolved."""
@@ -43,6 +47,9 @@ class GridSpec:
         if self.n_points < 16 or not _is_power_of_two(self.n_points):
             raise ParameterError(
                 "n_points", f"n_points must be a power of two >= 16, got {self.n_points}")
+        if self.n_points > MAX_N_POINTS:
+            raise ParameterError(
+                "n_points", f"n_points = {self.n_points} exceeds {MAX_N_POINTS} (2^24)")
         if not self.box_length > 0:
             raise ParameterError(
                 "box_length", f"box_length must be positive, got {self.box_length}")

@@ -68,7 +68,7 @@ def decay_exponent(curve, t_min: float = 2.0) -> float:
 def xt_accumulate(traj: Trajectory, s: float) -> list:
     """Working-space norm on the prefixes [0, T], T = t_end/8, t_end/4, t_end/2, t_end.
 
-    Nondecreasing in T.  One pass over traj: each prefix is a row slice.
+    Nondecreasing in T.  One pass over traj in row blocks: each prefix is read off after its last row.
     """
     t_end = traj.times[-1]
     lengths = [int(np.count_nonzero(traj.times <= t_h + 1e-12))  # times increase

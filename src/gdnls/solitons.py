@@ -187,9 +187,21 @@ def curly_i(p: SolitonParams) -> float:
 
 
 def l2_mass_closed(p: SolitonParams) -> float:
-    """Closed form for integral of |phi|^2: C_{omega,sigma} alpha^(2/sigma - 1) I(c)."""
-    pref = (2.0 / p.sigma) * ((p.sigma + 1.0) / (2.0 * math.sqrt(p.omega))) ** (1.0 / p.sigma)
-    return pref * p.alpha ** (2.0 / p.sigma - 1.0) * curly_i(p)
+    """Closed form for integral of |phi|^2: C_{omega,sigma} alpha^(2/sigma - 1) I(c).
+
+    Raises OverflowError naming sigma and omega where C_{omega,sigma} alpha^(2/sigma - 1)
+    is past the float range, as it is for sigma near 0.
+    """
+    try:
+        pref = (2.0 / p.sigma) * ((p.sigma + 1.0) / (2.0 * math.sqrt(p.omega))) ** (1.0 / p.sigma)
+        scale = pref * p.alpha ** (2.0 / p.sigma - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise OverflowError(
+            f"closed-form L2 mass: C_(omega,sigma) alpha^(2/sigma - 1) overflows at "
+            f"sigma = {p.sigma:.17g}, omega = {p.omega:.17g}")
+    return scale * curly_i(p)
 
 
 def pc_mass_closed(p: SolitonParams) -> float:

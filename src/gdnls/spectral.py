@@ -422,44 +422,95 @@ def xt_norm(traj: Trajectory, s: float) -> float:
     return _prefix_xt_norms(traj, s, [len(traj)])[0]
 
 
-def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
-    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj.
+# Rows per block of the working-space norm: its transforms take a few
+# block-sized arrays at a time, whatever the length of the trajectory.
+_XT_BLOCK_ROWS = 32
 
-    fft(u), the transforms built on it and the per-row H^s norms read off
-    it are taken once; a prefix reduces the row slices [:n] with the
-    quadratures of mixed_norm, so every value equals xt_norm of the
-    prefix trajectory bit for bit.
+
+def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
+    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj in row blocks.
+
+    Blocks of _XT_BLOCK_ROWS rows, cut also at each n, are fed in order to
+    one _XtReducer, and each prefix is read off it after its last row, so
+    every value equals xt_norm of the prefix trajectory bit for bit.
     """
     if not 0.5 <= s <= 1.0:
         raise ValueError(f"s must lie in [1/2, 1], got {s}")
     if len(traj) < 2:
         raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
 
-    grid = traj.grid
-    u = traj.values[:max(lengths)]
-    xi = grid.xi
-    uhat = np.fft.fft(u, axis=-1)
-    frac = np.abs(xi) ** (s - 0.5)
-    au = np.abs(u)
-    aux = np.abs(np.fft.ifft(1j * xi * uhat, axis=-1))
-    adsu = np.abs(np.fft.ifft(frac * uhat, axis=-1))
-    adsux = np.abs(np.fft.ifft(frac * 1j * xi * uhat, axis=-1))
-    # L^inf_t H^s_x term directly (H^s is not a Lebesgue inner norm)
-    hs = _lattice_norm(grid, uhat, (1.0 + xi**2) ** s)
+    reducer = _XtReducer(traj.grid, s)
+    ends = sorted(set(lengths).union(range(_XT_BLOCK_ROWS, max(lengths), _XT_BLOCK_ROWS)))
+    norms = {}
+    start = 0
+    for end in ends:
+        reducer.feed(traj.values[start:end], traj.times[start:end])
+        start = end
+        if end in lengths:
+            norms[end] = reducer.norm()
+    return [norms[n] for n in lengths]
 
-    h = grid.spacing
-    out = []
-    for n in lengths:
-        t = traj.times[:n]
-        sup_t = _time_quadrature(au[:n], t, np.inf)
-        terms = (  # in the order of xt_norm's docstring; the outer call takes the outer norm
-            hs[:n].max(),
-            _space_quadrature(_time_quadrature(aux[:n], t, 2.0), h, np.inf),
-            max(_space_quadrature(sup_t, h, q) for q in DEFAULT_Q_GRID),
-            _time_quadrature(_space_quadrature(au[:n], h, np.inf), t, 4.0),
-            _space_quadrature(_time_quadrature(adsu[:n], t, np.inf), h, 4.0),
-            _space_quadrature(_time_quadrature(adsux[:n], t, 2.0), h, np.inf),
-            _time_quadrature(_space_quadrature(adsu[:n], h, np.inf), t, 4.0),
+
+class _XtReducer:
+    """xt_norm of the snapshots fed so far, in memory of a few rows of length N.
+
+    feed() takes the next rows in time order.  The L^inf_t terms are
+    running maxima per x; the L^2_t terms are running trapezoid sums per x,
+    each interval term formed as _time_quadrature forms it and added row by
+    row in time order, as np.add.reduce adds the rows of a C-contiguous
+    array, with the last squared row carried to the next feed.  The per-row
+    H^s norms and sup_x of |u| and |D^{s-1/2} u| are kept whole, since their
+    time quadratures sum pairwise.  So norm() equals the quadratures of
+    mixed_norm over the stored rows bit for bit.
+    """
+
+    def __init__(self, grid: GridSpec, s: float):
+        xi = grid.xi
+        frac = np.abs(xi) ** (s - 0.5)
+        self._grid = grid
+        # u_x, D^{s-1/2} u and D^{s-1/2} u_x as multipliers of fft(u)
+        self._multipliers = np.stack([1j * xi, frac, frac * 1j * xi])
+        self._hs_weight = (1.0 + xi**2) ** s
+        self._times, self._hs, self._sup_x = [], [], []  # per-row values, one array per feed
+        self._sup_t = np.zeros((2, grid.n_points))  # sup_t |u|, sup_t |D u| per x
+        self._sq_sum = np.zeros((2, grid.n_points))  # trapezoid sums of |u_x|^2, |D u_x|^2
+        self._last = None  # the last row's (t, squares) once a row is fed
+
+    def feed(self, rows: np.ndarray, times: np.ndarray) -> None:
+        uhat = np.fft.fft(rows, axis=-1)
+        self._hs.append(_lattice_norm(self._grid, uhat, self._hs_weight))
+        derived = self._multipliers[:, None] * uhat
+        np.fft.ifft(derived, axis=-1, out=derived)
+        moduli = np.abs(derived)  # |u_x|, |D u|, |D u_x|
+        del uhat, derived  # the block's largest arrays go before the rest is formed
+        au = np.abs(rows)
+        self._times.append(times)
+        self._sup_x.append(np.stack([au.max(axis=-1), moduli[1].max(axis=-1)]))
+        np.maximum(self._sup_t[0], au.max(axis=0), out=self._sup_t[0])
+        np.maximum(self._sup_t[1], moduli[1].max(axis=0), out=self._sup_t[1])
+
+        squares = np.square(moduli[::2])  # |u_x|^2, |D u_x|^2
+        for t, sq in zip(times, squares.transpose(1, 0, 2)):
+            if self._last is not None:
+                t_prev, sq_prev = self._last
+                term = sq_prev + sq
+                term *= t - t_prev
+                term /= 2.0
+                self._sq_sum += term
+            self._last = t, sq.copy()  # a copy, so that the block's squares are freed
+
+    def norm(self) -> float:
+        h = self._grid.spacing
+        t = np.concatenate(self._times)
+        sup_u, sup_dsu = np.concatenate(self._sup_x, axis=1)
+        l2_t = self._sq_sum ** (1.0 / 2.0)
+        terms = (  # in the order of xt_norm's docstring
+            np.concatenate(self._hs).max(),
+            _space_quadrature(l2_t[0], h, np.inf),
+            max(_space_quadrature(self._sup_t[0], h, q) for q in DEFAULT_Q_GRID),
+            _time_quadrature(sup_u, t, 4.0),
+            _space_quadrature(self._sup_t[1], h, 4.0),
+            _space_quadrature(l2_t[1], h, np.inf),
+            _time_quadrature(sup_dsu, t, 4.0),
         )
-        out.append(sum(float(v) for v in terms))
-    return out
+        return sum(float(v) for v in terms)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,10 +218,36 @@ def test_main_reports_any_failure_of_a_single_run_as_numerical(tmp_path, capsys)
         == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert "closed-form L2 mass" in err and "sigma = 1e-300, omega = 1e-300" in err
     swept = write(tmp_path, "swept.cfg", "experiment = theorem1-scan\n" + OVERFLOW)
     assert main(["sweep", "--config", swept, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith(f"error: {swept}: ") and "Traceback" not in err
+
+
+# runs whose arrays do not fit: each passed validation once and died allocating them
+TOO_LARGE = [
+    ("evolve", "n_points = 2048\nt_end = 10000\ndt = 1e-3\nsnapshot_stride = 1\n",
+     "snapshot_stride"),
+    ("evolve", f"n_points = {2**40}\n", "n_points"),
+    ("scatter-probe", "t_end = 400\n", "t_end"),  # scatter-probe's stride follows dt
+]
+
+
+@pytest.mark.parametrize("experiment, text, field_name", TOO_LARGE,
+                         ids=[case[2] for case in TOO_LARGE])
+def test_main_refuses_a_run_too_large_to_store_at_validation(tmp_path, capsys, experiment,
+                                                             text, field_name):
+    cfg = write(tmp_path, "large.cfg", text)
+    tracemalloc.start()
+    try:
+        code = main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: field '{field_name}': ")
+    assert peak < 2**22  # nothing of the run's size was allocated
 
 
 def test_sweep_with_one_worker_runs_in_the_calling_thread(monkeypatch):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gdnls import spectral
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import ComplexField, GridSpec, Trajectory
 from gdnls.scattering import (
@@ -13,6 +16,9 @@ from gdnls.scattering import (
 from gdnls.spectral import (
     DEFAULT_Q_GRID,
     MixedNormSpec,
+    _lattice_norm,
+    _space_quadrature,
+    _time_quadrature,
     free_group,
     free_propagate,
     mixed_norm,
@@ -122,8 +128,77 @@ def test_one_pass_xt_norms_equal_the_prefix_loop(uneven_traj, s):
 
 def test_xt_accumulate_takes_each_transform_once(uneven_traj, fft_calls):
     xt_accumulate(uneven_traj, 0.5)
-    # one batched fft and three batched iffts; the H^s norms reuse the fft
-    assert len(fft_calls) <= 4
+    # forward calls are (rows, N) blocks, inverse calls (3, rows, N): u_x, D u and D u_x
+    forward = [shape for shape in fft_calls if len(shape) == 2]
+    inverse = [shape for shape in fft_calls if len(shape) == 3]
+    assert len(forward) + len(inverse) == len(fft_calls)
+    assert sum(m for m, _ in forward) == len(uneven_traj)
+    assert {k for k, _, _ in inverse} == {3}
+    assert sum(k * m for k, m, _ in inverse) == 3 * len(uneven_traj)
+
+
+def reference_prefix_xt_norms(traj, s, lengths):
+    """The whole-trajectory form of spectral._prefix_xt_norms: every transform of every row at once."""
+    grid = traj.grid
+    u = traj.values[:max(lengths)]
+    xi = grid.xi
+    uhat = np.fft.fft(u, axis=-1)
+    frac = np.abs(xi) ** (s - 0.5)
+    au = np.abs(u)
+    aux = np.abs(np.fft.ifft(1j * xi * uhat, axis=-1))
+    adsu = np.abs(np.fft.ifft(frac * uhat, axis=-1))
+    adsux = np.abs(np.fft.ifft(frac * 1j * xi * uhat, axis=-1))
+    hs = _lattice_norm(grid, uhat, (1.0 + xi**2) ** s)
+
+    h = grid.spacing
+    out = []
+    for n in lengths:
+        t = traj.times[:n]
+        sup_t = _time_quadrature(au[:n], t, np.inf)
+        terms = (
+            hs[:n].max(),
+            _space_quadrature(_time_quadrature(aux[:n], t, 2.0), h, np.inf),
+            max(_space_quadrature(sup_t, h, q) for q in DEFAULT_Q_GRID),
+            _time_quadrature(_space_quadrature(au[:n], h, np.inf), t, 4.0),
+            _space_quadrature(_time_quadrature(adsu[:n], t, np.inf), h, 4.0),
+            _space_quadrature(_time_quadrature(adsux[:n], t, 2.0), h, np.inf),
+            _time_quadrature(_space_quadrature(adsu[:n], h, np.inf), t, 4.0),
+        )
+        out.append(sum(float(v) for v in terms))
+    return out
+
+
+# 135 rows: 135 is no multiple of 7 or 32, and 32 and 64 end blocks of 32 (and of 1)
+@pytest.mark.parametrize("block", [1, 7, 32])
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_block_xt_norms_equal_the_whole_trajectory_reference(uneven_traj, block, s, monkeypatch):
+    monkeypatch.setattr(spectral, "_XT_BLOCK_ROWS", block)
+    for lengths in ([2], [3, 50], [32, 64, 65, 135], [135, 33]):
+        got = spectral._prefix_xt_norms(uneven_traj, s, lengths)
+        assert got == reference_prefix_xt_norms(uneven_traj, s, lengths)  # bit for bit
+
+
+def synthetic_traj(n_t, n_points=1024):
+    rng = np.random.default_rng(n_t)
+    values = rng.standard_normal((n_t, n_points)) + 1j * rng.standard_normal((n_t, n_points))
+    return Trajectory(GridSpec(n_points, 40.0), 0.01 * np.arange(n_t), values)
+
+
+def xt_norm_peak_bytes(traj):
+    tracemalloc.start()
+    try:
+        xt_accumulate(traj, 0.75)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_xt_accumulate_memory_stays_within_a_few_blocks():
+    short, long = synthetic_traj(201), synthetic_traj(801)
+    block = spectral._XT_BLOCK_ROWS * 1024 * 16  # one complex block of rows
+    peak_short, peak_long = xt_norm_peak_bytes(short), xt_norm_peak_bytes(long)
+    assert peak_long < 10 * block  # the whole-trajectory form takes about 50 blocks here
+    assert peak_long < peak_short + block / 4  # nothing of trajectory size is held
 
 
 def test_xt_accumulate_checks_its_inputs(uneven_traj):

@@ -37,6 +37,7 @@ from .solitons import (
 )
 from .evolve import ConservedReport, EvolutionConfig, StabilityError, evolve
 from .scattering import (
+    ScatterAccumulator,
     ScatterReport,
     decay_exponent,
     decay_tracker,

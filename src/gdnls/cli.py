@@ -39,7 +39,7 @@ from .probes import (
     smoothing_probe,
     strichartz_probe,
 )
-from .scattering import scatter_report
+from .scattering import ScatterAccumulator
 from .solitons import (
     ENDPOINT_NORMS,
     SolitonParams,
@@ -218,12 +218,13 @@ def _evolve_setup(p: dict):
     return cfg, wave
 
 
-def _scatter_setup(p: dict) -> EvolutionConfig:
+def _scatter_setup(p: dict):
     _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
     _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
     # checks dt before the division, storing at most 2 snapshots; replace checks the rest
     cfg = _evolution(p, "gdnls", p["sigma"], MAX_STEPS)
-    return replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
+    cfg = replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
+    return cfg, ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
 
 
 def _gauge_setup(p: dict):
@@ -278,9 +279,10 @@ def _run_evolve(p: dict):
 
 
 def _run_scatter_probe(p: dict):
-    cfg = _scatter_setup(p)
-    traj, rep = evolve(gaussian_field(cfg.grid, p["width"], amplitude=p["delta"]), cfg)
-    report = scatter_report(traj, p["s"], p["s_prime"])
+    cfg, diagnostics = _scatter_setup(p)
+    _, rep = evolve(gaussian_field(cfg.grid, p["width"], amplitude=p["delta"]), cfg,
+                    diagnostics)
+    report = diagnostics.report()
     rows = [[float(t), float(v)] for t, v in report.xt_norm_curve]
     checks = {
         "mass_drift": rep.mass_drift,

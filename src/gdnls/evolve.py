@@ -22,7 +22,9 @@ from .grid import ComplexField, GridSpec, ParameterError, Trajectory
 MAX_STEPS = 10**7
 
 # Ceiling on the stored trajectory, n_snapshots * n_points * 16 bytes.  The
-# largest in the docs is scatter-probe's at its defaults, 26 MB.
+# largest in the docs is the scattering demo's, 26 MB.  scatter-probe hands
+# its snapshots to its diagnostics and stores none, but is held to the same
+# snapshot count.
 MAX_TRAJECTORY_BYTES = 2**30
 
 
@@ -74,6 +76,14 @@ class EvolutionConfig:
         """Stored states: every snapshot_stride-th step from step 0, and the last step."""
         stride = self.snapshot_stride
         return 1 + self.n_steps // stride + (self.n_steps % stride != 0)
+
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        """k * dt for the snapshot steps k, as evolve's loop forms t."""
+        steps = np.arange(0, self.n_steps + 1, self.snapshot_stride)
+        if steps[-1] != self.n_steps:
+            steps = np.append(steps, self.n_steps)
+        return steps * self.dt
 
 
 @dataclass
@@ -239,8 +249,24 @@ def _energy(v: np.ndarray, ux: np.ndarray, power: np.ndarray, h: float,
     return float(kinetic - inter / (2.0 * sigma + 2.0))
 
 
-def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, ConservedReport]:
-    """March u0 to t_end, storing snapshots every snapshot_stride steps.
+class _Stored:
+    """evolve's default sink: each snapshot copied into one preallocated (n_t, N) array."""
+
+    def __init__(self, cfg: EvolutionConfig):
+        self.values = np.empty((cfg.n_snapshots, cfg.grid.n_points), dtype=complex)
+        self._taken = 0
+
+    def __call__(self, t: float, v: np.ndarray) -> None:
+        self.values[self._taken] = v
+        self._taken += 1
+
+
+def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
+    """March u0 to t_end, handing a snapshot to sink every snapshot_stride steps.
+
+    sink(t, v) is called at each of cfg.snapshot_times with the state v,
+    an array the run overwrites afterwards.  Returns (sink, report), or
+    (Trajectory, report) of every snapshot when no sink is given.
 
     u0 must pass check_edge_decay(), as gauge_transform and full_wave require.
     Every state the run reaches, u0 and the final one included, must satisfy
@@ -253,14 +279,15 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
     n_steps = cfg.n_steps
     h = cfg.grid.spacing
     stepper = _Stepper(cfg, u0.values)
+    stored = None
+    if sink is None:
+        sink = stored = _Stored(cfg)
 
     stride = cfg.snapshot_stride
-    n_snap = cfg.n_snapshots
-    times = np.empty(n_snap)
-    snaps = np.empty((n_snap, cfg.grid.n_points), dtype=complex)
-    mass = np.empty(n_snap)
-    energy = np.empty(n_snap)
-    linf = np.empty(n_snap)
+    times = cfg.snapshot_times
+    mass = np.empty(len(times))
+    energy = np.empty(len(times))
+    linf = np.empty(len(times))
 
     min_margin = math.inf
     j = 0
@@ -278,14 +305,12 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig) -> tuple[Trajectory, Conserve
         min_margin = min(min_margin, 1.0 - guard)
         if k % stride == 0 or k == n_steps:
             v = stepper.v
-            times[j] = t
-            snaps[j] = v
+            sink(t, v)
             mass[j] = _mass(v, h)
             energy[j] = _energy(v, stepper.derivative(), stepper.power, h, stepper.sigma)
             linf[j] = float(np.max(np.abs(v)))
             j += 1
 
-    traj = Trajectory(cfg.grid, times, snaps)
     report = ConservedReport(times=times.copy(), mass=mass, energy=energy, linf=linf,
                              min_cfl_margin=min_margin)
-    return traj, report
+    return (sink if stored is None else Trajectory(cfg.grid, times, stored.values)), report

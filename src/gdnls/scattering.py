@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Trajectory
-from .spectral import _prefix_xt_norms, free_group, sobolev_norm
+from .grid import ComplexField, GridSpec, ParameterError, Trajectory
+from .spectral import _fed, _prefix_xt_norms, _XtReducer, free_group, sobolev_norm
 from .spectral import xt_norm  # noqa: F401  the benchmark's tracer wraps gdnls.scattering.xt_norm
 
 CHECKPOINTS = (1.0, 2.0, 4.0, 8.0)  # pull-back comparison times, those <= t_end used
@@ -40,18 +40,30 @@ class ScatterReport:
 def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
                     checkpoints=(2.0, 4.0, 8.0)) -> list:
     """H^{s'} distances between pull-backs at consecutive checkpoints."""
-    idx = [int(np.argmin(np.abs(traj.times - t))) for t in checkpoints]
-    t = traj.times[idx]
-    w = free_group(traj.grid, traj.values[idx], -t)  # the checkpoint rows of the pull-back
+    idx = _nearest(traj.times, checkpoints)
+    return _cauchy_rows(traj.grid, traj.times[idx], traj.values[idx], s_prime)
+
+
+def _nearest(times: np.ndarray, checkpoints) -> list:
+    """Index of the snapshot nearest each checkpoint."""
+    return [int(np.argmin(np.abs(times - t))) for t in checkpoints]
+
+
+def _cauchy_rows(grid: GridSpec, t: np.ndarray, rows: np.ndarray, s_prime: float) -> list:
+    w = free_group(grid, rows, -t)  # the checkpoint rows of the pull-back
     return [(float(t[k]), float(t[k + 1]),
-             sobolev_norm(ComplexField(traj.grid, w[k + 1] - w[k]), s_prime))
-            for k in range(len(idx) - 1)]
+             sobolev_norm(ComplexField(grid, w[k + 1] - w[k]), s_prime))
+            for k in range(len(t) - 1)]
 
 
 def decay_tracker(traj: Trajectory) -> list:
-    """Per-snapshot (t, max |u|)."""
-    peaks = np.max(np.abs(traj.values), axis=-1)
-    return [(float(t), float(m)) for t, m in zip(traj.times, peaks)]
+    """Per-snapshot (t, max |u|), as the working-space reduction takes them."""
+    reducer = _XtReducer(traj.grid, 0.5, [len(traj)])  # sup_x |u| does not depend on s
+    return _decay_curve(traj.times, _fed(reducer, traj.times, traj.values).sup_u)
+
+
+def _decay_curve(times: np.ndarray, peaks: np.ndarray) -> list:
+    return [(float(t), float(m)) for t, m in zip(times, peaks)]
 
 
 def decay_exponent(curve, t_min: float = 2.0) -> float:
@@ -65,28 +77,74 @@ def decay_exponent(curve, t_min: float = 2.0) -> float:
     return float(np.polyfit(np.log(t), np.log(v), 1)[0])
 
 
+def _prefix_lengths(times: np.ndarray) -> list:
+    """Snapshots in the prefixes [0, T], T = t_end/8, t_end/4, t_end/2, t_end, of at least 2."""
+    t_end = times[-1]
+    lengths = [int(np.count_nonzero(times <= t_h + 1e-12))  # times increase
+               for t_h in (t_end / 8.0, t_end / 4.0, t_end / 2.0, t_end)]
+    return [n for n in lengths if n >= 2]
+
+
 def xt_accumulate(traj: Trajectory, s: float) -> list:
     """Working-space norm on the prefixes [0, T], T = t_end/8, t_end/4, t_end/2, t_end.
 
-    Nondecreasing in T.  One pass over traj in row blocks: each prefix is read off after its last row.
+    Nondecreasing in T.  One pass over traj's rows: each prefix is read off after its last row.
     """
-    t_end = traj.times[-1]
-    lengths = [int(np.count_nonzero(traj.times <= t_h + 1e-12))  # times increase
-               for t_h in (t_end / 8.0, t_end / 4.0, t_end / 2.0, t_end)]
-    lengths = [n for n in lengths if n >= 2]
+    lengths = _prefix_lengths(traj.times)
     return [(float(traj.times[n - 1]), v)
             for n, v in zip(lengths, _prefix_xt_norms(traj, s, lengths))]
+
+
+class ScatterAccumulator:
+    """scatter_report of a run whose snapshots are handed over one at a time.
+
+    Built from the grid and the snapshot times alone, before any snapshot
+    exists, so a horizon too short for the decay fit is refused up front
+    with a ParameterError naming t_end.  Call it with each (t, v) in time
+    order, as evolve's sink: the working-space reducer takes every row,
+    the rows nearest the checkpoints are copied, and nothing else of the
+    trajectory is kept.
+    """
+
+    def __init__(self, grid: GridSpec, times: np.ndarray, s: float = 0.5,
+                 s_prime: float = 0.4):
+        self._times = np.asarray(times, dtype=float)
+        t_end = float(self._times[-1])
+        self._lengths = _prefix_lengths(self._times)
+        self._xt = _XtReducer(grid, s, self._lengths)
+        in_fit = int(np.count_nonzero(self._times >= t_end / 4.0))
+        if in_fit < 4:
+            raise ParameterError(
+                "t_end", f"the decay fit over [t_end/4, t_end] needs >= 4 snapshots, "
+                f"t_end = {t_end:g} gives {in_fit}")
+        self._grid, self._s_prime = grid, s_prime
+        self._checkpoints = np.array(
+            _nearest(self._times, [t for t in CHECKPOINTS if t <= t_end + 1e-12]), dtype=int)
+        self._rows = np.empty((len(self._checkpoints), grid.n_points), dtype=complex)
+
+    def __len__(self) -> int:
+        return len(self._xt)
+
+    def __call__(self, t: float, v: np.ndarray) -> None:
+        self._rows[self._checkpoints == len(self._xt)] = v
+        self._xt(t, v)
+
+    def report(self) -> ScatterReport:
+        """The diagnostics, once every snapshot time has had its row."""
+        times = self._times
+        decay = _decay_curve(times, self._xt.sup_u)
+        return ScatterReport(
+            _cauchy_rows(self._grid, times[self._checkpoints], self._rows, self._s_prime),
+            decay, decay_exponent(decay, t_min=float(times[-1]) / 4.0),
+            [(float(times[n - 1]), self._xt.norms[n]) for n in self._lengths])
 
 
 def scatter_report(traj: Trajectory, s: float = 0.5, s_prime: float = 0.4) -> ScatterReport:
     """Full diagnostic bundle for one computed trajectory, t_end = traj.times[-1].
 
     Pull-backs are compared at the CHECKPOINTS up to t_end; the sup-norm
-    decay is fitted over [t_end/4, t_end].
+    decay is fitted over [t_end/4, t_end].  The trajectory's rows go through
+    a ScatterAccumulator, as a streamed run's do.
     """
-    t_end = float(traj.times[-1])
-    decay = decay_tracker(traj)
-    exponent = decay_exponent(decay, t_min=t_end / 4.0)
-    checkpoints = [t for t in CHECKPOINTS if t <= t_end + 1e-12]
-    return ScatterReport(pullback_cauchy(traj, s_prime, checkpoints), decay, exponent,
-                         xt_accumulate(traj, s))
+    accumulator = ScatterAccumulator(traj.grid, traj.times, s, s_prime)
+    return _fed(accumulator, traj.times, traj.values).report()

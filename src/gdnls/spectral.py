@@ -428,55 +428,80 @@ _XT_BLOCK_ROWS = 32
 
 
 def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
-    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj in row blocks.
-
-    Blocks of _XT_BLOCK_ROWS rows, cut also at each n, are fed in order to
-    one _XtReducer, and each prefix is read off it after its last row, so
-    every value equals xt_norm of the prefix trajectory bit for bit.
-    """
-    if not 0.5 <= s <= 1.0:
-        raise ValueError(f"s must lie in [1/2, 1], got {s}")
-    if len(traj) < 2:
-        raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
-
-    reducer = _XtReducer(traj.grid, s)
-    ends = sorted(set(lengths).union(range(_XT_BLOCK_ROWS, max(lengths), _XT_BLOCK_ROWS)))
-    norms = {}
-    start = 0
-    for end in ends:
-        reducer.feed(traj.values[start:end], traj.times[start:end])
-        start = end
-        if end in lengths:
-            norms[end] = reducer.norm()
+    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj's rows."""
+    reducer = _XtReducer(traj.grid, s, lengths)
+    norms = _fed(reducer, traj.times[:max(lengths)], traj.values).norms
     return [norms[n] for n in lengths]
 
 
-class _XtReducer:
-    """xt_norm of the snapshots fed so far, in memory of a few rows of length N.
+def _fed(sink, times: np.ndarray, rows: np.ndarray):
+    """sink once it has been called with each (t, row) of a stored trajectory, in time order."""
+    for t, row in zip(times, rows):
+        sink(t, row)
+    return sink
 
-    feed() takes the next rows in time order.  The L^inf_t terms are
-    running maxima per x; the L^2_t terms are running trapezoid sums per x,
-    each interval term formed as _time_quadrature forms it and added row by
-    row in time order, as np.add.reduce adds the rows of a C-contiguous
-    array, with the last squared row carried to the next feed.  The per-row
-    H^s norms and sup_x of |u| and |D^{s-1/2} u| are kept whole, since their
-    time quadratures sum pairwise.  So norm() equals the quadratures of
-    mixed_norm over the stored rows bit for bit.
+
+class _XtReducer:
+    """xt_norm of each prefix of the snapshots taken, in memory of a few rows of length N.
+
+    Called with one snapshot (t, row) at a time, in time order, it copies
+    the row into a buffer of _XT_BLOCK_ROWS rows.  Each full block, and
+    each block cut at a prefix length in `lengths`, is reduced at once,
+    and that prefix's norm is read off into `norms` after its last row.
+    evolve's snapshots and a stored trajectory's rows feed it alike.
+
+    The L^inf_t terms are running maxima per x; the L^2_t terms are running
+    trapezoid sums per x, each interval term formed as _time_quadrature
+    forms it and added row by row in time order, as np.add.reduce adds the
+    rows of a C-contiguous array, with the last squared row carried to the
+    next block.  The per-row H^s norms and sup_x of |u| and |D^{s-1/2} u|
+    are kept whole, since their time quadratures sum pairwise.  So every
+    norm equals the quadratures of mixed_norm over the stored rows bit for
+    bit, whatever the blocks.
     """
 
-    def __init__(self, grid: GridSpec, s: float):
+    def __init__(self, grid: GridSpec, s: float, lengths):
+        if not 0.5 <= s <= 1.0:
+            raise ValueError(f"s must lie in [1/2, 1], got {s}")
+        if not lengths or min(lengths) < 2:
+            raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
         xi = grid.xi
         frac = np.abs(xi) ** (s - 0.5)
         self._grid = grid
         # u_x, D^{s-1/2} u and D^{s-1/2} u_x as multipliers of fft(u)
         self._multipliers = np.stack([1j * xi, frac, frac * 1j * xi])
         self._hs_weight = (1.0 + xi**2) ** s
-        self._times, self._hs, self._sup_x = [], [], []  # per-row values, one array per feed
+        self._ends = set(lengths)
+        self.norms = {}  # prefix length -> xt_norm, once its last row is taken
+        self._block = np.empty((_XT_BLOCK_ROWS, grid.n_points), dtype=complex)
+        self._block_times = np.empty(_XT_BLOCK_ROWS)
+        self._held = 0  # rows in the block
+        self._taken = 0  # rows taken, reduced or not
+        self._times, self._hs, self._sup_x = [], [], []  # per-row values, one array per block
         self._sup_t = np.zeros((2, grid.n_points))  # sup_t |u|, sup_t |D u| per x
         self._sq_sum = np.zeros((2, grid.n_points))  # trapezoid sums of |u_x|^2, |D u_x|^2
-        self._last = None  # the last row's (t, squares) once a row is fed
+        self._last = None  # the last row's (t, squares) once a block is reduced
 
-    def feed(self, rows: np.ndarray, times: np.ndarray) -> None:
+    def __len__(self) -> int:
+        return self._taken
+
+    @property
+    def sup_u(self) -> np.ndarray:
+        """sup_x |u| of each row reduced so far."""
+        return np.concatenate(self._sup_x, axis=1)[0]
+
+    def __call__(self, t: float, row: np.ndarray) -> None:
+        self._block[self._held] = row
+        self._block_times[self._held] = t
+        self._held += 1
+        self._taken += 1
+        if self._held == len(self._block) or self._taken in self._ends:
+            self._reduce(self._block[:self._held], self._block_times[:self._held].copy())
+            self._held = 0
+            if self._taken in self._ends:
+                self.norms[self._taken] = self._norm()
+
+    def _reduce(self, rows: np.ndarray, times: np.ndarray) -> None:
         uhat = np.fft.fft(rows, axis=-1)
         self._hs.append(_lattice_norm(self._grid, uhat, self._hs_weight))
         derived = self._multipliers[:, None] * uhat
@@ -499,7 +524,7 @@ class _XtReducer:
                 self._sq_sum += term
             self._last = t, sq.copy()  # a copy, so that the block's squares are freed
 
-    def norm(self) -> float:
+    def _norm(self) -> float:
         h = self._grid.spacing
         t = np.concatenate(self._times)
         sup_u, sup_dsu = np.concatenate(self._sup_x, axis=1)

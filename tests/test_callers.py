@@ -104,3 +104,17 @@ def test_the_tracer_sees_the_norms_and_probes_the_cli_looks_up_by_name(tmp_path)
     assert names.count("solitons.hsc_norm") == 4
     assert names.count("probes.smoothing_probe") == 1
     assert names.count("cli.run") == 2
+
+
+def test_the_tracer_runs_a_streamed_scatter_probe(tmp_path):
+    # scatter-probe hands its snapshots to the diagnostics and stores no trajectory; the
+    # tracer's step counter still reads len() of what evolve returns first
+    from gdnls import cli
+
+    config = cli.validate_config("scatter-probe", {"t_end": "1"})
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        cli.run(config, tmp_path)
+    stored = tracer.counts[0]["evolve.snapshots_stored"]
+    assert isinstance(stored, int) and stored == 51
+    assert [s.name for s in tracer.spans].count("evolve.evolve") == 1

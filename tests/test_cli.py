@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdnls
-from gdnls import cli
+from gdnls import cli, spectral
 from gdnls.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -29,7 +29,7 @@ from gdnls.cli import (
 )
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import GridSpec, gaussian_field
-from gdnls.scattering import scatter_report
+from gdnls.scattering import ScatterAccumulator, decay_tracker, scatter_report
 from gdnls.solitons import endpoint_rate, endpoint_sequence
 
 ATLAS = "sigma = 2\nc_grid = -0.5, 0, 0.5\n"
@@ -311,11 +311,13 @@ def test_main_rejects_an_ineq_probe_horizon_off_the_snapshot_lattice(tmp_path, c
 
 
 def test_main_reports_a_scatter_probe_too_short_for_the_decay_fit(tmp_path, capsys):
-    # snapshots at 0, 0.02, 0.04, 0.05: three lie in [t_end/4, t_end]
+    # snapshots at 0, 0.02, 0.04, 0.05: three lie in [t_end/4, t_end], known before any step
     cfg = write(tmp_path, "short.cfg", "t_end = 0.05\nn_points = 1024\n")
-    out = str(tmp_path / "o")
-    assert main(["scatter-probe", "--config", cfg, "--out", out]) == EXIT_NUMERICAL
-    assert "decay fit" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["scatter-probe", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 't_end': ") and "decay fit" in err
+    assert not out.exists()
 
 
 def test_main_rejects_an_endpoint_sequence_that_reaches_the_endpoint(tmp_path, capsys):
@@ -396,21 +398,51 @@ def test_theorem1_scan_reports_the_library_endpoint_sequence(norm):
 
 
 def test_scatter_probe_reports_the_library_scatter_report():
-    cfg = validate_config("scatter-probe", {"t_end": "1"})
-    record = run(cfg)
-    p = cfg.parameters
-    grid = GridSpec(p["n_points"], p["box_length"])
-    traj, conserved = evolve(gaussian_field(grid, p["width"], amplitude=p["delta"]),
-                             EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
-                                             sigma=p["sigma"], snapshot_stride=10))  # 0.02 / dt
-    rep = scatter_report(traj, p["s"], p["s_prime"])
-    assert record.checks["min_cfl_margin"] == conserved.min_cfl_margin
-    assert record.csv_text() == "T,xt_norm\n" + "".join(
-        f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)
-    assert record.checks["xt_final"] == rep.xt_norm_curve[-1][1]
-    assert record.checks["decay_exponent"] == rep.decay_exponent
-    assert record.checks["cauchy_diffs"] == [d for _, _, d in rep.pullback_cauchy]
-    assert record.checks["cauchy_decreasing"] == rep.cauchy_decreasing
+    # the run streams its snapshots into the diagnostics; the library reads a stored
+    # trajectory.  At t_end = 2 the 101 snapshots give prefixes 13, 26, 51 and 101,
+    # which cut the 32-row blocks away from their multiples.
+    for t_end in ("1", "2"):
+        cfg = validate_config("scatter-probe", {"t_end": t_end})
+        record = run(cfg)
+        p = cfg.parameters
+        grid = GridSpec(p["n_points"], p["box_length"])
+        u0 = gaussian_field(grid, p["width"], amplitude=p["delta"])
+        evo = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"], sigma=p["sigma"],
+                              snapshot_stride=10)  # 0.02 / dt
+        traj, conserved = evolve(u0, evo)
+        rep = scatter_report(traj, p["s"], p["s_prime"])
+        assert record.checks["min_cfl_margin"] == conserved.min_cfl_margin
+        assert record.csv_text() == "T,xt_norm\n" + "".join(
+            f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)
+        assert record.checks["xt_final"] == rep.xt_norm_curve[-1][1]
+        assert record.checks["decay_exponent"] == rep.decay_exponent
+        assert record.checks["cauchy_diffs"] == [d for _, _, d in rep.pullback_cauchy]
+        assert record.checks["cauchy_decreasing"] == rep.cauchy_decreasing
+
+        streamed, _ = evolve(u0, evo, ScatterAccumulator(grid, evo.snapshot_times,
+                                                         p["s"], p["s_prime"]))
+        assert len(streamed) == len(traj)
+        assert streamed.report() == rep  # bit for bit, the decay curve included
+        assert rep.decay_curve == [(float(t), float(m))
+                                   for t, m in zip(conserved.times, conserved.linf)]
+        assert rep.decay_curve == decay_tracker(traj)
+
+
+def scatter_probe_peak_bytes(t_end):
+    cfg = validate_config("scatter-probe", {"t_end": t_end, "n_points": "1024"})
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scatter_probe_memory_does_not_grow_with_t_end():
+    # 101 against 201 snapshots; a stored trajectory would add 1.6 MB, three blocks
+    block = spectral._XT_BLOCK_ROWS * 1024 * 16
+    short, long = scatter_probe_peak_bytes("2"), scatter_probe_peak_bytes("4")
+    assert abs(long - short) < block
 
 
 def test_workers_is_only_a_sweep_option(tmp_path):

@@ -285,6 +285,24 @@ def test_snapshot_times_and_stride():
     assert len(rep.mass) == len(traj.times)
 
 
+def test_a_sink_takes_the_snapshots_the_trajectory_stores():
+    # at dt = 0.007, k * dt differs in the last bit from k / (1 / dt) and from linspace
+    cfg = EvolutionConfig("gdnls", GRID, dt=0.007, t_end=0.28, sigma=2.0,
+                          snapshot_stride=3)
+    assert cfg.snapshot_times.tolist() == [k * cfg.dt for k in [*range(0, 40, 3), 40]]
+    taken = []
+
+    def sink(t, v):
+        taken.append((t, v.copy()))  # v is the stepper's state, overwritten by the next step
+
+    first, rep = evolve(gaussian(), cfg, sink)
+    traj, stored_rep = evolve(gaussian(), cfg)
+    assert first is sink
+    assert [t for t, _ in taken] == traj.times.tolist()
+    np.testing.assert_array_equal(np.stack([v for _, v in taken]), traj.values)
+    np.testing.assert_array_equal(rep.linf, stored_rep.linf)
+
+
 def test_soliton_short_time_propagation():
     p = SolitonParams(1.0, 0.5, 2.0)
     grid = GridSpec(2048, 80.0)

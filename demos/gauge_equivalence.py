@@ -2,27 +2,21 @@
 
 At sigma = 1 the equation with nonlinearity |u|^2 u_x maps onto the
 standard derivative NLS (d/dx of |u|^2 u form) by multiplying with
-exp(-(i/2) int_{-inf}^x |u|^2).  This script evolves the same datum in
-both frames and shows the flows agree after undoing the gauge.
+exp(-(i/2) int_{-inf}^x |u|^2).  This script runs the gauge-check
+experiment, which evolves the same datum in both frames and compares the
+flows after undoing the gauge.
 
 Run:  python3 demos/gauge_equivalence.py
 """
 
 import numpy as np
 
-from gdnls import (
-    ComplexField,
-    EvolutionConfig,
-    FORWARD,
-    INVERSE,
-    GridSpec,
-    evolve,
-    gauge_transform,
-    l2_norm,
-)
+from gdnls import FORWARD, GridSpec, gauge_transform, gaussian_field
+from gdnls.cli import run, validate_config
 
+# the datum of gauge-check at delta = 0.4 and its default grid, width and velocity
 grid = GridSpec(2048, 80.0)
-u0 = ComplexField(grid, 0.4 * np.exp(-grid.x**2 + 0.5j * grid.x))
+u0 = gaussian_field(grid, 1.0, 0.5, amplitude=0.4)
 
 v0 = gauge_transform(u0, FORWARD)
 print("the gauge factor has unit modulus, so |v0| = |u0| pointwise:")
@@ -31,11 +25,8 @@ print(f"  phase actually changed: max |v0 - u0| = {np.max(np.abs(v0.values - u0.
 print()
 
 for t_end in (0.25, 0.5, 1.0):
-    kw = dict(grid=grid, dt=1e-3, t_end=t_end, snapshot_stride=10**9)
-    traj_g, _ = evolve(u0, EvolutionConfig("gdnls", sigma=1.0, **kw))
-    traj_d, _ = evolve(v0, EvolutionConfig("dnls", **kw))
-    u_back = gauge_transform(ComplexField(grid, traj_d.values[-1]), INVERSE)
-    diff = l2_norm(ComplexField(grid, traj_g.values[-1] - u_back.values))
+    record = run(validate_config("gauge-check", {"delta": "0.4", "t_end": str(t_end)}))
+    diff = record.checks["l2_difference"]
     print(f"t = {t_end:4.2f}:  || flow-then-ungauge  -  direct flow ||_L2 = {diff:.3e}")
 
 print()

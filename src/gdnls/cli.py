@@ -221,9 +221,10 @@ def _evolve_setup(p: dict):
 def _scatter_setup(p: dict):
     _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
     _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
-    # checks dt before the division, storing at most 2 snapshots; replace checks the rest
+    # checks dt before the division, storing at most 2 snapshots; replace checks the rest.
+    # A stride past the step count, at most MAX_STEPS, stores those same 2 snapshots.
     cfg = _evolution(p, "gdnls", p["sigma"], MAX_STEPS)
-    cfg = replace(cfg, snapshot_stride=max(1, int(0.02 / cfg.dt)))
+    cfg = replace(cfg, snapshot_stride=max(1, int(min(0.02 / cfg.dt, MAX_STEPS))))
     return cfg, ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
 
 

@@ -31,6 +31,9 @@ class ParameterError(ValueError):
         super().__init__(message)
         self.name = name
 
+    def __reduce__(self):
+        return type(self), (self.name, str(self))
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -50,9 +53,10 @@ class GridSpec:
         if self.n_points > MAX_N_POINTS:
             raise ParameterError(
                 "n_points", f"n_points = {self.n_points} exceeds {MAX_N_POINTS} (2^24)")
-        if not self.box_length > 0:
+        if not self.spacing > 0:  # a positive box_length can still give a spacing of 0
             raise ParameterError(
-                "box_length", f"box_length must be positive, got {self.box_length}")
+                "box_length", f"box_length must be positive, with a spacing box_length / "
+                f"n_points above 0, got {self.box_length}")
 
     @property
     def spacing(self) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from .spectral import (
     MixedNormSpec,
-    _free_moduli,
     _mixed_quadrature,
     free_group,
     l2_norm,
@@ -116,9 +115,7 @@ def _worst(ratios, inequality_id: str, params: dict) -> ProbeReport:
 
 def check_strichartz_pair(q: float, r: float) -> None:
     """Require the admissibility relation 2/q = 1/2 - 1/r with q, r >= 2."""
-    inv_q = 0.0 if np.isinf(q) else 1.0 / q
-    inv_r = 0.0 if np.isinf(r) else 1.0 / r
-    if not (q >= 2 and r >= 2) or abs(2.0 * inv_q - (0.5 - inv_r)) > 1e-12:
+    if not (q >= 2 and r >= 2) or abs(2.0 / q - (0.5 - 1.0 / r)) > 1e-12:
         raise ParameterError("r" if q >= 2 else "q",
                              f"(q, r) = ({q}, {r}) is not an admissible pair")
 
@@ -140,9 +137,9 @@ def check_leibniz_order(s: float) -> None:
 def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_norm) -> list:
     """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member.
 
-    No trajectory is built: each member's moduli |D^d e^{it Lap} f| come
-    straight from its fhat through one complex (n_t, N) buffer that every
-    member reuses, and mixed_norm's quadratures reduce them.  The moduli
+    No trajectory is built: free_group forms each member's D^d e^{it Lap} f
+    in one complex (n_t, N) buffer that every member reuses, and
+    mixed_norm's quadratures reduce its moduli.  The moduli
     and the quadrature's powers go into the two halves of one float
     (2, n_t, N) array, also reused, so no member allocates an (n_t, N) array.
     """
@@ -150,9 +147,9 @@ def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_nor
     grid = ens.members[0].grid
     buf = np.empty((len(times), grid.n_points), dtype=complex)
     moduli, work = np.empty((2,) + buf.shape)
-    return [_mixed_quadrature(
-                _free_moduli(grid, f.values, times, spec.derivative_order, buf, moduli),
-                times, grid.spacing, spec, work) / data_norm(f)
+    d = spec.derivative_order
+    return [_mixed_quadrature(np.abs(free_group(grid, f.values, times, d, buf), out=moduli),
+                              times, grid.spacing, spec, work) / data_norm(f)
             for f in ens.members]
 
 

@@ -57,13 +57,8 @@ def _cauchy_rows(grid: GridSpec, t: np.ndarray, rows: np.ndarray, s_prime: float
 
 
 def decay_tracker(traj: Trajectory) -> list:
-    """Per-snapshot (t, max |u|), as the working-space reduction takes them."""
-    reducer = _XtReducer(traj.grid, 0.5, [len(traj)])  # sup_x |u| does not depend on s
-    return _decay_curve(traj.times, _fed(reducer, traj.times, traj.values).sup_u)
-
-
-def _decay_curve(times: np.ndarray, peaks: np.ndarray) -> list:
-    return [(float(t), float(m)) for t, m in zip(times, peaks)]
+    """Per-snapshot (t, max |u|), the sup norm evolve reports as linf."""
+    return [(float(t), float(np.max(np.abs(v)))) for t, v in zip(traj.times, traj.values)]
 
 
 def decay_exponent(curve, t_min: float = 2.0) -> float:
@@ -132,7 +127,7 @@ class ScatterAccumulator:
     def report(self) -> ScatterReport:
         """The diagnostics, once every snapshot time has had its row."""
         times = self._times
-        decay = _decay_curve(times, self._xt.sup_u)
+        decay = [(float(t), float(m)) for t, m in zip(times, self._xt.sup_u)]
         return ScatterReport(
             _cauchy_rows(self._grid, times[self._checkpoints], self._rows, self._s_prime),
             decay, decay_exponent(decay, t_min=float(times[-1]) / 4.0),

@@ -43,7 +43,11 @@ class SolitonParams:
             raise ParameterError("omega", f"omega must be positive, got {self.omega}")
         if not self.sigma > 0:
             raise ParameterError("sigma", f"sigma must be positive, got {self.sigma}")
-        if not self.c**2 < 4.0 * self.omega:
+        try:
+            admissible = self.c**2 < 4.0 * self.omega
+        except OverflowError:  # |c| above about 1.3e154
+            admissible = False
+        if not admissible:
             raise ParameterError(
                 "c", f"need c^2 < 4*omega (speed {self.c} vs omega {self.omega})"
             )

@@ -62,12 +62,16 @@ def spatial_derivative(f: ComplexField) -> ComplexField:
     return apply_multiplier(f, 1j * f.grid.xi)
 
 
-def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
-    """e^{i t_k Laplacian} applied row by row, row k at times[k].
+def free_group(grid: GridSpec, values: np.ndarray, times, order: float = 0.0,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """D^order e^{i t_k Laplacian} applied row by row, row k at times[k].
 
     values is one datum of shape (N,), propagated to every time, or one
-    row per time, shape (len(times), N).  Rows at t = 0 are the datum
-    itself, so the group is exact there.
+    row per time, shape (len(times), N).  order >= 0 multiplies the
+    transform by |xi|^order.  The phase product and the inverse transform
+    run in out, a complex array of the result's shape, when one is given:
+    the probes reuse one for every member.  For order 0 the rows at t = 0
+    are the datum itself, so the group is exact there.
     """
     times = np.asarray(times, dtype=float)
     phase = _phase_table(grid, times.shape, times.tobytes())
@@ -75,31 +79,14 @@ def free_group(grid: GridSpec, values: np.ndarray, times) -> np.ndarray:
     # may multiply in place into it, and that path can round the last bit
     # differently from the product of a single row.
     vhat = np.fft.fft(values, axis=-1)
-    out = np.fft.ifft(phase * vhat, axis=-1)
-    at_zero = times == 0
-    out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
-    return out
-
-
-def _free_moduli(grid: GridSpec, values: np.ndarray, times: np.ndarray, order: float,
-                 buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|D^order e^{i t_k Laplacian} f| for the datum f = values, one row per time.
-
-    buf is a complex (len(times), N) array that the caller reuses from
-    datum to datum; the batched inverse transform runs in it.  The moduli
-    go into out, a float array of buf's shape, when one is given.  For
-    order 0 the operations are free_group's, in its order, so the moduli
-    are those of free_group's rows bit for bit.
-    """
-    phase = _phase_table(grid, times.shape, times.tobytes())
-    vhat = np.fft.fft(values)
-    if order > 0:
+    if order:
         vhat = np.abs(grid.xi) ** order * vhat
-    np.multiply(phase, vhat, out=buf)
-    np.fft.ifft(buf, out=buf)
-    if order == 0:
-        buf[times == 0] = values
-    return np.abs(buf, out=out)
+    out = np.multiply(phase, vhat, out=out)
+    np.fft.ifft(out, axis=-1, out=out)
+    if not order:
+        at_zero = times == 0
+        out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
+    return out
 
 
 # Two tables: the probes alternate between two horizons (T and 2T), and the

@@ -30,7 +30,7 @@ from gdnls.cli import (
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import GridSpec, gaussian_field
 from gdnls.scattering import ScatterAccumulator, decay_tracker, scatter_report
-from gdnls.solitons import endpoint_rate, endpoint_sequence
+from gdnls.solitons import ENDPOINT_NORMS, endpoint_rate, endpoint_sequence
 
 ATLAS = "sigma = 2\nc_grid = -0.5, 0, 0.5\n"
 
@@ -127,6 +127,14 @@ FIELD_CASES = [
     # the Hsc norm needs s_c >= 0; the atlas has an hsc_norm column
     ("theorem1-scan", {"sigma": "1e-300", "norm": "Hsc"}, "sigma"),
     ("soliton-atlas", {"sigma": "0.5", "c_grid": "0"}, "sigma"),
+    # values where c^2 overflows, a spacing or 0.02 / dt leaves the float
+    # range, or 1/q and 1/r divide by zero
+    ("soliton-atlas", {"sigma": "2", "c_grid": "1e300"}, "c_grid"),
+    ("evolve", {"datum": "soliton", "c": "1e300"}, "c"),
+    ("scatter-probe", {"box_length": "5e-324"}, "box_length"),
+    ("scatter-probe", {"dt": "5e-324", "t_end": "5e-324"}, "t_end"),
+    ("ineq-probe", {"probe": "strichartz", "q": "0"}, "q"),
+    ("ineq-probe", {"probe": "strichartz", "r": "0"}, "r"),
 ]
 # the field name, or field=value where an earlier case names the same field
 FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
@@ -153,17 +161,39 @@ def test_config_hash_is_stable_and_order_free():
     assert a.config_hash() != c.config_hash()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    key=st.sampled_from(["sigma", "omega", "dt", "t_end", "n_points", "equation"]),
-    value=st.sampled_from(["-3", "0", "abc", "", "nan", "1e309", "[1,2]", "5e-324"]),
-)
-def test_fuzzed_invalid_values_are_validation_errors(key, value):
-    """Bad field values must raise ConfigError, never leak other exceptions."""
-    base = {"sigma": "2"}
-    base[key] = value
+# Values at the edges of the float range, and values that are not numbers.
+# Each of them is an n_points that _to_int or GridSpec refuses, so validation
+# never builds a grid larger than an experiment's default.
+EDGE_VALUES = ["0", "-0", "-3", "5e-324", "1e-300", "1e300", "1e309", "nan", "inf", "-inf",
+               "abc", "", "[1,2]"]
+# theorem1-scan validation lists its num_points waves, and at omega = 1e300 the
+# speeds never round onto the endpoint, so num_points = 1e300 would not end
+NUM_POINTS_VALUES = [v for v in EDGE_VALUES if v != "1e300"]
+
+# each experiment with its required fields, once per probe, norm and datum
+EVERY_CHOICE = [
+    ("soliton-atlas", {"sigma": "2", "c_grid": "0"}),
+    *[("evolve", {"datum": d}) for d in ("gaussian", "soliton")],
+    ("scatter-probe", {}),
+    ("gauge-check", {}),
+    *[("ineq-probe", {"probe": p}) for p in cli._PROBES],
+    *[("theorem1-scan", {"sigma": "2", "norm": n}) for n in ENDPOINT_NORMS],
+]
+
+
+# a 1e-300 box squares its frequencies past the float range; only the exception counts here
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(choice=st.sampled_from(EVERY_CHOICE), data=st.data())
+def test_fuzzed_invalid_values_are_validation_errors(choice, data):
+    """Values in one or two fields raise ConfigError, never leak other exceptions."""
+    experiment, base = choice
+    keys = data.draw(st.lists(st.sampled_from(sorted(cli._EXPERIMENTS[experiment][0])),
+                              min_size=1, max_size=2, unique=True))
+    edits = {key: data.draw(st.sampled_from(
+                 NUM_POINTS_VALUES if key == "num_points" else EDGE_VALUES)) for key in keys}
     try:
-        validate_config("evolve", base)
+        validate_config(experiment, {**base, **edits})
     except ConfigError:
         pass  # the only acceptable failure mode
 

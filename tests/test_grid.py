@@ -3,7 +3,10 @@ import pickle
 import numpy as np
 import pytest
 
+from gdnls.cli import ConfigError
+from gdnls.evolve import StabilityError
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError, Trajectory
+from gdnls.quadrature import QuadratureError
 
 
 def test_grid_basic_geometry():
@@ -54,11 +57,26 @@ def test_grid_rejects_bad_length():
         GridSpec(64, -1.0)
 
 
-@pytest.mark.parametrize("args, name", [((100, 32.0), "n_points"), ((64, 0.0), "box_length")])
+@pytest.mark.parametrize("args, name", [((100, 32.0), "n_points"), ((64, 0.0), "box_length"),
+                                        ((4096, 5e-324), "box_length")])
 def test_grid_errors_name_the_parameter(args, name):
     with pytest.raises(ParameterError) as exc:
         GridSpec(*args)
     assert exc.value.name == name
+
+
+@pytest.mark.parametrize("exc", [
+    ParameterError("t_end", "t_end must be positive, got 0"),
+    StabilityError("CFL margin -0.5"),
+    ResolutionError("field magnitude 1e-3 at box edge"),
+    QuadratureError("needs more than 2^21 points"),
+    ConfigError("field 'dt': must be finite"),
+], ids=lambda exc: type(exc).__name__)
+def test_library_errors_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert getattr(back, "name", None) == getattr(exc, "name", None)
 
 
 def test_field_rejects_nonfinite():

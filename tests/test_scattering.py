@@ -222,6 +222,14 @@ def test_decay_of_free_gaussian_is_minus_half():
     assert decay_exponent(curve, t_min=4.0) == pytest.approx(-0.5, abs=0.02)
 
 
+def test_decay_tracker_takes_no_transform(fft_calls):
+    traj = free_traj(gaussian(), t_end=1.0)
+    fft_calls.clear()  # the stored trajectory's own transforms
+    curve = decay_tracker(traj)
+    assert fft_calls == []
+    assert curve == [(t, np.max(np.abs(v))) for t, v in zip(traj.times, traj.values)]
+
+
 def test_decay_exponent_needs_enough_points():
     with pytest.raises(ValueError):
         decay_exponent([(1.0, 1.0), (2.0, 0.5)], t_min=0.5)

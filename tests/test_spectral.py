@@ -545,7 +545,7 @@ def test_quadratures_are_numpys_on_probe_moduli(seed, t_end):
     buf = np.empty((len(times), grid.n_points), dtype=complex)
     for f in ens.members[::8]:
         for order in (0.0, 0.5):
-            u = spectral._free_moduli(grid, f.values, times, order, buf)
+            u = np.abs(free_group(grid, f.values, times, order, buf))
             for q in (2.0, 4.0):
                 assert_time_quadrature_is_the_trapezoid(u, times, q)
                 per_time = spectral._space_quadrature(u, grid.spacing, q, np.empty_like(u))

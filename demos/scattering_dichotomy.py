@@ -4,47 +4,42 @@ Evolves a small Gaussian (disperses: sup-norm decays like t^{-1/2},
 free pull-back converges) and a small solitary wave (does neither),
 reporting the three diagnostics that tell the regimes apart.
 
-Run:  python3 demos/scattering_dichotomy.py   (about a minute)
+Run:  python3 demos/scattering_dichotomy.py   (a few seconds)
 """
 
 import math
 
-import numpy as np
-
 from gdnls import (
-    ComplexField,
     EvolutionConfig,
-    GridSpec,
     SolitonParams,
     evolve,
     full_wave,
     scatter_report,
     soliton_grid,
 )
+from gdnls.cli import run, validate_config
+from gdnls.scattering import CHECKPOINTS
 
 T_END = 8.0
 
 
-def report(name, traj):
-    rep = scatter_report(traj, s=0.5, s_prime=0.4)
+def report(name, cauchy, decreasing, exponent):
     print(f"--- {name} ---")
-    for t1, t2, d in rep.pullback_cauchy:
+    for t1, t2, d in cauchy:
         print(f"  ||w({t2:.0f}) - w({t1:.0f})||_H^0.4 = {d:.3e}")
-    trend = "decreasing" if rep.cauchy_decreasing else "NOT decreasing"
+    trend = "decreasing" if decreasing else "NOT decreasing"
     print(f"  pull-back Cauchy differences: {trend}")
-    print(f"  sup-norm decay exponent on [T/4, T]: {rep.decay_exponent:+.3f}")
-    return rep
+    print(f"  sup-norm decay exponent on [T/4, T]: {exponent:+.3f}")
 
 
-# dispersing datum: small Gaussian, sigma = 2
-grid = GridSpec(4096, 160.0)
-u0 = ComplexField(grid, 0.05 * np.exp(-grid.x**2).astype(complex))
-cfg = EvolutionConfig("gdnls", grid, dt=2e-3, t_end=T_END, sigma=2.0,
-                      snapshot_stride=10)
-traj, _ = evolve(u0, cfg)
-rep = report("small Gaussian (disperses)", traj)
+# dispersing datum: scatter-probe at its defaults, a small Gaussian (delta = 0.05,
+# width 1) at sigma = 2 on 4096 points of a box of 160, to T = 8
+record = run(validate_config("scatter-probe", {}))
+checks = record.checks
+report("small Gaussian (disperses)", zip(CHECKPOINTS, CHECKPOINTS[1:], checks["cauchy_diffs"]),
+       checks["cauchy_decreasing"], checks["decay_exponent"])
 print("  working-space norm over growing horizons (saturates):")
-for t, v in rep.xt_norm_curve:
+for t, v in record.rows:
     print(f"    T = {t:4.1f}:  {v:.5f}")
 
 # non-scattering witness: small sigma = 1 soliton near the endpoint
@@ -55,7 +50,9 @@ phi = full_wave(p, sg)
 cfg = EvolutionConfig("gdnls", sg, dt=0.01, t_end=T_END, sigma=1.0,
                       snapshot_stride=25)
 straj, _ = evolve(phi, cfg)
-report("small solitary wave (does not scatter)", straj)
+rep = scatter_report(straj, s=0.5, s_prime=0.4)
+report("small solitary wave (does not scatter)", rep.pullback_cauchy, rep.cauchy_decreasing,
+       rep.decay_exponent)
 print()
 print("small mass alone does not force scattering: this soliton has small")
 print("energy norm yet a frozen profile, so smallness must be measured in")

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .evolve import MAX_STEPS, EvolutionConfig, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
-from .grid import ComplexField, GridSpec, ParameterError, gaussian_field
+from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, gaussian_field
 from .probes import (
     check_horizon,
     check_leibniz_order,
@@ -165,11 +165,11 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
             raise ConfigError(f"field {key!r}: required for experiment {experiment}")
         else:
             params[key] = default
-    for key in ("sigma", "omega", "dt", "t_end", "delta", "width",
-                "box_length", "alpha0", "s", "s_prime", "velocity"):
+    # fields that a run reads with no domain object to check them, or does not read at all
+    for key in ("omega", "delta", "width", "s"):
         if key in params:
             _require(math.isfinite(params[key]), key, "must be finite")
-    for key in ("omega", "delta", "width"):  # SolitonParams and EvolutionConfig check sigma
+    for key in ("omega", "delta", "width"):
         if key in params:
             _require(params[key] > 0, key, "must be positive")
     try:
@@ -177,6 +177,8 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
     except ParameterError as exc:
         field_name = _CONFIG_FIELDS.get((experiment, exc.name), exc.name)
         raise ConfigError(f"field {field_name!r}: {exc}") from None
+    except ResolutionError as exc:  # the initial datum does not decay at the box edge
+        raise ConfigError(f"field 'box_length': {exc}") from None
     return ExperimentConfig(experiment, params)
 
 
@@ -186,7 +188,7 @@ def _require(cond: bool, field_name: str, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# setups: the checks no domain object makes, then the domain objects the run uses
+# setups: the checks no domain object makes, then the domain objects and datum the run uses
 
 def _evolution(p: dict, equation: str, sigma: float, stride: int) -> EvolutionConfig:
     return EvolutionConfig(equation, GridSpec(p["n_points"], p["box_length"]),
@@ -204,33 +206,39 @@ def _theorem1_setup(p: dict) -> list:
     _require(p["norm"] in ENDPOINT_NORMS, "norm",
              f"must be one of {', '.join(ENDPOINT_NORMS)}")
     _require(p["num_points"] >= 4, "num_points", "must be >= 4 for a slope fit")
-    _require(0 < p["alpha0"] <= 2.0 * math.sqrt(p["omega"]), "alpha0",
-             "must lie in (0, 2 sqrt(omega)]")
     if p["norm"] == "Hsc":
         check_hsc_sigma(p["sigma"])
     return list(endpoint_waves(p["sigma"], p["omega"], p["num_points"], p["alpha0"]))
 
 
+def _gaussian(p: dict, grid: GridSpec) -> ComplexField:
+    """The runs' Gaussian datum; ResolutionError if it does not decay at the box edge."""
+    u0 = gaussian_field(grid, p["width"], p.get("velocity", 0.0), amplitude=p["delta"])
+    u0.check_edge_decay()
+    return u0
+
+
 def _evolve_setup(p: dict):
     _require(p["datum"] in ("gaussian", "soliton"), "datum", "must be 'gaussian' or 'soliton'")
     cfg = _evolution(p, p["equation"], p["sigma"], p["snapshot_stride"])
-    wave = SolitonParams(p["omega"], p["c"], p["sigma"]) if p["datum"] == "soliton" else None
-    return cfg, wave
+    if p["datum"] == "soliton":
+        return cfg, full_wave(SolitonParams(p["omega"], p["c"], p["sigma"]), cfg.grid)
+    return cfg, _gaussian(p, cfg.grid)
 
 
 def _scatter_setup(p: dict):
-    _require(0.5 <= p["s"] <= 1.0, "s", "must lie in [1/2, 1]")
-    _require(0 <= p["s_prime"] < p["s"], "s_prime", "must satisfy 0 <= s' < s")
     # checks dt before the division, storing at most 2 snapshots; replace checks the rest.
     # A stride past the step count, at most MAX_STEPS, stores those same 2 snapshots.
     cfg = _evolution(p, "gdnls", p["sigma"], MAX_STEPS)
     cfg = replace(cfg, snapshot_stride=max(1, int(min(0.02 / cfg.dt, MAX_STEPS))))
-    return cfg, ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
+    diagnostics = ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
+    return cfg, diagnostics, _gaussian(p, cfg.grid)
 
 
 def _gauge_setup(p: dict):
     stride = 10 ** 9  # only the final state is compared
-    return _evolution(p, "gdnls", 1.0, stride), _evolution(p, "dnls", 1.0, stride)
+    cfg1, cfg2 = _evolution(p, "gdnls", 1.0, stride), _evolution(p, "dnls", 1.0, stride)
+    return cfg1, cfg2, _gaussian(p, cfg1.grid)
 
 
 def _ineq_setup(p: dict) -> None:
@@ -265,11 +273,7 @@ def _run_theorem1_scan(p: dict):
 
 
 def _run_evolve(p: dict):
-    cfg, wave = _evolve_setup(p)
-    if wave is not None:
-        u0 = full_wave(wave, cfg.grid)
-    else:
-        u0 = gaussian_field(cfg.grid, p["width"], amplitude=p["delta"])
+    cfg, u0 = _evolve_setup(p)
     traj, rep = evolve(u0, cfg)
     columns = ["t", "mass", "energy", "linf"]
     rows = [[float(t), float(m), float(e), float(a)]
@@ -280,9 +284,8 @@ def _run_evolve(p: dict):
 
 
 def _run_scatter_probe(p: dict):
-    cfg, diagnostics = _scatter_setup(p)
-    _, rep = evolve(gaussian_field(cfg.grid, p["width"], amplitude=p["delta"]), cfg,
-                    diagnostics)
+    cfg, diagnostics, u0 = _scatter_setup(p)
+    _, rep = evolve(u0, cfg, diagnostics)
     report = diagnostics.report()
     rows = [[float(t), float(v)] for t, v in report.xt_norm_curve]
     checks = {
@@ -297,9 +300,8 @@ def _run_scatter_probe(p: dict):
 
 
 def _run_gauge_check(p: dict):
-    cfg1, cfg2 = _gauge_setup(p)
+    cfg1, cfg2, u0 = _gauge_setup(p)
     grid = cfg1.grid
-    u0 = gaussian_field(grid, p["width"], p["velocity"], amplitude=p["delta"])
     traj1, rep1 = evolve(u0, cfg1)
     traj2, rep2 = evolve(gauge_transform(u0, FORWARD), cfg2)
     u_back = gauge_transform(ComplexField(grid, traj2.values[-1]), INVERSE)

@@ -45,12 +45,12 @@ class EvolutionConfig:
         if self.equation not in ("gdnls", "dnls"):
             raise ParameterError(
                 "equation", f"equation must be 'gdnls' or 'dnls', got {self.equation!r}")
-        if not self.dt > 0:
-            raise ParameterError("dt", f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ParameterError("t_end", f"t_end must be positive, got {self.t_end}")
-        if not self.sigma >= 0.5:
-            raise ParameterError("sigma", f"sigma must be >= 1/2, got {self.sigma}")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError("dt", f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.t_end < math.inf:
+            raise ParameterError("t_end", f"t_end must be positive and finite, got {self.t_end}")
+        if not 0.5 <= self.sigma < math.inf:
+            raise ParameterError("sigma", f"sigma must be >= 1/2 and finite, got {self.sigma}")
         if self.snapshot_stride < 1:
             raise ParameterError("snapshot_stride", "snapshot_stride must be a positive integer")
         if not self.t_end / self.dt <= MAX_STEPS:  # also catches an overflow to inf

@@ -53,10 +53,10 @@ class GridSpec:
         if self.n_points > MAX_N_POINTS:
             raise ParameterError(
                 "n_points", f"n_points = {self.n_points} exceeds {MAX_N_POINTS} (2^24)")
-        if not self.spacing > 0:  # a positive box_length can still give a spacing of 0
-            raise ParameterError(
-                "box_length", f"box_length must be positive, with a spacing box_length / "
-                f"n_points above 0, got {self.box_length}")
+        h = self.spacing  # a positive box_length can give h = 0, or a (pi / h)^2 past the floats
+        if not (0 < h < np.inf and (np.pi / h) * (np.pi / h) < np.inf):
+            raise ParameterError("box_length", f"box_length must give a finite spacing h > 0 "
+                                 f"with (pi / h)^2 finite, got {self.box_length}")
 
     @property
     def spacing(self) -> float:
@@ -116,9 +116,18 @@ class ComplexField:
 def gaussian_field(grid: GridSpec, width: float, velocity: float = 0.0,
                    center: float = 0.0, amplitude: float = 1.0) -> ComplexField:
     """amplitude * exp(-width (x - center)^2) * exp(i velocity x) on the grid."""
-    x = grid.x
-    vals = amplitude * np.exp(-width * (x - center) ** 2) * np.exp(1j * velocity * x)
-    return ComplexField(grid, vals)
+    with np.errstate(over="ignore"):  # far out on a huge box the exponent is -inf: exp gives 0
+        envelope = amplitude * np.exp(-width * (grid.x - center) ** 2)
+    return ComplexField(grid, envelope * _carrier(grid, velocity, "velocity"))
+
+
+def _carrier(grid: GridSpec, k: float, name: str) -> np.ndarray:
+    """exp(i k x) on the grid; ParameterError naming `name` if k x overflows at the box edge."""
+    with np.errstate(over="ignore"):  # x[0] = -L/2 is the farthest point from 0
+        if not np.isfinite(k * grid.x[0]):
+            raise ParameterError(name, f"exp(i k x), k = {k}, overflows on a box of "
+                                 f"{grid.box_length}")
+    return np.exp(1j * k * grid.x)
 
 
 @dataclass(frozen=True)

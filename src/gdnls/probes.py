@@ -14,6 +14,7 @@ import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from .spectral import (
+    SOBOLEV_ORDER_RANGE,
     MixedNormSpec,
     _mixed_quadrature,
     free_group,
@@ -121,11 +122,11 @@ def check_strichartz_pair(q: float, r: float) -> None:
 
 
 def check_maximal_exponents(p: float, s: float) -> None:
-    """Require 4 <= p <= 16 and s >= 1/2 - 1/p."""
+    """Require 4 <= p <= 16 and 1/2 - 1/p <= s <= 4, the top of the data norm's range."""
     if not 4 <= p <= 16:
         raise ParameterError("p", f"p must lie in [4, 16], got {p}")
-    if s < 0.5 - 1.0 / p - 1e-12:
-        raise ParameterError("s", f"s = {s} below the admissibility threshold 1/2 - 1/p")
+    if not 0.5 - 1.0 / p - 1e-12 <= s <= SOBOLEV_ORDER_RANGE[1]:
+        raise ParameterError("s", f"s = {s} must lie in [1/2 - 1/p, {SOBOLEV_ORDER_RANGE[1]:g}]")
 
 
 def check_leibniz_order(s: float) -> None:

@@ -94,11 +94,11 @@ class ScatterAccumulator:
     """scatter_report of a run whose snapshots are handed over one at a time.
 
     Built from the grid and the snapshot times alone, before any snapshot
-    exists, so a horizon too short for the decay fit is refused up front
-    with a ParameterError naming t_end.  Call it with each (t, v) in time
-    order, as evolve's sink: the working-space reducer takes every row,
-    the rows nearest the checkpoints are copied, and nothing else of the
-    trajectory is kept.
+    exists, so a bad s or s_prime, or a horizon too short for the decay
+    fit, is refused up front with a ParameterError naming it.  Call it
+    with each (t, v) in time order, as evolve's sink: the working-space
+    reducer takes every row, the rows nearest the checkpoints are copied,
+    and nothing else of the trajectory is kept.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, s: float = 0.5,
@@ -107,6 +107,8 @@ class ScatterAccumulator:
         t_end = float(self._times[-1])
         self._lengths = _prefix_lengths(self._times)
         self._xt = _XtReducer(grid, s, self._lengths)
+        if not 0 <= s_prime < s:
+            raise ParameterError("s_prime", f"need 0 <= s_prime < s = {s}, got {s_prime}")
         in_fit = int(np.count_nonzero(self._times >= t_end / 4.0))
         if in_fit < 4:
             raise ParameterError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, ParameterError
+from .grid import ComplexField, GridSpec, ParameterError, _carrier
 from .quadrature import QuadratureError, integrate_halfline
 from .spectral import CUSP_WINDOW, _homogeneous_norm_sq, l2_norm
 
@@ -39,15 +39,11 @@ class SolitonParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ParameterError("omega", f"omega must be positive, got {self.omega}")
-        if not self.sigma > 0:
-            raise ParameterError("sigma", f"sigma must be positive, got {self.sigma}")
-        try:
-            admissible = self.c**2 < 4.0 * self.omega
-        except OverflowError:  # |c| above about 1.3e154
-            admissible = False
-        if not admissible:
+        if not 0 < 4.0 * self.omega < math.inf:  # so alpha = sqrt(4 omega - c^2) is finite
+            raise ParameterError("omega", f"need 0 < 4 omega < inf, got omega = {self.omega}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("sigma", f"sigma must be positive and finite, got {self.sigma}")
+        if not self.c * self.c < 4.0 * self.omega:  # c * c overflows to inf, where c**2 raises
             raise ParameterError(
                 "c", f"need c^2 < 4*omega (speed {self.c} vs omega {self.omega})"
             )
@@ -59,10 +55,6 @@ class SolitonParams:
     @property
     def s_c(self) -> float:
         return 0.5 - 0.5 / self.sigma
-
-    @property
-    def p_c(self) -> float:
-        return 2.0 * self.sigma
 
 
 def amplitude(p: SolitonParams, x) -> np.ndarray:
@@ -109,15 +101,20 @@ def _phase_mass(p: SolitonParams, x) -> np.ndarray:
     """
     two_sqrt_w = 2.0 * math.sqrt(p.omega)
     beta = p.alpha / (two_sqrt_w - p.c) if p.c <= 0 else (two_sqrt_w + p.c) / p.alpha
-    ramp = np.arctan(beta * np.tanh(0.5 * p.sigma * p.alpha * np.asarray(x, dtype=float)))
+    with np.errstate(over="ignore"):  # far out on a huge box tanh takes +-inf to +-1
+        ramp = np.arctan(beta * np.tanh(0.5 * p.sigma * p.alpha * np.asarray(x, dtype=float)))
     return (2.0 * (p.sigma + 1.0) / p.sigma) * (ramp + math.atan(beta))
 
 
 def _envelope(p: SolitonParams, grid: GridSpec) -> ComplexField:
     """Sample g = amplitude exp(-i _phase_mass / (2 sigma + 2)), so that phi = g e^{i c x / 2}.
 
-    Raises ResolutionError if |g| = |phi| does not decay at the box edge.
+    Raises ResolutionError if |g| = |phi| does not decay at the box edge, and
+    ParameterError naming sigma if amplitude's rate or numerator overflows.
     """
+    if not (math.isfinite(p.sigma * p.alpha)
+            and math.isfinite((p.sigma + 1.0) * (4.0 * p.omega - p.c**2))):
+        raise ParameterError("sigma", f"the profile overflows at alpha = {p.alpha:.3g}")
     x = grid.x
     phase = _phase_mass(p, x) / (2.0 * p.sigma + 2.0)
     g = ComplexField(grid, amplitude(p, x) * np.exp(-1j * phase))
@@ -127,7 +124,7 @@ def _envelope(p: SolitonParams, grid: GridSpec) -> ComplexField:
 
 def full_wave(p: SolitonParams, grid: GridSpec) -> ComplexField:
     """Sample phi_{omega,c} = g e^{i c x / 2} on the grid, g the envelope of _envelope."""
-    return ComplexField(grid, _envelope(p, grid).values * np.exp(0.5j * p.c * grid.x))
+    return ComplexField(grid, _envelope(p, grid).values * _carrier(grid, 0.5 * p.c, "c"))
 
 
 def _envelope_band(p: SolitonParams) -> float:
@@ -281,13 +278,18 @@ ENDPOINT_NORMS = tuple(_ENDPOINT_NORMS)
 def endpoint_waves(sigma: float, omega: float, n_points: int = 11, alpha0: float = 1.0):
     """Yield the waves of speed c_j = -sqrt(4 omega - alpha_j^2), alpha_j = alpha0 2^-j.
 
-    Lazy: if c_j rounds onto the endpoint -2 sqrt(omega), a
-    ParameterError is raised at that j.  It names alpha0 at j = 0, and
-    n_points at j > 0, where the first j waves exist and only the
-    sequence is too long.
+    Lazy: omega and sigma are checked first, then alpha0 in (0, 2 sqrt(omega)].  If
+    alpha_j underflows to 0 or c_j rounds onto -2 sqrt(omega), a ParameterError is
+    raised at that j.  It names alpha0 at j = 0, and n_points at j > 0, where the
+    first j waves exist and only the sequence is too long.
     """
+    SolitonParams(omega, 0.0, sigma)
+    if not (alpha0 > 0 and alpha0 * alpha0 <= 4.0 * omega):
+        raise ParameterError("alpha0", f"alpha0 must lie in (0, 2 sqrt(omega)], got {alpha0}")
     for j in range(n_points):
         a = alpha0 * 2.0 ** -j
+        if a == 0:
+            raise ParameterError("n_points", f"alpha_{j} underflows to 0: at most {j} points fit")
         try:
             p = SolitonParams(omega, -math.sqrt(4.0 * omega - a * a), sigma)
         except ParameterError as exc:

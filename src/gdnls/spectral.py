@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import EDGE_DECAY_THRESHOLD, ComplexField, GridSpec, Trajectory, _read_only
+from .grid import (EDGE_DECAY_THRESHOLD, ComplexField, GridSpec, ParameterError, Trajectory,
+                   _read_only)
 
 SOBOLEV_ORDER_RANGE = (-2.0, 4.0)
 
@@ -104,8 +105,6 @@ def _phase_table(grid: GridSpec, shape: tuple, times: bytes) -> np.ndarray:
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """e^{it Laplacian} f, the free Schroedinger group (unitary on L^2)."""
-    if t == 0:
-        return f
     return ComplexField(f.grid, free_group(f.grid, f.values, t))
 
 
@@ -262,29 +261,20 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
 
 
 def sobolev_norm(f: ComplexField, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous Hdot^s) norm on the Fourier side.
+    """H^s (or homogeneous Hdot^s, s >= 0) norm on the Fourier side.
 
-    Inhomogeneous norms use the lattice sum (spectrally accurate, the
-    weight is smooth).  Homogeneous norms with s > 0 are quadratures of
-    the continuum integral, resolving the |xi|^{2s} cusp at zero; for
-    s < 0 the zero mode is dropped (it carries no homogeneous content on
-    the periodic box) and the lattice sum is used.
+    Inhomogeneous norms, and the homogeneous one at s = 0 (the L^2 norm),
+    use the lattice sum (spectrally accurate, the weight is smooth).
+    Homogeneous norms with s > 0 are quadratures of the continuum
+    integral, resolving the |xi|^{2s} cusp at zero.
     """
-    lo, hi = SOBOLEV_ORDER_RANGE
+    lo, hi = (0.0 if homogeneous else SOBOLEV_ORDER_RANGE[0]), SOBOLEV_ORDER_RANGE[1]
     if not lo <= s <= hi:
         raise ValueError(f"s must lie in [{lo}, {hi}], got {s}")
-    grid = f.grid
     if homogeneous and s > 0:
         return float(np.sqrt(_homogeneous_norm_sq(f, s)))
-    xi = grid.xi
-    if homogeneous:
-        with np.errstate(divide="ignore"):
-            w = np.abs(xi) ** (2.0 * s)
-        if s < 0:
-            w[0] = 0.0
-    else:
-        w = (1.0 + xi**2) ** s
-    return float(_lattice_norm(grid, np.fft.fft(f.values), w))
+    w = (1.0 + f.grid.xi**2) ** s
+    return float(_lattice_norm(f.grid, np.fft.fft(f.values), w))
 
 
 def _lattice_norm(grid: GridSpec, fhat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -449,7 +439,7 @@ class _XtReducer:
 
     def __init__(self, grid: GridSpec, s: float, lengths):
         if not 0.5 <= s <= 1.0:
-            raise ValueError(f"s must lie in [1/2, 1], got {s}")
+            raise ParameterError("s", f"s must lie in [1/2, 1], got {s}")
         if not lengths or min(lengths) < 2:
             raise ValueError("xt_norm needs a trajectory with at least 2 snapshots")
         xi = grid.xi

@@ -135,6 +135,17 @@ FIELD_CASES = [
     ("scatter-probe", {"dt": "5e-324", "t_end": "5e-324"}, "t_end"),
     ("ineq-probe", {"probe": "strichartz", "q": "0"}, "q"),
     ("ineq-probe", {"probe": "strichartz", "r": "0"}, "r"),
+    # ranges that only the CLI checked before: now the library's own
+    ("ineq-probe", {"probe": "maximal", "s": "5"}, "s"),
+    ("scatter-probe", {"s_prime": "0.5"}, "s_prime"),
+    ("theorem1-scan", {"sigma": "2", "norm": "L2", "alpha0": "3"}, "alpha0"),
+    # alpha_1075 underflows to 0, long before the 1e300 waves are listed
+    ("theorem1-scan", {"sigma": "2", "norm": "H1", "omega": "1e300", "num_points": "1e300"},
+     "num_points"),
+    # the datum's carrier phase overflows at the box edge, or its profile's rate sigma alpha
+    ("gauge-check", {"velocity": "1e300", "box_length": "1e300"}, "velocity"),
+    ("evolve", {"datum": "soliton", "omega": "1e300", "c": "1e150", "box_length": "1e300"}, "c"),
+    ("evolve", {"datum": "soliton", "omega": "1e300", "sigma": "1e300"}, "sigma"),
 ]
 # the field name, or field=value where an earlier case names the same field
 FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={raw[name]}"
@@ -145,6 +156,28 @@ FIELD_IDS = [name if name not in [c[2] for c in FIELD_CASES[:i]] else f"{name}={
 def test_validate_field_specific_messages(experiment, raw, field_name):
     with pytest.raises(ConfigError, match=f"'{field_name}'"):
         validate_config(experiment, raw)
+
+
+# validation builds the initial datum, so one that does not decay at the box edge
+# is a validation error naming box_length, found before any step
+@pytest.mark.parametrize("experiment, raw", [
+    ("evolve", {"n_points": "64", "box_length": "4"}),
+    ("scatter-probe", {"box_length": "5"}),
+    ("evolve", {"datum": "soliton", "c": "1.9"}),
+    ("gauge-check", {"width": "1e-300"}),
+])
+def test_validate_checks_the_datum_at_the_box_edge(experiment, raw):
+    with pytest.raises(ConfigError, match="'box_length'.*at box edge"):
+        validate_config(experiment, raw)
+
+
+# pi / h, or its square, leaves the float range: refused by GridSpec before any
+# multiplier is formed, so numpy warns of no overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box_length", ["1e-300", "1e-310"])
+def test_validate_refuses_boxes_whose_frequencies_overflow(box_length):
+    with pytest.raises(ConfigError, match="'box_length'"):
+        validate_config("scatter-probe", {"box_length": box_length})
 
 
 @pytest.mark.parametrize("experiment", ["evolve", "scatter-probe", "gauge-check"])
@@ -166,9 +199,6 @@ def test_config_hash_is_stable_and_order_free():
 # never builds a grid larger than an experiment's default.
 EDGE_VALUES = ["0", "-0", "-3", "5e-324", "1e-300", "1e300", "1e309", "nan", "inf", "-inf",
                "abc", "", "[1,2]"]
-# theorem1-scan validation lists its num_points waves, and at omega = 1e300 the
-# speeds never round onto the endpoint, so num_points = 1e300 would not end
-NUM_POINTS_VALUES = [v for v in EDGE_VALUES if v != "1e300"]
 
 # each experiment with its required fields, once per probe, norm and datum
 EVERY_CHOICE = [
@@ -181,8 +211,7 @@ EVERY_CHOICE = [
 ]
 
 
-# a 1e-300 box squares its frequencies past the float range; only the exception counts here
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=2000, deadline=None, derandomize=True)
 @given(choice=st.sampled_from(EVERY_CHOICE), data=st.data())
 def test_fuzzed_invalid_values_are_validation_errors(choice, data):
@@ -190,8 +219,7 @@ def test_fuzzed_invalid_values_are_validation_errors(choice, data):
     experiment, base = choice
     keys = data.draw(st.lists(st.sampled_from(sorted(cli._EXPERIMENTS[experiment][0])),
                               min_size=1, max_size=2, unique=True))
-    edits = {key: data.draw(st.sampled_from(
-                 NUM_POINTS_VALUES if key == "num_points" else EDGE_VALUES)) for key in keys}
+    edits = {key: data.draw(st.sampled_from(EDGE_VALUES)) for key in keys}
     try:
         validate_config(experiment, {**base, **edits})
     except ConfigError:
@@ -414,8 +442,9 @@ def test_validate_sizes_soliton_grids_only_for_hsc():
 def test_main_rejects_initial_data_that_does_not_decay_at_the_edge(tmp_path, capsys):
     # the default Gaussian (delta 0.1, width 1) is about 1e-2 at the edge x = -2
     cfg = write(tmp_path, "box.cfg", "n_points = 64\nbox_length = 4\n")
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-    assert "at box edge" in capsys.readouterr().err
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "field 'box_length'" in err and "at box edge" in err
 
 
 @pytest.mark.parametrize("norm", ["L2", "H1", "Lpc", "Hsc"])

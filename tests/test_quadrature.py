@@ -8,7 +8,6 @@ from gdnls.grid import GridSpec
 from gdnls.quadrature import (
     MAX_POINTS,
     QuadratureError,
-    QuadratureResult,
     cumulative_integral,
     integrate_halfline,
 )
@@ -27,7 +26,6 @@ from gdnls.quadrature import (
 def test_halfline_known_integrals(func, expect):
     res = integrate_halfline(func, 0.5 * math.pi, 1.0)
     assert res.value == pytest.approx(expect, rel=1e-14)
-    assert res.error_estimate < 1e-14
     # h = pi^2 / 40 and X = 42 + ln 2
     assert res.evaluations == math.floor((42.0 + math.log(2.0)) / (math.pi**2 / 40.0)) + 1
 
@@ -55,13 +53,6 @@ def test_halfline_raises_past_the_point_cap():
         integrate_halfline(lambda x: 1.0 / np.cosh(x), 1e-5, 1.0)
     with pytest.raises(ValueError, match="must be positive"):
         integrate_halfline(lambda x: 1.0 / np.cosh(x), 0.0, 1.0)
-
-
-def test_result_validation():
-    with pytest.raises(ValueError):
-        QuadratureResult(1.0, -1e-3, 10)
-    with pytest.raises(ValueError):
-        QuadratureResult(1.0, 0.0, 0)
 
 
 def test_cumulative_integral_gaussian_erf_oracle():

@@ -131,7 +131,6 @@ def test_derived_exponents():
     p = SolitonParams(1.0, 0.0, 2.0)
     assert p.alpha == 2.0
     assert p.s_c == 0.25
-    assert p.p_c == 4.0
     p1 = SolitonParams(1.0, 0.0, 1.0)
     assert p1.s_c == 0.0
 
@@ -184,7 +183,8 @@ def test_grid_mass_matches_closed_form(omega, c, sigma):
 def test_grid_pc_mass_matches_closed_form(omega, c, sigma):
     p = SolitonParams(omega, c, sigma)
     phi = full_wave(p, soliton_grid(p))
-    grid_val = lebesgue_norm(phi, p.p_c) ** p.p_c
+    p_c = 2.0 * sigma
+    grid_val = lebesgue_norm(phi, p_c) ** p_c
     assert grid_val == pytest.approx(pc_mass_closed(p), rel=1e-9)
 
 
@@ -504,6 +504,23 @@ def test_endpoint_waves_fail_where_the_speed_rounds_onto_the_endpoint():
     with pytest.raises(ParameterError, match="alpha_0") as exc:
         next(endpoint_waves(2.0, 1.0, alpha0=2.0 ** -26))
     assert exc.value.name == "alpha0"
+
+
+@pytest.mark.parametrize("alpha0", [3.0, -1.0, 0.0])
+def test_endpoint_waves_need_alpha0_in_the_admissible_range(alpha0):
+    # (0, 2 sqrt(omega)]: above it 4 omega - alpha0^2 is negative
+    with pytest.raises(ParameterError, match="alpha0") as exc:
+        list(endpoint_waves(2.0, 1.0, 4, alpha0))
+    assert exc.value.name == "alpha0"
+
+
+def test_endpoint_waves_stop_where_alpha_underflows():
+    # at omega = 1e300 no c_j rounds onto the endpoint; alpha_1075 = 2^-1075 is 0
+    waves = endpoint_waves(2.0, 1e300, n_points=10**300)
+    assert sum(1 for _ in zip(range(1075), waves)) == 1075
+    with pytest.raises(ParameterError, match="alpha_1075 underflows") as exc:
+        next(waves)
+    assert exc.value.name == "n_points"
 
 
 def test_endpoint_rows_carry_the_waves_own_alpha():

@@ -295,6 +295,7 @@ def _run_scatter_probe(p: dict):
         "decay_exponent": report.decay_exponent,
         "cauchy_diffs": [d for _, _, d in report.pullback_cauchy],
         "cauchy_decreasing": report.cauchy_decreasing,
+        "cauchy_rate": report.cauchy_rate,
     }
     return ["T", "xt_norm"], rows, checks
 

@@ -56,7 +56,11 @@ class EvolutionConfig:
         if not self.t_end / self.dt <= MAX_STEPS:  # also catches an overflow to inf
             raise ParameterError(
                 "dt", f"dt = {self.dt} is too small: t_end / dt = {self.t_end / self.dt:.3g} "
-                f"steps exceeds {MAX_STEPS:.0e}")
+                f"steps exceeds {MAX_STEPS:.0e}: raise dt or shorten t_end")
+        if self.n_steps == 0:
+            raise ParameterError(
+                "t_end", f"t_end = {self.t_end} is shorter than one step of dt = {self.dt}: "
+                "lengthen t_end or lower dt")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ParameterError("dt", f"dt = {self.dt} does not divide t_end = {self.t_end}")
         size = 16 * self.n_snapshots * self.grid.n_points

@@ -115,10 +115,18 @@ def _worst(ratios, inequality_id: str, params: dict) -> ProbeReport:
 
 
 def check_strichartz_pair(q: float, r: float) -> None:
-    """Require the admissibility relation 2/q = 1/2 - 1/r with q, r >= 2."""
-    if not (q >= 2 and r >= 2) or abs(2.0 / q - (0.5 - 1.0 / r)) > 1e-12:
-        raise ParameterError("r" if q >= 2 else "q",
-                             f"(q, r) = ({q}, {r}) is not an admissible pair")
+    """Require the admissibility relation 2/q = 1/2 - 1/r with q, r >= 2.
+
+    Some r >= 2 admits q exactly when 4 <= q <= inf; past that check the
+    fault is r's, and the message states the r that q needs.
+    """
+    if not q >= 4:
+        raise ParameterError("q", f"q = {q} admits no r >= 2: an admissible pair needs q >= 4")
+    if not r >= 2 or abs(2.0 / q - (0.5 - 1.0 / r)) > 1e-12:
+        gap = 0.5 - 2.0 / q  # 1 / the r that q needs
+        needed = 1.0 / gap if gap > 0 else np.inf
+        raise ParameterError(
+            "r", f"(q, r) = ({q}, {r}) is not an admissible pair: q = {q} needs r = {needed:g}")
 
 
 def check_maximal_exponents(p: float, s: float) -> None:

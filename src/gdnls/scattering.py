@@ -36,6 +36,20 @@ class ScatterReport:
         diffs = [d for _, _, d in self.pullback_cauchy]
         return all(b < a for a, b in zip(diffs, diffs[1:]))
 
+    @property
+    def cauchy_rate(self) -> float | None:
+        """Least-squares slope of log2 d_k against log2 t_k, t_k the earlier time of pair k.
+
+        For dispersing small data it is 1 - sigma: the differences are
+        summable, and the pull-back converges, only where it is negative.
+        None with fewer than 2 pairs, or where a difference is 0 and has no
+        logarithm.
+        """
+        t, _, d = np.array(self.pullback_cauchy).reshape(-1, 3).T
+        if len(d) < 2 or not np.all(d > 0):
+            return None
+        return float(np.polyfit(np.log2(t), np.log2(d), 1)[0])
+
 
 def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
                     checkpoints=(2.0, 4.0, 8.0)) -> list:

@@ -399,11 +399,6 @@ def xt_norm(traj: Trajectory, s: float) -> float:
     return _prefix_xt_norms(traj, s, [len(traj)])[0]
 
 
-# Rows per block of the working-space norm: its transforms take a few
-# block-sized arrays at a time, whatever the length of the trajectory.
-_XT_BLOCK_ROWS = 32
-
-
 def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
     """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj's rows."""
     reducer = _XtReducer(traj.grid, s, lengths)
@@ -421,20 +416,18 @@ def _fed(sink, times: np.ndarray, rows: np.ndarray):
 class _XtReducer:
     """xt_norm of each prefix of the snapshots taken, in memory of a few rows of length N.
 
-    Called with one snapshot (t, row) at a time, in time order, it copies
-    the row into a buffer of _XT_BLOCK_ROWS rows.  Each full block, and
-    each block cut at a prefix length in `lengths`, is reduced at once,
-    and that prefix's norm is read off into `norms` after its last row.
-    evolve's snapshots and a stored trajectory's rows feed it alike.
+    Called with one snapshot (t, row) at a time, in time order, it reduces
+    the row at once, and a prefix's norm is read off into `norms` as soon
+    as the row count reaches a length in `lengths`.  evolve's snapshots and
+    a stored trajectory's rows feed it alike.
 
     The L^inf_t terms are running maxima per x; the L^2_t terms are running
     trapezoid sums per x, each interval term formed as _time_quadrature
-    forms it and added row by row in time order, as np.add.reduce adds the
-    rows of a C-contiguous array, with the last squared row carried to the
-    next block.  The per-row H^s norms and sup_x of |u| and |D^{s-1/2} u|
-    are kept whole, since their time quadratures sum pairwise.  So every
-    norm equals the quadratures of mixed_norm over the stored rows bit for
-    bit, whatever the blocks.
+    forms it and added in time order, as np.add.reduce adds the rows of a
+    C-contiguous array.  The per-row H^s norms and sup_x of |u| and
+    |D^{s-1/2} u| are kept as floats, one per row, since their time
+    quadratures sum pairwise over all rows.  So every norm equals the
+    quadratures of mixed_norm over the stored rows bit for bit.
     """
 
     def __init__(self, grid: GridSpec, s: float, lengths):
@@ -450,69 +443,54 @@ class _XtReducer:
         self._hs_weight = (1.0 + xi**2) ** s
         self._ends = set(lengths)
         self.norms = {}  # prefix length -> xt_norm, once its last row is taken
-        self._block = np.empty((_XT_BLOCK_ROWS, grid.n_points), dtype=complex)
-        self._block_times = np.empty(_XT_BLOCK_ROWS)
-        self._held = 0  # rows in the block
-        self._taken = 0  # rows taken, reduced or not
-        self._times, self._hs, self._sup_x = [], [], []  # per-row values, one array per block
+        self._times, self._hs, self._sup_u, self._sup_dsu = [], [], [], []  # one float per row
         self._sup_t = np.zeros((2, grid.n_points))  # sup_t |u|, sup_t |D u| per x
         self._sq_sum = np.zeros((2, grid.n_points))  # trapezoid sums of |u_x|^2, |D u_x|^2
-        self._last = None  # the last row's (t, squares) once a block is reduced
+        self._last = None  # the last row's (t, squares)
 
     def __len__(self) -> int:
-        return self._taken
+        return len(self._times)
 
     @property
     def sup_u(self) -> np.ndarray:
-        """sup_x |u| of each row reduced so far."""
-        return np.concatenate(self._sup_x, axis=1)[0]
+        """sup_x |u| of each row taken so far."""
+        return np.array(self._sup_u)
 
     def __call__(self, t: float, row: np.ndarray) -> None:
-        self._block[self._held] = row
-        self._block_times[self._held] = t
-        self._held += 1
-        self._taken += 1
-        if self._held == len(self._block) or self._taken in self._ends:
-            self._reduce(self._block[:self._held], self._block_times[:self._held].copy())
-            self._held = 0
-            if self._taken in self._ends:
-                self.norms[self._taken] = self._norm()
-
-    def _reduce(self, rows: np.ndarray, times: np.ndarray) -> None:
-        uhat = np.fft.fft(rows, axis=-1)
-        self._hs.append(_lattice_norm(self._grid, uhat, self._hs_weight))
-        derived = self._multipliers[:, None] * uhat
-        np.fft.ifft(derived, axis=-1, out=derived)
+        uhat = np.fft.fft(row)
+        derived = self._multipliers * uhat
+        np.fft.ifft(derived, out=derived)
         moduli = np.abs(derived)  # |u_x|, |D u|, |D u_x|
-        del uhat, derived  # the block's largest arrays go before the rest is formed
-        au = np.abs(rows)
-        self._times.append(times)
-        self._sup_x.append(np.stack([au.max(axis=-1), moduli[1].max(axis=-1)]))
-        np.maximum(self._sup_t[0], au.max(axis=0), out=self._sup_t[0])
-        np.maximum(self._sup_t[1], moduli[1].max(axis=0), out=self._sup_t[1])
+        au = np.abs(row)
+        self._times.append(t)
+        self._hs.append(float(_lattice_norm(self._grid, uhat, self._hs_weight)))
+        self._sup_u.append(float(au.max()))
+        self._sup_dsu.append(float(moduli[1].max()))
+        np.maximum(self._sup_t[0], au, out=self._sup_t[0])
+        np.maximum(self._sup_t[1], moduli[1], out=self._sup_t[1])
 
         squares = np.square(moduli[::2])  # |u_x|^2, |D u_x|^2
-        for t, sq in zip(times, squares.transpose(1, 0, 2)):
-            if self._last is not None:
-                t_prev, sq_prev = self._last
-                term = sq_prev + sq
-                term *= t - t_prev
-                term /= 2.0
-                self._sq_sum += term
-            self._last = t, sq.copy()  # a copy, so that the block's squares are freed
+        if self._last is not None:
+            t_prev, sq_prev = self._last  # no longer needed: it becomes the interval term
+            sq_prev += squares
+            sq_prev *= t - t_prev
+            sq_prev /= 2.0
+            self._sq_sum += sq_prev
+        self._last = t, squares
+        if len(self) in self._ends:
+            self.norms[len(self)] = self._norm()
 
     def _norm(self) -> float:
         h = self._grid.spacing
-        t = np.concatenate(self._times)
-        sup_u, sup_dsu = np.concatenate(self._sup_x, axis=1)
+        t = np.array(self._times)
         l2_t = self._sq_sum ** (1.0 / 2.0)
         terms = (  # in the order of xt_norm's docstring
-            np.concatenate(self._hs).max(),
+            max(self._hs),
             _space_quadrature(l2_t[0], h, np.inf),
             max(_space_quadrature(self._sup_t[0], h, q) for q in DEFAULT_Q_GRID),
-            _time_quadrature(sup_u, t, 4.0),
+            _time_quadrature(np.array(self._sup_u), t, 4.0),
             _space_quadrature(self._sup_t[1], h, 4.0),
             _space_quadrature(l2_t[1], h, np.inf),
-            _time_quadrature(sup_dsu, t, 4.0),
+            _time_quadrature(np.array(self._sup_dsu), t, 4.0),
         )
         return sum(float(v) for v in terms)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdnls
-from gdnls import cli, spectral
+from gdnls import cli
 from gdnls.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -135,6 +135,12 @@ FIELD_CASES = [
     ("scatter-probe", {"dt": "5e-324", "t_end": "5e-324"}, "t_end"),
     ("ineq-probe", {"probe": "strichartz", "q": "0"}, "q"),
     ("ineq-probe", {"probe": "strichartz", "r": "0"}, "r"),
+    # no r >= 2 admits q = 3; q = inf needs r = 2, not r = inf
+    ("ineq-probe", {"probe": "strichartz", "q": "3"}, "q"),
+    ("ineq-probe", {"probe": "strichartz", "q": "inf", "r": "inf"}, "r"),
+    # fewer than one step: t_end, not dt, is at fault
+    ("evolve", {"t_end": "0.0004"}, "t_end"),
+    ("scatter-probe", {"t_end": "0.0009"}, "t_end"),
     # ranges that only the CLI checked before: now the library's own
     ("ineq-probe", {"probe": "maximal", "s": "5"}, "s"),
     ("scatter-probe", {"s_prime": "0.5"}, "s_prime"),
@@ -459,7 +465,7 @@ def test_theorem1_scan_reports_the_library_endpoint_sequence(norm):
 def test_scatter_probe_reports_the_library_scatter_report():
     # the run streams its snapshots into the diagnostics; the library reads a stored
     # trajectory.  At t_end = 2 the 101 snapshots give prefixes 13, 26, 51 and 101,
-    # which cut the 32-row blocks away from their multiples.
+    # each read off in the middle of the run.
     for t_end in ("1", "2"):
         cfg = validate_config("scatter-probe", {"t_end": t_end})
         record = run(cfg)
@@ -477,6 +483,7 @@ def test_scatter_probe_reports_the_library_scatter_report():
         assert record.checks["decay_exponent"] == rep.decay_exponent
         assert record.checks["cauchy_diffs"] == [d for _, _, d in rep.pullback_cauchy]
         assert record.checks["cauchy_decreasing"] == rep.cauchy_decreasing
+        assert record.checks["cauchy_rate"] == rep.cauchy_rate
 
         streamed, _ = evolve(u0, evo, ScatterAccumulator(grid, evo.snapshot_times,
                                                          p["s"], p["s_prime"]))
@@ -487,8 +494,21 @@ def test_scatter_probe_reports_the_library_scatter_report():
         assert rep.decay_curve == decay_tracker(traj)
 
 
-def scatter_probe_peak_bytes(t_end):
-    cfg = validate_config("scatter-probe", {"t_end": t_end, "n_points": "1024"})
+# the pull-back differences of dispersing small data fall like t^(1 - sigma)
+@pytest.mark.parametrize("sigma", ["1.5", "2", "3"])
+def test_scatter_probe_cauchy_rate_is_one_minus_sigma(sigma):
+    record = run(validate_config("scatter-probe", {"sigma": sigma}))
+    assert record.checks["cauchy_rate"] == pytest.approx(1.0 - float(sigma), abs=0.02)
+
+
+def test_scatter_probe_cauchy_rate_needs_two_pairs():
+    record = run(validate_config("scatter-probe", {"t_end": "2"}))  # checkpoints 1 and 2
+    assert len(record.checks["cauchy_diffs"]) == 1
+    assert record.checks["cauchy_rate"] is None
+
+
+def scatter_probe_peak_bytes(**overrides):
+    cfg = validate_config("scatter-probe", overrides)
     tracemalloc.start()
     try:
         run(cfg)
@@ -498,10 +518,16 @@ def scatter_probe_peak_bytes(t_end):
 
 
 def test_scatter_probe_memory_does_not_grow_with_t_end():
-    # 101 against 201 snapshots; a stored trajectory would add 1.6 MB, three blocks
-    block = spectral._XT_BLOCK_ROWS * 1024 * 16
-    short, long = scatter_probe_peak_bytes("2"), scatter_probe_peak_bytes("4")
-    assert abs(long - short) < block
+    # 101 against 201 snapshots; a stored trajectory would add 1.6 MB, 100 rows
+    row = 1024 * 16
+    short = scatter_probe_peak_bytes(t_end="2", n_points="1024")
+    long = scatter_probe_peak_bytes(t_end="4", n_points="1024")
+    assert abs(long - short) < 4 * row
+
+
+def test_scatter_probe_at_its_defaults_peaks_under_4_mb():
+    # a working-space norm reduced in blocks of 32 rows of 4096 points took 15.9 MB
+    assert scatter_probe_peak_bytes() < 4 * 2**20
 
 
 def test_workers_is_only_a_sweep_option(tmp_path):

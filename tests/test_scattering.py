@@ -7,6 +7,7 @@ from gdnls import spectral
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import ComplexField, GridSpec, Trajectory
 from gdnls.scattering import (
+    ScatterReport,
     decay_exponent,
     decay_tracker,
     pullback_cauchy,
@@ -128,13 +129,9 @@ def test_one_pass_xt_norms_equal_the_prefix_loop(uneven_traj, s):
 
 def test_xt_accumulate_takes_each_transform_once(uneven_traj, fft_calls):
     xt_accumulate(uneven_traj, 0.5)
-    # forward calls are (rows, N) blocks, inverse calls (3, rows, N): u_x, D u and D u_x
-    forward = [shape for shape in fft_calls if len(shape) == 2]
-    inverse = [shape for shape in fft_calls if len(shape) == 3]
-    assert len(forward) + len(inverse) == len(fft_calls)
-    assert sum(m for m, _ in forward) == len(uneven_traj)
-    assert {k for k, _, _ in inverse} == {3}
-    assert sum(k * m for k, m, _ in inverse) == 3 * len(uneven_traj)
+    # per row, one (N,) forward call and one (3, N) inverse call: u_x, D u and D u_x
+    n = GRID.n_points
+    assert fft_calls == [(n,), (3, n)] * len(uneven_traj)
 
 
 def reference_prefix_xt_norms(traj, s, lengths):
@@ -168,13 +165,29 @@ def reference_prefix_xt_norms(traj, s, lengths):
     return out
 
 
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_xt_norms_equal_the_whole_trajectory_reference(uneven_traj, s):
+    for lengths in ([2], [3, 50], [32, 64, 65, 135], [135, 33]):
+        got = spectral._prefix_xt_norms(uneven_traj, s, lengths)
+        assert got == reference_prefix_xt_norms(uneven_traj, s, lengths)  # bit for bit
+
+
 # 135 rows: 135 is no multiple of 7 or 32, and 32 and 64 end blocks of 32 (and of 1)
 @pytest.mark.parametrize("block", [1, 7, 32])
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
-def test_block_xt_norms_equal_the_whole_trajectory_reference(uneven_traj, block, s, monkeypatch):
-    monkeypatch.setattr(spectral, "_XT_BLOCK_ROWS", block)
+def test_block_xt_norms_equal_the_whole_trajectory_reference(uneven_traj, block, s):
+    # the rows arrive in blocks through one buffer that the next block overwrites,
+    # as evolve hands over a state it overwrites: the reducer keeps values, not rows
+    grid, times, values = uneven_traj.grid, uneven_traj.times, uneven_traj.values
+    buffer = np.empty((block, grid.n_points), dtype=complex)
     for lengths in ([2], [3, 50], [32, 64, 65, 135], [135, 33]):
-        got = spectral._prefix_xt_norms(uneven_traj, s, lengths)
+        reducer = spectral._XtReducer(grid, s, lengths)
+        for start in range(0, max(lengths), block):
+            rows = buffer[:min(block, max(lengths) - start)]
+            rows[:] = values[start:start + len(rows)]
+            spectral._fed(reducer, times[start:start + len(rows)], rows)
+        buffer[:] = np.nan
+        got = [reducer.norms[n] for n in lengths]
         assert got == reference_prefix_xt_norms(uneven_traj, s, lengths)  # bit for bit
 
 
@@ -193,12 +206,12 @@ def xt_norm_peak_bytes(traj):
         tracemalloc.stop()
 
 
-def test_xt_accumulate_memory_stays_within_a_few_blocks():
+def test_xt_accumulate_memory_stays_within_a_few_rows():
     short, long = synthetic_traj(201), synthetic_traj(801)
-    block = spectral._XT_BLOCK_ROWS * 1024 * 16  # one complex block of rows
+    row = 1024 * 16  # one complex row
     peak_short, peak_long = xt_norm_peak_bytes(short), xt_norm_peak_bytes(long)
-    assert peak_long < 10 * block  # the whole-trajectory form takes about 50 blocks here
-    assert peak_long < peak_short + block / 4  # nothing of trajectory size is held
+    assert peak_long < 40 * row  # a reducer of 32-row blocks took about 217 rows here
+    assert peak_long < peak_short + 8 * row  # nothing of trajectory size is held
 
 
 def test_xt_accumulate_checks_its_inputs(uneven_traj):
@@ -228,6 +241,17 @@ def test_decay_tracker_takes_no_transform(fft_calls):
     curve = decay_tracker(traj)
     assert fft_calls == []
     assert curve == [(t, np.max(np.abs(v))) for t, v in zip(traj.times, traj.values)]
+
+
+def test_cauchy_rate_is_the_log2_slope_over_the_earlier_times():
+    def rate(pairs):
+        return ScatterReport(pairs, [], 0.0, []).cauchy_rate
+
+    assert rate([(1.0, 2.0, 1.0), (2.0, 4.0, 0.25), (4.0, 8.0, 0.0625)]) == pytest.approx(-2.0)
+    assert rate([(1.0, 2.0, 3.0), (2.0, 4.0, 6.0)]) == pytest.approx(1.0)
+    assert rate([(1.0, 2.0, 3.0)]) is None
+    assert rate([]) is None
+    assert rate([(1.0, 2.0, 0.0), (2.0, 4.0, 0.0)]) is None  # no logarithm
 
 
 def test_decay_exponent_needs_enough_points():

@@ -11,10 +11,10 @@ import math
 
 from gdnls import (
     EvolutionConfig,
+    ScatterAccumulator,
     SolitonParams,
     evolve,
     full_wave,
-    scatter_report,
     soliton_grid,
 )
 from gdnls.cli import run, validate_config
@@ -42,15 +42,16 @@ print("  working-space norm over growing horizons (saturates):")
 for t, v in record.rows:
     print(f"    T = {t:4.1f}:  {v:.5f}")
 
-# non-scattering witness: small sigma = 1 soliton near the endpoint
+# non-scattering witness: small sigma = 1 soliton near the endpoint, its snapshots
+# streamed into the diagnostics as scatter-probe streams the Gaussian's
 alpha = 0.02
 p = SolitonParams(1.0, -math.sqrt(4.0 - alpha**2), 1.0)
 sg = soliton_grid(p, h_target=1.0, min_n=8192)
-phi = full_wave(p, sg)
 cfg = EvolutionConfig("gdnls", sg, dt=0.01, t_end=T_END, sigma=1.0,
                       snapshot_stride=25)
-straj, _ = evolve(phi, cfg)
-rep = scatter_report(straj, s=0.5, s_prime=0.4)
+diagnostics, _ = evolve(full_wave(p, sg), cfg,
+                        ScatterAccumulator(sg, cfg.snapshot_times, s=0.5, s_prime=0.4))
+rep = diagnostics.report()
 report("small solitary wave (does not scatter)", rep.pullback_cauchy, rep.cauchy_decreasing,
        rep.decay_exponent)
 print()

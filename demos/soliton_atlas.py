@@ -1,58 +1,41 @@
 """Tour of the solitary-wave family and its closed-form identities.
 
-Samples the two-parameter family phi_{omega, c} at several speeds,
-checks the virial identity ||phi_x||^2 / ||phi||^2 = omega against the
-grid, and follows two norms along the degenerate-speed limit where the
-family collapses (or doesn't, in the critical norm).
+Runs the experiments behind the sigma < 2 half of Theorem 1:
+soliton-atlas samples the family phi_{omega, c} at several speeds and
+checks the virial identity ||phi_x||^2 / ||phi||^2 = omega, and
+theorem1-scan follows three norms along the degenerate-speed limit where
+the family collapses (or doesn't, in the critical norm).
 
 Run:  python3 demos/soliton_atlas.py
 """
 
-import math
+from gdnls.cli import run, validate_config
 
-import numpy as np
 
-from gdnls import (
-    SolitonParams,
-    endpoint_rate,
-    full_wave,
-    hsc_norm,
-    l2_mass_closed,
-    l2_norm,
-    pc_mass_closed,
-    soliton_grid,
-    virial_ratio,
-)
+def experiment(name, **raw):
+    config = validate_config(name, raw)
+    return config.parameters, run(config)
 
-SIGMA = 2.0
-OMEGA = 1.0
 
-print(f"family atlas at sigma = {SIGMA}, omega = {OMEGA}")
+p, atlas = experiment("soliton-atlas", sigma=2, c_grid="-1.5, -0.75, 0, 0.75, 1.5")
+print(f"family atlas at sigma = {p['sigma']}, omega = {p['omega']}")
 print(f"{'c':>6} {'alpha':>8} {'L2 mass':>12} {'p_c mass':>12} {'virial':>10}")
-for c in (-1.5, -0.75, 0.0, 0.75, 1.5):
-    p = SolitonParams(OMEGA, c, SIGMA)
-    grid = soliton_grid(p)
-    phi = full_wave(p, grid)
-    print(
-        f"{c:6.2f} {p.alpha:8.4f} {l2_norm(phi) ** 2:12.6f} "
-        f"{pc_mass_closed(p):12.6f} {virial_ratio(p, grid):10.6f}"
-    )
+for c, alpha, _, l2_grid, pc_mass, virial, _ in atlas.rows:
+    print(f"{c:6.2f} {alpha:8.4f} {l2_grid:12.6f} {pc_mass:12.6f} {virial:10.6f}")
 print("(virial column should reproduce omega to many digits)\n")
 
+_, h1 = experiment("theorem1-scan", sigma=1, norm="H1")
+_, hsc = experiment("theorem1-scan", sigma=2, norm="Hsc")
+_, lpc = experiment("theorem1-scan", sigma=2, norm="Lpc")
 print("degenerate-speed limit c -> -2 sqrt(omega), alpha_j = 2^-j:")
 print(f"{'alpha':>10} {'H1, sigma=1':>12} {'Hdot^1/4, sigma=2':>18}")
-for j in range(0, 9, 2):
-    a = 2.0**-j
-    c = -math.sqrt(4.0 * OMEGA - a * a)
-    p1 = SolitonParams(OMEGA, c, 1.0)
-    p2 = SolitonParams(OMEGA, c, 2.0)
-    h1 = math.sqrt(2.0 * l2_mass_closed(p1))
-    print(f"{a:10.4f} {h1:12.6f} {hsc_norm(p2):18.6f}")
+for (_, alpha, _, h1_norm), (*_, hsc_norm) in zip(h1.rows[:9:2], hsc.rows[:9:2]):
+    print(f"{alpha:10.4f} {h1_norm:12.6f} {hsc_norm:18.6f}")
 
 print()
 print("fitted log-log slopes along the full sequence:")
-print(f"  sigma=1, H1  : {endpoint_rate(1.0, OMEGA, 'H1'):+.4f}  (vanishes like alpha^1/2)")
-print(f"  sigma=2, Lpc : {endpoint_rate(2.0, OMEGA, 'Lpc'):+.4f}  (p_c-mass vanishes like alpha)")
+print(f"  sigma=1, H1  : {h1.checks['slope']:+.4f}  (vanishes like alpha^1/2)")
+print(f"  sigma=2, Lpc : {lpc.checks['slope']:+.4f}  (p_c-mass vanishes like alpha)")
 print("the critical Hdot^{1/4} column plateaus instead of vanishing: at")
 print("sigma = 1 the family reaches arbitrarily small energy-space norm,")
 print("but at sigma = 2 its critical norm stays bounded below.")

@@ -42,7 +42,6 @@ from .scattering import (
     decay_exponent,
     decay_tracker,
     pullback_cauchy,
-    scatter_report,
     xt_accumulate,
 )
 from .gauge import FORWARD, INVERSE, gauge_transform

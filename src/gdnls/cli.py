@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .evolve import MAX_STEPS, EvolutionConfig, evolve
 from .gauge import FORWARD, INVERSE, gauge_transform
 from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, gaussian_field
 from .probes import (
+    DEFAULT_PROBE_GRID,
     check_horizon,
     check_leibniz_order,
     check_maximal_exponents,
@@ -227,10 +228,11 @@ def _evolve_setup(p: dict):
 
 
 def _scatter_setup(p: dict):
-    # checks dt before the division, storing at most 2 snapshots; replace checks the rest.
-    # A stride past the step count, at most MAX_STEPS, stores those same 2 snapshots.
-    cfg = _evolution(p, "gdnls", p["sigma"], MAX_STEPS)
-    cfg = replace(cfg, snapshot_stride=max(1, int(min(0.02 / cfg.dt, MAX_STEPS))))
+    # a snapshot every 0.02 of time; a dt that is not positive, which EvolutionConfig
+    # refuses by name, takes stride 1
+    dt = p["dt"]
+    stride = max(1, int(min(0.02 / dt, MAX_STEPS))) if dt > 0 else 1
+    cfg = _evolution(p, "gdnls", p["sigma"], stride)
     diagnostics = ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
     return cfg, diagnostics, _gaussian(p, cfg.grid)
 
@@ -314,17 +316,21 @@ def _run_gauge_check(p: dict):
 
 
 def _run_ineq_probe(p: dict):
-    rep = _PROBES[p["probe"]][1](default_ensemble(seed=p["seed"]), p)
+    rep = _PROBES[p["probe"]][1](p)
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]
     checks = {"worst_ratio": rep.worst_ratio, "near_ties": rep.near_ties, **rep.params}
     return columns, rows, checks
 
 
-def _run_leibniz(ens, p: dict):
-    """The Leibniz probe over 50 seeded pairs of Gaussians on the ensemble's grid."""
+def _ensemble(p: dict):
+    return default_ensemble(seed=p["seed"])
+
+
+def _run_leibniz(p: dict):
+    """The Leibniz probe over 50 seeded pairs of Gaussians on the probe grid."""
     rng = np.random.default_rng(p["seed"])
-    grid = ens.members[0].grid
+    grid = DEFAULT_PROBE_GRID
     pairs = []
     for _ in range(50):
         a, b = 0.5 + rng.random(2) * 2.0
@@ -334,15 +340,16 @@ def _run_leibniz(ens, p: dict):
     return leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
 
 
-# probe -> (its precondition check, its run on the default ensemble).  Entries call
-# the library by module-global name, never through a stored function object, so a
-# wrapper installed on the module attribute (perfbench/tracing.py) sees each call.
+# probe -> (its precondition check, its run).  Only the ensemble probes build the
+# default ensemble.  Entries call the library by module-global name, never through a
+# stored function object, so a wrapper installed on the module attribute
+# (perfbench/tracing.py) sees each call.
 _PROBES = {
     "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]),
-                   lambda ens, p: strichartz_probe(ens, p["q"], p["r"], p["t_end"])),
-    "smoothing": (lambda p: None, lambda ens, p: smoothing_probe(ens, p["t_end"])),
+                   lambda p: strichartz_probe(_ensemble(p), p["q"], p["r"], p["t_end"])),
+    "smoothing": (lambda p: None, lambda p: smoothing_probe(_ensemble(p), p["t_end"])),
     "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]),
-                lambda ens, p: maximal_probe(ens, p["p"], p["s"], p["t_end"])),
+                lambda p: maximal_probe(_ensemble(p), p["p"], p["s"], p["t_end"])),
     "leibniz": (lambda p: check_leibniz_order(p["s"]), _run_leibniz),
 }
 

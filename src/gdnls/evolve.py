@@ -84,10 +84,8 @@ class EvolutionConfig:
     @property
     def snapshot_times(self) -> np.ndarray:
         """k * dt for the snapshot steps k, as evolve's loop forms t."""
-        steps = np.arange(0, self.n_steps + 1, self.snapshot_stride)
-        if steps[-1] != self.n_steps:
-            steps = np.append(steps, self.n_steps)
-        return steps * self.dt
+        stride = min(self.snapshot_stride, self.n_steps)  # the same steps; no int64 overflow
+        return np.minimum(stride * np.arange(self.n_snapshots), self.n_steps) * self.dt
 
 
 @dataclass
@@ -315,6 +313,6 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
             linf[j] = float(np.max(np.abs(v)))
             j += 1
 
-    report = ConservedReport(times=times.copy(), mass=mass, energy=energy, linf=linf,
+    report = ConservedReport(times=times, mass=mass, energy=energy, linf=linf,
                              min_cfl_margin=min_margin)
     return (sink if stored is None else Trajectory(cfg.grid, times, stored.values)), report

@@ -1,7 +1,8 @@
 """Scattering diagnostics: pull-backs, decay fits and the working-space norm.
 
 A trajectory scatters when its pull-back w(t) = e^{-it Laplacian} u(t)
-converges; solitons are the non-scattering witnesses.
+converges; solitons are the non-scattering witnesses.  ScatterAccumulator
+bundles the diagnostics of snapshots streamed by evolve, or of stored rows (spectral._fed).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory
-from .spectral import _fed, _prefix_xt_norms, _XtReducer, free_group, sobolev_norm
+from .spectral import _fed, _XtReducer, free_group, sobolev_norm
 from .spectral import xt_norm  # noqa: F401  the benchmark's tracer wraps gdnls.scattering.xt_norm
 
 CHECKPOINTS = (1.0, 2.0, 4.0, 8.0)  # pull-back comparison times, those <= t_end used
@@ -51,8 +52,7 @@ class ScatterReport:
         return float(np.polyfit(np.log2(t), np.log2(d), 1)[0])
 
 
-def pullback_cauchy(traj: Trajectory, s_prime: float = 0.4,
-                    checkpoints=(2.0, 4.0, 8.0)) -> list:
+def pullback_cauchy(traj: Trajectory, s_prime: float, checkpoints) -> list:
     """H^{s'} distances between pull-backs at consecutive checkpoints."""
     idx = _nearest(traj.times, checkpoints)
     return _cauchy_rows(traj.grid, traj.times[idx], traj.values[idx], s_prime)
@@ -75,7 +75,7 @@ def decay_tracker(traj: Trajectory) -> list:
     return [(float(t), float(np.max(np.abs(v)))) for t, v in zip(traj.times, traj.values)]
 
 
-def decay_exponent(curve, t_min: float = 2.0) -> float:
+def decay_exponent(curve, t_min: float) -> float:
     """Log-log slope of the sup-norm tail; -1/2 in the dispersive regime."""
     pts = [(t, v) for t, v in curve if t >= t_min and v > 0]
     if len(pts) < 4:
@@ -100,12 +100,12 @@ def xt_accumulate(traj: Trajectory, s: float) -> list:
     Nondecreasing in T.  One pass over traj's rows: each prefix is read off after its last row.
     """
     lengths = _prefix_lengths(traj.times)
-    return [(float(traj.times[n - 1]), v)
-            for n, v in zip(lengths, _prefix_xt_norms(traj, s, lengths))]
+    norms = _fed(_XtReducer(traj.grid, s, lengths), traj.times, traj.values).norms
+    return [(float(traj.times[n - 1]), norms[n]) for n in lengths]
 
 
 class ScatterAccumulator:
-    """scatter_report of a run whose snapshots are handed over one at a time.
+    """The ScatterReport of a run whose snapshots are handed over one at a time.
 
     Built from the grid and the snapshot times alone, before any snapshot
     exists, so a bad s or s_prime, or a horizon too short for the decay
@@ -148,14 +148,3 @@ class ScatterAccumulator:
             _cauchy_rows(self._grid, times[self._checkpoints], self._rows, self._s_prime),
             decay, decay_exponent(decay, t_min=float(times[-1]) / 4.0),
             [(float(times[n - 1]), self._xt.norms[n]) for n in self._lengths])
-
-
-def scatter_report(traj: Trajectory, s: float = 0.5, s_prime: float = 0.4) -> ScatterReport:
-    """Full diagnostic bundle for one computed trajectory, t_end = traj.times[-1].
-
-    Pull-backs are compared at the CHECKPOINTS up to t_end; the sup-norm
-    decay is fitted over [t_end/4, t_end].  The trajectory's rows go through
-    a ScatterAccumulator, as a streamed run's do.
-    """
-    accumulator = ScatterAccumulator(traj.grid, traj.times, s, s_prime)
-    return _fed(accumulator, traj.times, traj.values).report()

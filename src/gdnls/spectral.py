@@ -396,14 +396,7 @@ def xt_norm(traj: Trajectory, s: float) -> float:
     q in [4, 16] is approximated by the max over DEFAULT_Q_GRID; the map
     q -> norm is log-convex in 1/q, so a coarse grid bounds the sup tightly.
     """
-    return _prefix_xt_norms(traj, s, [len(traj)])[0]
-
-
-def _prefix_xt_norms(traj: Trajectory, s: float, lengths) -> list:
-    """xt_norm of each prefix traj[:n], n in lengths, from one pass over traj's rows."""
-    reducer = _XtReducer(traj.grid, s, lengths)
-    norms = _fed(reducer, traj.times[:max(lengths)], traj.values).norms
-    return [norms[n] for n in lengths]
+    return _fed(_XtReducer(traj.grid, s, [len(traj)]), traj.times, traj.values).norms[len(traj)]
 
 
 def _fed(sink, times: np.ndarray, rows: np.ndarray):

@@ -1,7 +1,7 @@
 """The library names that the demos and the benchmark's tracer reach still exist.
 
-Neither is run here: the demos are read by AST, and the tracer module
-imports only the standard library.
+The demos' imports are read by AST, and the tracer module imports only the
+standard library.  The atlas demo, which only runs experiments, is also run.
 """
 
 import ast
@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,19 @@ def test_demo_imports_resolve(path):
     missing = [f"{mod}.{name}" for mod, name in names
                if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+
+
+def test_the_atlas_demo_runs_the_cli_experiments(capsys):
+    path = ROOT / "demos" / "soliton_atlas.py"
+    tree = ast.parse(path.read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {m for m in modules if m.split(".")[0] == "gdnls"} == {"gdnls.cli"}
+    runpy.run_path(str(path), run_name="__main__")
+    slopes = dict(re.findall(r"sigma=\d, (\w+) *: ([+-][\d.]+)", capsys.readouterr().out))
+    assert float(slopes["H1"]) == pytest.approx(0.5, abs=0.01)
+    assert float(slopes["Lpc"]) == pytest.approx(1.0, abs=0.01)
 
 
 def load_tracing():

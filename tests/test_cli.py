@@ -29,8 +29,9 @@ from gdnls.cli import (
 )
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import GridSpec, gaussian_field
-from gdnls.scattering import ScatterAccumulator, decay_tracker, scatter_report
+from gdnls.scattering import ScatterAccumulator, decay_tracker
 from gdnls.solitons import ENDPOINT_NORMS, endpoint_rate, endpoint_sequence
+from gdnls.spectral import _fed
 
 ATLAS = "sigma = 2\nc_grid = -0.5, 0, 0.5\n"
 
@@ -463,9 +464,9 @@ def test_theorem1_scan_reports_the_library_endpoint_sequence(norm):
 
 
 def test_scatter_probe_reports_the_library_scatter_report():
-    # the run streams its snapshots into the diagnostics; the library reads a stored
-    # trajectory.  At t_end = 2 the 101 snapshots give prefixes 13, 26, 51 and 101,
-    # each read off in the middle of the run.
+    # the run streams its snapshots into the diagnostics; here a stored trajectory's rows
+    # are fed to a ScatterAccumulator after the run.  At t_end = 2 the 101 snapshots give
+    # prefixes 13, 26, 51 and 101, each read off in the middle of the run.
     for t_end in ("1", "2"):
         cfg = validate_config("scatter-probe", {"t_end": t_end})
         record = run(cfg)
@@ -475,7 +476,8 @@ def test_scatter_probe_reports_the_library_scatter_report():
         evo = EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"], sigma=p["sigma"],
                               snapshot_stride=10)  # 0.02 / dt
         traj, conserved = evolve(u0, evo)
-        rep = scatter_report(traj, p["s"], p["s_prime"])
+        diagnostics = ScatterAccumulator(grid, traj.times, p["s"], p["s_prime"])
+        rep = _fed(diagnostics, traj.times, traj.values).report()
         assert record.checks["min_cfl_margin"] == conserved.min_cfl_margin
         assert record.csv_text() == "T,xt_norm\n" + "".join(
             f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)

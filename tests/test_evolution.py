@@ -284,6 +284,18 @@ def test_snapshot_times_and_stride():
     np.testing.assert_allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
     assert len(rep.mass) == len(traj.times)
 
+    # on 40 steps, against the construction that appends the last step when the
+    # stride misses it; a stride past int64 must not overflow
+    for stride in (1, 7, 40, 41, 10**9, 10**19):
+        cfg = EvolutionConfig("gdnls", GRID, dt=0.007, t_end=0.28, sigma=2.0,
+                              snapshot_stride=stride)
+        steps = np.arange(0, cfg.n_steps + 1, stride)
+        if steps[-1] != cfg.n_steps:
+            steps = np.append(steps, cfg.n_steps)
+        assert cfg.n_steps == 40
+        assert cfg.snapshot_times.tobytes() == (steps * cfg.dt).tobytes()  # bit for bit
+        assert len(cfg.snapshot_times) == cfg.n_snapshots
+
 
 def test_a_sink_takes_the_snapshots_the_trajectory_stores():
     # at dt = 0.007, k * dt differs in the last bit from k / (1 / dt) and from linspace

@@ -7,11 +7,11 @@ from gdnls import spectral
 from gdnls.evolve import EvolutionConfig, evolve
 from gdnls.grid import ComplexField, GridSpec, Trajectory
 from gdnls.scattering import (
+    ScatterAccumulator,
     ScatterReport,
     decay_exponent,
     decay_tracker,
     pullback_cauchy,
-    scatter_report,
     xt_accumulate,
 )
 from gdnls.spectral import (
@@ -42,7 +42,7 @@ def free_traj(f, t_end=4.0, dt=0.02):
 
 def test_pullback_of_free_flow_is_constant():
     traj = free_traj(gaussian())
-    rows = pullback_cauchy(traj, checkpoints=traj.times)  # every consecutive pair
+    rows = pullback_cauchy(traj, 0.4, checkpoints=traj.times)  # every consecutive pair
     assert len(rows) == len(traj) - 1
     assert all(d < 1e-13 for _, _, d in rows)
 
@@ -135,7 +135,7 @@ def test_xt_accumulate_takes_each_transform_once(uneven_traj, fft_calls):
 
 
 def reference_prefix_xt_norms(traj, s, lengths):
-    """The whole-trajectory form of spectral._prefix_xt_norms: every transform of every row at once."""
+    """xt_norm of each prefix traj[:n], n in lengths: every transform of every row at once."""
     grid = traj.grid
     u = traj.values[:max(lengths)]
     xi = grid.xi
@@ -168,7 +168,9 @@ def reference_prefix_xt_norms(traj, s, lengths):
 @pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
 def test_xt_norms_equal_the_whole_trajectory_reference(uneven_traj, s):
     for lengths in ([2], [3, 50], [32, 64, 65, 135], [135, 33]):
-        got = spectral._prefix_xt_norms(uneven_traj, s, lengths)
+        reducer = spectral._XtReducer(uneven_traj.grid, s, lengths)
+        norms = spectral._fed(reducer, uneven_traj.times, uneven_traj.values).norms
+        got = [norms[n] for n in lengths]
         assert got == reference_prefix_xt_norms(uneven_traj, s, lengths)  # bit for bit
 
 
@@ -270,7 +272,8 @@ def test_scatter_report_bundle():
     cfg = EvolutionConfig("gdnls", GRID, dt=2e-3, t_end=4.0, sigma=2.0,
                           snapshot_stride=10)
     traj, _ = evolve(gaussian(0.05), cfg)
-    rep = scatter_report(traj)  # checkpoints 1, 2, 4 up to t_end = 4
+    diagnostics = ScatterAccumulator(GRID, traj.times)  # checkpoints 1, 2, 4 up to t_end = 4
+    rep = spectral._fed(diagnostics, traj.times, traj.values).report()
     assert len(rep.pullback_cauchy) == 2
     assert rep.pullback_cauchy[1][2] < rep.pullback_cauchy[0][2]
     vals = [v for _, v in rep.xt_norm_curve]

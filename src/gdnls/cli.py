@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -479,7 +478,9 @@ def sweep(configs, workers: int = 1, out_dir=None) -> list:
 
     if workers <= 1:
         return [attempt(cfg) for cfg in configs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ThreadPoolExecutor  # only threaded sweeps pay its import
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(attempt, configs))
 
 

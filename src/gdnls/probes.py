@@ -16,7 +16,10 @@ from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_f
 from .spectral import (
     SOBOLEV_ORDER_RANGE,
     MixedNormSpec,
-    _mixed_quadrature,
+    _free_blocks,
+    _space_quadrature,
+    _time_quadrature,
+    _TimeNorm,
     free_group,
     l2_norm,
     lebesgue_norm,
@@ -31,13 +34,15 @@ SNAPSHOT_SPACING = 0.05  # time step of every free trajectory the probes sample
 # can move worst_member among them.
 NEAR_TIE_RTOL = 1e-12
 # Ceiling on t_end / SNAPSHOT_SPACING.  The runs in the docs and tests sample at
-# most 161 snapshots (T = 8); one snapshot on DEFAULT_PROBE_GRID is 32 KiB, so
-# this keeps the complex (n_t, N) buffer a probe call reuses for all its members
-# near 130 MB, and its float (2, n_t, N) array of moduli and powers as well.
-# free_group keeps the phase tables of the last two time grids it was given,
-# each the size of the complex buffer, so at this ceiling a process may also
-# hold two ~130 MB tables.  A t_end that asks for more is a typo.
+# most 161 snapshots (T = 8).  A probe forms and reduces each member a fixed
+# block of rows at a time, so only free_group's phase table grows with t_end:
+# one row per snapshot, 32 KiB on DEFAULT_PROBE_GRID, about 131 MB at this
+# ceiling.  free_group keeps the tables of the last two time grids it was
+# given, so a process may hold two of them.  A t_end that asks for more is a typo.
 MAX_SNAPSHOTS = 4000
+# Rows of a member's evolution formed and reduced at a time: 8, 16 and 27
+# rows run equally fast, and 16 complex rows of 2048 points are 512 KiB.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -146,20 +151,40 @@ def check_leibniz_order(s: float) -> None:
 def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_norm) -> list:
     """mixed_norm of e^{it Lap} f on [0, t_end] over data_norm(f), per ensemble member.
 
-    No trajectory is built: free_group forms each member's D^d e^{it Lap} f
-    in one complex (n_t, N) buffer that every member reuses, and
-    mixed_norm's quadratures reduce its moduli.  The moduli
-    and the quadrature's powers go into the two halves of one float
-    (2, n_t, N) array, also reused, so no member allocates an (n_t, N) array.
+    No trajectory is built, and no member's whole evolution is held:
+    _free_blocks forms each member's D^d e^{it Lap} f _BLOCK_ROWS rows at a
+    time, and each block's moduli are reduced before the next is formed.
+    With time outer, each row reduces to its spatial norm; with space
+    outer, the rows feed a running time norm per point (_TimeNorm).  The
+    block buffers are allocated once per call and reused by every member,
+    and the ratios equal mixed_norm's quadratures over the whole moduli
+    bit for bit.
     """
     times = _snapshot_times(t_end)
     grid = ens.members[0].grid
-    buf = np.empty((len(times), grid.n_points), dtype=complex)
-    moduli, work = np.empty((2,) + buf.shape)
-    d = spec.derivative_order
-    return [_mixed_quadrature(np.abs(free_group(grid, f.values, times, d, buf), out=moduli),
-                              times, grid.spacing, spec, work) / data_norm(f)
-            for f in ens.members]
+    h, d, r = grid.spacing, spec.derivative_order, spec.inner_exponent
+    time_outer = spec.outer_variable == "time"
+    shape = (min(_BLOCK_ROWS, len(times)), grid.n_points)
+    buf, moduli = np.empty(shape, dtype=complex), np.empty(shape)
+    if time_outer:
+        work, per_time = np.empty(shape), np.empty(len(times))
+    else:
+        per_point = _TimeNorm(r, shape[1:], shape[0])
+    ratios = []
+    for f in ens.members:
+        for rows, block in _free_blocks(grid, f.values, times, d, buf, _BLOCK_ROWS):
+            u = np.abs(block, out=moduli[:len(block)])
+            if time_outer:
+                per_time[rows] = _space_quadrature(u, h, r, work[:len(u)])
+            else:
+                per_point(times[rows], u)
+        if time_outer:
+            outer = _time_quadrature(per_time, times, spec.outer_exponent)
+        else:
+            outer = _space_quadrature(per_point.norm(), h, spec.outer_exponent)
+            per_point.reset()
+        ratios.append(float(outer) / data_norm(f))
+    return ratios
 
 
 def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> ProbeReport:

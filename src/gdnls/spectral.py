@@ -70,9 +70,23 @@ def free_group(grid: GridSpec, values: np.ndarray, times, order: float = 0.0,
     values is one datum of shape (N,), propagated to every time, or one
     row per time, shape (len(times), N).  order >= 0 multiplies the
     transform by |xi|^order.  The phase product and the inverse transform
-    run in out, a complex array of the result's shape, when one is given:
-    the probes reuse one for every member.  For order 0 the rows at t = 0
-    are the datum itself, so the group is exact there.
+    run in out, a complex array of the result's shape, when one is given.
+    For order 0 the rows at t = 0 are the datum itself, so the group is
+    exact there.  This is _free_blocks with the whole result as one block.
+    """
+    (_, result), = _free_blocks(grid, values, times, order, out)
+    return result
+
+
+def _free_blocks(grid: GridSpec, values: np.ndarray, times, order: float = 0.0,
+                 out: np.ndarray | None = None, block: int | None = None):
+    """free_group's rows in blocks of at most `block` rows: yields (rows, result[rows]).
+
+    values is transformed once, and the phase table is looked up for the
+    whole of times, so every block reads the one cached table.  Each block
+    is formed in the leading rows of out when it is given, so out needs
+    only `block` rows, and a block is overwritten by the next.  block=None
+    yields the whole result as one block; times may then be a scalar.
     """
     times = np.asarray(times, dtype=float)
     phase = _phase_table(grid, times.shape, times.tobytes())
@@ -82,12 +96,16 @@ def free_group(grid: GridSpec, values: np.ndarray, times, order: float = 0.0,
     vhat = np.fft.fft(values, axis=-1)
     if order:
         vhat = np.abs(grid.xi) ** order * vhat
-    out = np.multiply(phase, vhat, out=out)
-    np.fft.ifft(out, axis=-1, out=out)
-    if not order:
-        at_zero = times == 0
-        out[at_zero] = np.broadcast_to(values, out.shape)[at_zero]
-    return out
+    vhat, values = np.broadcast_to(vhat, phase.shape), np.broadcast_to(values, phase.shape)
+    for rows in ([...] if block is None else
+                 [slice(a, a + block) for a in range(0, len(times), block)]):
+        ph = phase[rows]
+        res = np.multiply(ph, vhat[rows], out=None if out is None else out[:len(ph)])
+        np.fft.ifft(res, axis=-1, out=res)
+        if not order:
+            at_zero = times[rows] == 0
+            res[at_zero] = values[rows][at_zero]
+        yield rows, res
 
 
 # Two tables: the probes alternate between two horizons (T and 2T), and the
@@ -97,10 +115,14 @@ def _phase_table(grid: GridSpec, shape: tuple, times: bytes) -> np.ndarray:
     """exp(-i xi^2 t_k), one row per time, built once per (grid, times); read-only.
 
     Every probe member samples the same times, so the table is shared
-    across an ensemble instead of rebuilt for each member.
+    across an ensemble instead of rebuilt for each member.  The exponent
+    and its exp are formed in place in the table, so building it takes
+    the memory of the table alone.
     """
-    t = np.frombuffer(times, dtype=float).reshape(shape)
-    return _read_only(np.exp(-1j * grid.xi**2 * t[..., None]))
+    t = np.frombuffer(times, dtype=float).reshape(shape)[..., None]
+    k = -1j * grid.xi**2
+    table = np.multiply(k, t, out=np.empty(shape + k.shape, dtype=complex))
+    return _read_only(np.exp(table, out=table))
 
 
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
@@ -330,17 +352,16 @@ def _power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.nd
     return np.power(values, q, out=out)
 
 
-def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float,
-                     work: np.ndarray | None = None) -> np.ndarray:
+def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
     """(integral g^q dt)^{1/q} along axis 0 by trapezoid; exact max for q = inf.
 
     These are np.trapezoid(values_pow**q, times, axis=0)'s operations in
     its order, so the result equals it bit for bit; they run in place in
-    one array of values_pow's shape, work when it is given.
+    the one array of powers.
     """
     if np.isinf(q):
         return values_pow.max(axis=0)
-    y = _power(values_pow, q, work)
+    y = _power(values_pow, q)
     s = y[:-1]
     np.add(s, y[1:], out=s)  # row k + 1 is read before row k is written: no copy
     s *= np.diff(times).reshape((-1,) + (1,) * (y.ndim - 1))
@@ -348,8 +369,56 @@ def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float,
     return np.add.reduce(s, axis=0) ** (1.0 / q)
 
 
+class _TimeNorm:
+    """_time_quadrature of rows fed in time order, a block at a time, per point.
+
+    The max for q = inf is a running max.  For finite q each trapezoid
+    interval term is formed as _time_quadrature forms it, the first term of
+    a block from the last row of the block before, and the terms are added
+    in time order, as np.add.reduce adds the rows of a C-contiguous array.
+    So `norm()` equals _time_quadrature over every row fed since the last
+    reset bit for bit, in memory of 2 (block + 1) rows.
+    """
+
+    def __init__(self, q: float, shape: tuple, block: int):
+        self.q = q
+        self._acc = np.empty(shape)  # the max, or the sum of the interval terms
+        if not np.isinf(q):
+            # [the last row's power; the block's], [the sum; the block's interval terms]
+            self._pow, self._terms = np.empty((2, block + 1) + shape)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the rows fed: the next row starts a new integral."""
+        self._acc.fill(-np.inf if np.isinf(self.q) else 0.0)
+        self._t = None  # the time of the last row fed
+
+    def __call__(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Take rows[k] at times[k], all later than the rows fed before."""
+        if np.isinf(self.q):
+            np.maximum(self._acc, rows.max(axis=0), out=self._acc)
+        else:
+            b, k = len(rows), int(self._t is None)  # the first row fed starts no interval
+            y, s = self._pow, self._terms
+            _power(rows, self.q, out=y[1:b + 1])
+            s[k] = self._acc
+            terms = s[k + 1:b + 1]
+            np.add(y[k:b], y[k + 1:b + 1], out=terms)
+            dt = np.diff(times) if k else np.diff(times, prepend=self._t)
+            terms *= dt.reshape((-1,) + (1,) * (rows.ndim - 1))
+            terms /= 2.0
+            np.add.reduce(s[k:b + 1], axis=0, out=self._acc)
+            y[0] = y[b]
+        self._t = times[-1]
+
+    def norm(self) -> np.ndarray:
+        """The time norm per point of the rows fed since the last reset."""
+        return self._acc.copy() if np.isinf(self.q) else self._acc ** (1.0 / self.q)
+
+
 def _space_quadrature(values_pow: np.ndarray, h: float, q: float,
                       work: np.ndarray | None = None) -> np.ndarray:
+    """(h sum g^q)^{1/q} along the last axis, the powers in work when given; max for q = inf."""
     if np.isinf(q):
         return values_pow.max(axis=-1)
     return (h * np.sum(_power(values_pow, q, work), axis=-1)) ** (1.0 / q)
@@ -364,22 +433,12 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
         u = np.abs(np.fft.ifft(mult * np.fft.fft(traj.values, axis=-1), axis=-1))
     else:
         u = np.abs(traj.values)
-    return _mixed_quadrature(u, traj.times, traj.grid.spacing, spec)
-
-
-def _mixed_quadrature(u: np.ndarray, times: np.ndarray, h: float, spec: MixedNormSpec,
-                      work: np.ndarray | None = None) -> float:
-    """The quadratures of spec over moduli u, one row per time and spacing h.
-
-    This is the reduction of mixed_norm, shared with the probes, which
-    build u without a trajectory and pass work, a float array of u's
-    shape, for the inner quadrature's powers.
-    """
+    h = traj.grid.spacing
     if spec.outer_variable == "time":
-        inner = _space_quadrature(u, h, spec.inner_exponent, work)  # per-time spatial norm
-        outer = _time_quadrature(inner, times, spec.outer_exponent)
+        inner = _space_quadrature(u, h, spec.inner_exponent)  # per-time spatial norm
+        outer = _time_quadrature(inner, traj.times, spec.outer_exponent)
     else:
-        inner = _time_quadrature(u, times, spec.inner_exponent, work)  # per-point time norm
+        inner = _time_quadrature(u, traj.times, spec.inner_exponent)  # per-point time norm
         outer = _space_quadrature(inner, h, spec.outer_exponent)
     return float(outer)
 
@@ -414,10 +473,8 @@ class _XtReducer:
     as the row count reaches a length in `lengths`.  evolve's snapshots and
     a stored trajectory's rows feed it alike.
 
-    The L^inf_t terms are running maxima per x; the L^2_t terms are running
-    trapezoid sums per x, each interval term formed as _time_quadrature
-    forms it and added in time order, as np.add.reduce adds the rows of a
-    C-contiguous array.  The per-row H^s norms and sup_x of |u| and
+    The L^inf_t and L^2_t terms per x are running time norms (_TimeNorm)
+    fed one row at a time.  The per-row H^s norms and sup_x of |u| and
     |D^{s-1/2} u| are kept as floats, one per row, since their time
     quadratures sum pairwise over all rows.  So every norm equals the
     quadratures of mixed_norm over the stored rows bit for bit.
@@ -437,9 +494,8 @@ class _XtReducer:
         self._ends = set(lengths)
         self.norms = {}  # prefix length -> xt_norm, once its last row is taken
         self._times, self._hs, self._sup_u, self._sup_dsu = [], [], [], []  # one float per row
-        self._sup_t = np.zeros((2, grid.n_points))  # sup_t |u|, sup_t |D u| per x
-        self._sq_sum = np.zeros((2, grid.n_points))  # trapezoid sums of |u_x|^2, |D u_x|^2
-        self._last = None  # the last row's (t, squares)
+        self._sup_t = _TimeNorm(np.inf, (2, grid.n_points), 1)  # sup_t |u|, sup_t |D u| per x
+        self._l2_t = _TimeNorm(2.0, (2, grid.n_points), 1)  # L^2_t |u_x|, |D u_x| per x
 
     def __len__(self) -> int:
         return len(self._times)
@@ -453,36 +509,28 @@ class _XtReducer:
         uhat = np.fft.fft(row)
         derived = self._multipliers * uhat
         np.fft.ifft(derived, out=derived)
-        moduli = np.abs(derived)  # |u_x|, |D u|, |D u_x|
-        au = np.abs(row)
+        moduli = np.empty((1, 4, row.size))  # |u|, |u_x|, |D u|, |D u_x| at the one time t
+        np.abs(row, out=moduli[0, 0])
+        np.abs(derived, out=moduli[0, 1:])
         self._times.append(t)
         self._hs.append(float(_lattice_norm(self._grid, uhat, self._hs_weight)))
-        self._sup_u.append(float(au.max()))
-        self._sup_dsu.append(float(moduli[1].max()))
-        np.maximum(self._sup_t[0], au, out=self._sup_t[0])
-        np.maximum(self._sup_t[1], moduli[1], out=self._sup_t[1])
-
-        squares = np.square(moduli[::2])  # |u_x|^2, |D u_x|^2
-        if self._last is not None:
-            t_prev, sq_prev = self._last  # no longer needed: it becomes the interval term
-            sq_prev += squares
-            sq_prev *= t - t_prev
-            sq_prev /= 2.0
-            self._sq_sum += sq_prev
-        self._last = t, squares
+        self._sup_u.append(float(moduli[0, 0].max()))
+        self._sup_dsu.append(float(moduli[0, 2].max()))
+        self._sup_t((t,), moduli[:, ::2])
+        self._l2_t((t,), moduli[:, 1::2])
         if len(self) in self._ends:
             self.norms[len(self)] = self._norm()
 
     def _norm(self) -> float:
         h = self._grid.spacing
         t = np.array(self._times)
-        l2_t = self._sq_sum ** (1.0 / 2.0)
+        sup_t, l2_t = self._sup_t.norm(), self._l2_t.norm()
         terms = (  # in the order of xt_norm's docstring
             max(self._hs),
             _space_quadrature(l2_t[0], h, np.inf),
-            max(_space_quadrature(self._sup_t[0], h, q) for q in DEFAULT_Q_GRID),
+            max(_space_quadrature(sup_t[0], h, q) for q in DEFAULT_Q_GRID),
             _time_quadrature(np.array(self._sup_u), t, 4.0),
-            _space_quadrature(self._sup_t[1], h, 4.0),
+            _space_quadrature(sup_t[1], h, 4.0),
             _space_quadrature(l2_t[1], h, np.inf),
             _time_quadrature(np.array(self._sup_dsu), t, 4.0),
         )

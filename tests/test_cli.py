@@ -703,6 +703,16 @@ def test_versions_are_looked_up_once_and_leave_scipy_unloaded():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_importing_the_cli_leaves_the_thread_pool_and_scipy_unloaded():
+    # only a sweep with workers > 1 imports concurrent.futures
+    src = str(Path(gdnls.__file__).resolve().parents[1])
+    code = ("import sys, gdnls.cli; "
+            "print('concurrent.futures' in sys.modules, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_seed_override(tmp_path):
     cfg = write(tmp_path, "p.cfg", "probe = strichartz\nq = inf\nr = 2\n")
     assert main(["ineq-probe", "--config", cfg, "--out",

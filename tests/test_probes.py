@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gdnls import probes
+from gdnls import probes, spectral
 from gdnls.grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from gdnls.probes import (
     MAX_SNAPSHOTS,
@@ -15,7 +18,8 @@ from gdnls.probes import (
     smoothing_probe,
     strichartz_probe,
 )
-from gdnls.spectral import MixedNormSpec, free_propagate, l2_norm, mixed_norm, sobolev_norm
+from gdnls.spectral import (MixedNormSpec, free_group, free_propagate, l2_norm, mixed_norm,
+                            sobolev_norm)
 
 SMALL_GRID = GridSpec(512, 128.0)
 
@@ -158,31 +162,111 @@ def test_probes_equal_the_trajectory_reference(seed, t_end):
 @pytest.mark.parametrize("name", sorted(FREE_PROBES))
 def test_a_probe_makes_one_fft_and_one_batched_ifft_per_member(name, small_ensemble,
                                                                fft_calls, monkeypatch):
+    # one transform of the datum, then one batched inverse transform per block of rows
     def no_trajectory(self):
         raise AssertionError("a probe built a Trajectory")
 
     monkeypatch.setattr(Trajectory, "__post_init__", no_trajectory)
     probe, _, _ = FREE_PROBES[name]
     probe(small_ensemble, 1.0)
-    n, n_t = SMALL_GRID.n_points, 21
-    per_member = [(n,), (n_t, n)] + [(n,)] * (name == "maximal")  # sobolev_norm's fft
+    n, n_t, block = SMALL_GRID.n_points, 21, probes._BLOCK_ROWS
+    blocks = [(min(block, n_t - a), n) for a in range(0, n_t, block)]
+    assert len(blocks) > 1
+    per_member = [(n,)] + blocks + [(n,)] * (name == "maximal")  # sobolev_norm's fft
     assert fft_calls == per_member * len(small_ensemble.members)
 
 
 @pytest.mark.parametrize("name", sorted(FREE_PROBES))
 def test_every_member_reduces_in_the_same_two_arrays(name, small_ensemble, monkeypatch):
-    # the moduli and the quadrature's powers are allocated once per probe call
-    seen, reduce = [], probes._mixed_quadrature
+    # each block of rows is formed in one complex buffer and reduced from one
+    # float array of moduli, both allocated once per probe call
+    formed, reduced = [], []
+    free_blocks, space_quadrature = probes._free_blocks, probes._space_quadrature
+    time_norm = probes._TimeNorm.__call__
 
-    def recording(u, times, h, spec, work=None):
-        seen.append((u.ctypes.data, None if work is None else work.ctypes.data))
-        assert work is None or not np.shares_memory(u, work)
-        return reduce(u, times, h, spec, work)
+    def forming(grid, values, times, order, out, block):
+        assert out.shape == (block, grid.n_points) and block == probes._BLOCK_ROWS
+        formed.append(out.ctypes.data)
+        return free_blocks(grid, values, times, order, out, block)
 
-    monkeypatch.setattr(probes, "_mixed_quadrature", recording)
+    def taking(u):
+        assert u.ndim == 2 and len(u) <= probes._BLOCK_ROWS
+        reduced.append(u.ctypes.data)
+
+    def per_time(u, h, q, work=None):
+        if u.ndim == 2:  # a block's moduli; a 1-D u is the per-point time norm
+            taking(u)
+            assert work is not None and not np.shares_memory(u, work)
+        return space_quadrature(u, h, q, work)
+
+    def per_point(self, times, rows):
+        taking(rows)
+        return time_norm(self, times, rows)
+
+    monkeypatch.setattr(probes, "_free_blocks", forming)
+    monkeypatch.setattr(probes, "_space_quadrature", per_time)
+    monkeypatch.setattr(probes._TimeNorm, "__call__", per_point)
     FREE_PROBES[name][0](small_ensemble, 1.0)
-    assert len(seen) == len(small_ensemble.members)
-    assert len(set(seen)) == 1 and None not in seen[0]
+    assert len(formed) == len(small_ensemble.members)
+    assert len(reduced) == 2 * len(small_ensemble.members)  # 21 rows: blocks of 16 and 5
+    assert len(set(formed)) == 1 and len(set(reduced)) == 1 and formed[0] != reduced[0]
+
+
+def whole_moduli_ratios(ens, spec, t_end, data_norm):
+    """mixed_norm's quadratures over each member's whole (n_t, N) moduli of D^d e^{it Lap} f."""
+    times = probes._snapshot_times(t_end)
+    ratios = []
+    for f in ens.members:
+        values = free_group(f.grid, f.values, times, spec.derivative_order)
+        traj = Trajectory(f.grid, times, values)
+        ratios.append(mixed_norm(traj, replace(spec, derivative_order=0.0)) / data_norm(f))
+    return ratios
+
+
+BRANCH_SPECS = {name: (spec, data_norm) for name, (_, spec, data_norm) in FREE_PROBES.items()}
+BRANCH_SPECS["space-4-6"] = (MixedNormSpec("space", 4.0, 6.0), l2_norm)
+BRANCH_SPECS["time-8-4"] = (MixedNormSpec("time", 8.0, 4.0), l2_norm)
+
+
+@pytest.fixture(scope="module")
+def eight_members():
+    ens = default_ensemble(seed=0)
+    return ProbeEnsemble(ens.members[::15], seed=0)
+
+
+# 2, 16, 17, 33, 81 and 161 rows: one short block, one full, a full one and
+# one row, two full and one row, and many blocks
+@pytest.mark.parametrize("t_end", [0.05, 0.75, 0.8, 1.6, 4.0, 8.0])
+@pytest.mark.parametrize("name", sorted(BRANCH_SPECS))
+def test_block_edges_leave_the_ratios_bit_for_bit(name, t_end, eight_members):
+    spec, data_norm = BRANCH_SPECS[name]
+    blocked = probes._free_ratios(eight_members, spec, t_end, data_norm)
+    assert blocked == whole_moduli_ratios(eight_members, spec, t_end, data_norm)
+    if spec.derivative_order == 0:  # and the trajectory path's, whose rows are the same
+        trajectory = [mixed_norm(free_trajectory(f, t_end), spec) / data_norm(f)
+                      for f in eight_members.members]
+        assert blocked == trajectory
+
+
+def smoothing_peak_over_its_table(ens, t_end):
+    """tracemalloc peak of one smoothing_probe call, less the phase table it builds."""
+    spectral._phase_table.cache_clear()
+    tracemalloc.start()
+    try:
+        smoothing_probe(ens, t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spectral._phase_table.cache_clear()
+    n_t = round(t_end / SNAPSHOT_SPACING) + 1
+    return peak - n_t * ens.members[0].grid.n_points * 16
+
+
+def test_a_probe_holds_no_more_than_its_phase_table_as_t_end_grows():
+    # the whole-array probe peaked 8.0, 15.8 and 78.8 MB above its table
+    ens = ProbeEnsemble(default_ensemble(seed=0).members[:6], seed=0)
+    for t_end in (4.0, 8.0, 40.0):
+        assert smoothing_peak_over_its_table(ens, t_end) < 2.5 * 2**20, t_end
 
 
 def test_an_ensemble_lives_on_one_grid():

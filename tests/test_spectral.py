@@ -533,7 +533,6 @@ def assert_time_quadrature_is_the_trapezoid(u, times, q):
     # the reference is numpy's trapezoid, which the library no longer calls
     ref = np.trapezoid(u**q, times, axis=0) ** (1.0 / q)
     assert np.array_equal(spectral._time_quadrature(u, times, q), ref)
-    assert np.array_equal(spectral._time_quadrature(u, times, q, np.empty_like(u)), ref)
 
 
 @pytest.mark.parametrize("seed, t_end", [(0, 4.0), (0, 8.0), (7, 4.0), (7, 8.0)])
@@ -562,19 +561,47 @@ def test_time_quadrature_is_the_trapezoid_on_xt_norm_prefixes(q):
         assert_time_quadrature_is_the_trapezoid(u[:n], times[:n], q)
 
 
-def test_time_quadrature_allocates_no_power_array_when_given_work():
+def fed_time_norm(u, times, q, cuts):
+    """A _TimeNorm of u's rows fed in the blocks between cuts, and its norm."""
+    running = spectral._TimeNorm(q, u.shape[1:], max(np.diff(cuts)))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        running(times[a:b], u[a:b])
+    return running, running.norm()
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0, 6.0, np.inf])
+def test_a_running_time_norm_is_the_time_quadrature(q):
+    rng = np.random.default_rng(5)
+    u = np.abs(rng.standard_normal((161, 2048)) + 1j * rng.standard_normal((161, 2048)))
+    times = np.sort(rng.uniform(0.0, 8.0, 161))
+    for cuts in ([0, 161], [0, 1, 161], [0, 16, 32, 161], [0, 27, 54, 81, 108, 135, 161],
+                 list(range(162))):
+        running, norm = fed_time_norm(u, times, q, cuts)
+        assert np.array_equal(norm, spectral._time_quadrature(u, times, q)), cuts
+        running.reset()  # a reset starts a new integral in the same arrays
+        head = sorted({min(c, 40) for c in cuts})
+        for a, b in zip(head[:-1], head[1:]):
+            running(times[a:b], u[a:b])
+        assert np.array_equal(running.norm(), spectral._time_quadrature(u[:40], times[:40], q))
+
+
+def test_a_running_time_norm_allocates_no_rows_per_block():
     import tracemalloc
 
     u = np.abs(np.random.default_rng(0).standard_normal((81, 2048)))
     times = SNAPSHOT_SPACING * np.arange(81)
-    for work, bound in ((np.empty_like(u), 0.1), (None, 1.1)):
+    block_bytes = 16 * u[0].nbytes
+    for q in (2.0, np.inf):
+        running = spectral._TimeNorm(q, u.shape[1:], 16)
         tracemalloc.start()
         try:
-            spectral._time_quadrature(u, times, 2.0, work)
+            for a in range(0, 81, 16):
+                running(times[a:a + 16], u[a:a + 16])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * u.nbytes, (work is None, peak / u.nbytes)
+        # numpy's 64 KiB buffer for the broadcast time steps, and no power array
+        assert peak < 0.5 * block_bytes, (q, peak / block_bytes)
 
 
 # ---------------------------------------------------------------------------

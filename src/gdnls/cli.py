@@ -32,6 +32,7 @@ from .probes import (
     check_horizon,
     check_leibniz_order,
     check_maximal_exponents,
+    check_seed,
     check_strichartz_pair,
     default_ensemble,
     leibniz_probe,
@@ -242,10 +243,12 @@ def _gauge_setup(p: dict):
     return cfg1, cfg2, _gaussian(p, cfg1.grid)
 
 
-def _ineq_setup(p: dict) -> None:
+def _ineq_setup(p: dict):
     _require(p["probe"] in _PROBES, "probe", f"must be one of {', '.join(_PROBES)}")
     check_horizon(p["t_end"])
-    _PROBES[p["probe"]][0](p)
+    check, data, _ = _PROBES[p["probe"]]
+    check(p)
+    return data(p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,8 @@ def _run_gauge_check(p: dict):
 
 
 def _run_ineq_probe(p: dict):
-    rep = _PROBES[p["probe"]][1](p)
+    _, data, probe = _PROBES[p["probe"]]
+    rep = probe(p, data(p))
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]
     checks = {"worst_ratio": rep.worst_ratio, "near_ties": rep.near_ties, **rep.params}
@@ -326,30 +330,35 @@ def _ensemble(p: dict):
     return default_ensemble(seed=p["seed"])
 
 
-def _run_leibniz(p: dict):
-    """The Leibniz probe over 50 seeded pairs of Gaussians on the probe grid."""
-    rng = np.random.default_rng(p["seed"])
-    grid = DEFAULT_PROBE_GRID
-    pairs = []
-    for _ in range(50):
-        a, b = 0.5 + rng.random(2) * 2.0
-        xa, xb = rng.uniform(-4, 4, size=2)
-        pairs.append((gaussian_field(grid, a, center=xa),
-                      gaussian_field(grid, b, center=xb)))
-    return leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)
+def _leibniz_pairs(p: dict):
+    """50 seeded pairs of Gaussians on the probe grid, each drawn when the probe reaches it."""
+    seed = p["seed"]
+    check_seed(seed)  # here, not at the first draw, so that validation refuses it
+
+    def draws():
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            a, b = 0.5 + rng.random(2) * 2.0
+            xa, xb = rng.uniform(-4, 4, size=2)
+            yield (gaussian_field(DEFAULT_PROBE_GRID, a, center=xa),
+                   gaussian_field(DEFAULT_PROBE_GRID, b, center=xb))
+
+    return draws()
 
 
-# probe -> (its precondition check, its run).  Only the ensemble probes build the
-# default ensemble.  Entries call the library by module-global name, never through a
-# stored function object, so a wrapper installed on the module attribute
+# probe -> (its precondition check, its data, its run on that data).  Building the
+# data (the default ensemble, or the Leibniz pairs) checks the seed and forms no
+# field.  Entries call the library by module-global name, never through a stored
+# function object, so a wrapper installed on the module attribute
 # (perfbench/tracing.py) sees each call.
 _PROBES = {
-    "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]),
-                   lambda p: strichartz_probe(_ensemble(p), p["q"], p["r"], p["t_end"])),
-    "smoothing": (lambda p: None, lambda p: smoothing_probe(_ensemble(p), p["t_end"])),
-    "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]),
-                lambda p: maximal_probe(_ensemble(p), p["p"], p["s"], p["t_end"])),
-    "leibniz": (lambda p: check_leibniz_order(p["s"]), _run_leibniz),
+    "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]), _ensemble,
+                   lambda p, ens: strichartz_probe(ens, p["q"], p["r"], p["t_end"])),
+    "smoothing": (lambda p: None, _ensemble, lambda p, ens: smoothing_probe(ens, p["t_end"])),
+    "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]), _ensemble,
+                lambda p, ens: maximal_probe(ens, p["p"], p["s"], p["t_end"])),
+    "leibniz": (lambda p: check_leibniz_order(p["s"]), _leibniz_pairs,
+                lambda p, pairs: leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)),
 }
 
 # experiment -> (schema: key -> (converter, default), None default = required;

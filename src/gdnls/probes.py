@@ -8,6 +8,7 @@ the continuum estimates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,16 +46,87 @@ MAX_SNAPSHOTS = 4000
 _BLOCK_ROWS = 16
 
 
+def check_seed(seed) -> None:
+    """Require a non-negative integer, the seeds numpy's default_rng takes."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterError("seed", f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
-class ProbeEnsemble:
-    members: tuple
+class _DefaultMembers(Sequence):
+    """default_ensemble's members in order, each formed when it is reached and never stored.
+
+    Gaussians come first, then smooth random fields drawn from one generator
+    seeded with `seed`.  A pass forms the members it reaches in order, and
+    only draws (without forming) the random members it skips; each member's
+    edge decay is checked as it is formed.
+    """
+    grid: GridSpec
     seed: int
+    GAUSSIANS = tuple((a, v, x0) for a in (0.5, 1.0, 2.0, 4.0, 8.0)
+                      for v in (-4.0, -2.0, 0.0, 2.0, 4.0) for x0 in (-6.0, -2.0, 2.0, 6.0))
+    N_RANDOM = 20
 
     def __post_init__(self):
-        if len({m.grid for m in self.members}) != 1:
-            raise ValueError("an ensemble needs at least one member, all on one grid")
-        for m in self.members:
-            m.check_edge_decay()
+        check_seed(self.seed)  # before any pass creates the generator
+
+    def __len__(self):
+        return len(self.GAUSSIANS) + self.N_RANDOM
+
+    def __getitem__(self, k):
+        indices = range(len(self))[k]  # a tuple's IndexError and TypeError
+        if not isinstance(k, slice):
+            return next(self._formed([indices]))
+        formed = tuple(self._formed(sorted(indices)))
+        return formed if indices.step > 0 else formed[::-1]
+
+    def __iter__(self):
+        return self._formed(range(len(self)))
+
+    def _formed(self, indices):
+        """The members at the ascending `indices`, formed in one pass."""
+        grid, n = self.grid, self.grid.n_points
+        rng = None
+        for k in indices:
+            if k < len(self.GAUSSIANS):
+                f = gaussian_field(grid, *self.GAUSSIANS[k])
+            else:
+                if rng is None:  # the pass's first random member
+                    rng, drawn = np.random.default_rng(self.seed), len(self.GAUSSIANS)
+                    envelope = np.exp(-0.1 * grid.x**2)
+                    cut = np.abs(grid.xi) <= 8.0
+                for _ in range(drawn, k):  # the draws of the members skipped
+                    rng.standard_normal(n)
+                    rng.standard_normal(n)
+                coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                drawn = k + 1
+                f = ComplexField(grid, envelope * np.fft.ifft(np.where(cut, coef, 0.0)))
+            f.check_edge_decay()
+            yield f
+
+
+@dataclass(frozen=True)
+class ProbeEnsemble:
+    """The fields a probe takes its ratios over, all on `grid`.
+
+    `members` is a tuple of fields, checked here, or default_ensemble's
+    sequence, which forms each member when a pass reaches it.
+    """
+    members: Sequence
+    seed: int
+    grid: GridSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.members, _DefaultMembers):
+            grid = self.members.grid
+        else:
+            grids = {m.grid for m in self.members}
+            if len(grids) != 1:
+                raise ValueError("an ensemble needs at least one member, all on one grid")
+            for m in self.members:
+                m.check_edge_decay()
+            (grid,) = grids
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -71,20 +143,12 @@ class ProbeReport:
 
 
 def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> ProbeEnsemble:
-    """5 widths x 5 velocities x 4 centers Gaussians plus 20 seeded random fields."""
-    members = []
-    for a in (0.5, 1.0, 2.0, 4.0, 8.0):
-        for v in (-4.0, -2.0, 0.0, 2.0, 4.0):
-            for x0 in (-6.0, -2.0, 2.0, 6.0):
-                members.append(gaussian_field(grid, a, v, x0))
-    rng = np.random.default_rng(seed)
-    envelope = np.exp(-0.1 * grid.x**2)
-    cut = np.abs(grid.xi) <= 8.0
-    for _ in range(20):
-        coef = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
-        smooth = np.fft.ifft(np.where(cut, coef, 0.0))
-        members.append(ComplexField(grid, envelope * smooth))
-    return ProbeEnsemble(tuple(members), seed)
+    """5 widths x 5 velocities x 4 centers Gaussians plus 20 seeded random fields.
+
+    The members are formed one at a time on each pass and never stored, so
+    a probe holds one of them.
+    """
+    return ProbeEnsemble(_DefaultMembers(grid, seed), seed)
 
 
 def check_horizon(t_end: float) -> None:
@@ -158,10 +222,11 @@ def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_nor
     outer, the rows feed a running time norm per point (_TimeNorm).  The
     block buffers are allocated once per call and reused by every member,
     and the ratios equal mixed_norm's quadratures over the whole moduli
-    bit for bit.
+    bit for bit.  The grid is read from the ensemble, so a default
+    ensemble's members are each formed once, as the loop reaches them.
     """
     times = _snapshot_times(t_end)
-    grid = ens.members[0].grid
+    grid = ens.grid
     h, d, r = grid.spacing, spec.derivative_order, spec.inner_exponent
     time_outer = spec.outer_variable == "time"
     shape = (min(_BLOCK_ROWS, len(times)), grid.n_points)

@@ -132,3 +132,24 @@ def test_the_tracer_runs_a_streamed_scatter_probe(tmp_path):
     stored = tracer.counts[0]["evolve.snapshots_stored"]
     assert isinstance(stored, int) and stored == 51
     assert [s.name for s in tracer.spans].count("evolve.evolve") == 1
+
+
+def test_a_traced_probe_ensemble_iteration_forms_each_member_once(tmp_path):
+    # 4 ensemble probes x 120 members, and 300 fields in the Leibniz step: 50 pairs,
+    # their products and three derivatives each.  A probe that formed a member twice,
+    # e.g. member 0 to read the grid, would count more.
+    from gdnls import cli
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    steps = workloads.plan("probe-ensemble", 0)
+    configs = [cli.validate_config(step.experiment, step.raw) for step in steps]
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        for cfg in configs:
+            cli.run(cfg, tmp_path)
+    names = [s.name for s in tracer.spans]
+    assert names.count("grid.validate_field") == 780
+    assert names.count("probes.default_ensemble") == 4

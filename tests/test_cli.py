@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported before any tracemalloc reading)
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -719,6 +720,30 @@ def test_seed_override(tmp_path):
                  str(tmp_path / "o"), "--seed", "7"]) == EXIT_OK
     manifest = next((tmp_path / "o").glob("*.json"))
     assert json.loads(manifest.read_text())["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("how", ["key", "flag"])
+@pytest.mark.parametrize("probe", ["strichartz", "smoothing", "maximal", "leibniz"])
+def test_a_negative_seed_is_a_validation_error(tmp_path, capsys, probe, how):
+    # the ensemble and the Leibniz draws refuse it when they are built, before any draw
+    text = f"probe = {probe}\n" + ("seed = -3\n" if how == "key" else "")
+    cfg = write(tmp_path, "p.cfg", text)
+    flag = ["--seed", "-3"] if how == "flag" else []
+    assert main(["ineq-probe", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: field 'seed': ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_leibniz_run_holds_one_pair():
+    # an eager run built all 50 pairs, 3.3 MB, before it probed the first
+    tracemalloc.start()
+    try:
+        run(validate_config("ineq-probe", {"probe": "leibniz"}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_each_experiment_section_of_the_docs_lists_its_schema_keys():

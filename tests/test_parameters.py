@@ -21,6 +21,7 @@ from gdnls.probes import (
     check_leibniz_order,
     check_maximal_exponents,
     check_strichartz_pair,
+    default_ensemble,
 )
 from gdnls.scattering import ScatterAccumulator
 from gdnls.solitons import SolitonParams, endpoint_waves
@@ -84,6 +85,9 @@ CASES = [
     ("s", {"s"}, lambda v: _checked(check_maximal_exponents, 4.0, v)),
     ("s", {"s"}, lambda v: _checked(check_leibniz_order, v)),
     ("t_end", {"t_end"}, lambda v: _checked(check_horizon, v)),
+    # the seed is checked when the ensemble is built, before a pass creates its generator
+    ("seed", {"seed"},
+     lambda v: [f.values.view(float) for f in default_ensemble(GRID, seed=v).members]),
 ]
 
 

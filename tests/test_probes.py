@@ -2,11 +2,14 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import numpy.random  # noqa: F401  (imported before any tracemalloc reading)
 import pytest
 
 from gdnls import probes, spectral
-from gdnls.grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
+from gdnls.grid import (ComplexField, GridSpec, ParameterError, ResolutionError, Trajectory,
+                        gaussian_field)
 from gdnls.probes import (
+    DEFAULT_PROBE_GRID,
     MAX_SNAPSHOTS,
     SNAPSHOT_SPACING,
     ProbeEnsemble,
@@ -43,6 +46,83 @@ def test_default_ensemble_composition():
 def test_default_ensemble_is_seed_deterministic():
     a = default_ensemble(seed=5).members[-1]
     b = default_ensemble(seed=5).members[-1]
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+def eager_default_members(grid, seed):
+    """default_ensemble's members as the eager body built and stored them."""
+    members = []
+    for a in (0.5, 1.0, 2.0, 4.0, 8.0):
+        for v in (-4.0, -2.0, 0.0, 2.0, 4.0):
+            for x0 in (-6.0, -2.0, 2.0, 6.0):
+                members.append(gaussian_field(grid, a, v, x0))
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-0.1 * grid.x**2)
+    cut = np.abs(grid.xi) <= 8.0
+    for _ in range(20):
+        coef = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+        smooth = np.fft.ifft(np.where(cut, coef, 0.0))
+        members.append(ComplexField(grid, envelope * smooth))
+    return tuple(members)
+
+
+def assert_same_fields(got, expect):
+    assert len(got) == len(expect)
+    for f, g in zip(got, expect):
+        assert f.grid == g.grid
+        np.testing.assert_array_equal(f.values, g.values)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lazy_members_are_the_eager_ones_bit_for_bit(seed):
+    ens = default_ensemble(seed=seed)
+    expect = eager_default_members(ens.grid, seed)
+    assert len(ens.members) == len(expect) == 120
+    assert_same_fields(list(ens.members), expect)
+    assert_same_fields(list(ens.members), expect)  # a second pass forms the same members
+    for k in (0, -1, 100):
+        assert_same_fields([ens.members[k]], [expect[k]])
+    for k in (slice(None, None, 15), slice(1, None, 4), slice(None, None, -7)):
+        got = ens.members[k]
+        assert isinstance(got, tuple)
+        assert_same_fields(got, expect[k])
+
+
+def test_a_lazy_member_checks_its_edge_when_it_is_formed():
+    # on a box of 16 some members do not decay at the edge: the ensemble is still
+    # built, and each member raises ResolutionError exactly when it is formed
+    grid = GridSpec(64, 16.0)
+    ens = default_ensemble(grid, seed=0)
+    expect = eager_default_members(grid, 0)
+    offending = []
+    for k, f in enumerate(expect):
+        try:
+            f.check_edge_decay()
+        except ResolutionError:
+            offending.append(k)
+    assert 0 < len(offending) < len(expect)
+    for k in range(len(expect)):
+        if k in offending:
+            with pytest.raises(ResolutionError):
+                ens.members[k]
+        else:
+            assert_same_fields([ens.members[k]], [expect[k]])
+    formed = []
+    with pytest.raises(ResolutionError):
+        for f in ens.members:
+            formed.append(f)
+    assert len(formed) == offending[0]
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, 0.0, float("nan"), "0", None])
+def test_the_default_ensemble_refuses_a_bad_seed_at_construction(seed):
+    with pytest.raises(ParameterError) as exc:
+        default_ensemble(seed=seed)
+    assert exc.value.name == "seed"
+
+
+def test_the_default_ensemble_takes_a_numpy_integer_seed():
+    a, b = default_ensemble(seed=np.int64(5)).members[-1], default_ensemble(seed=5).members[-1]
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -267,6 +347,23 @@ def test_a_probe_holds_no_more_than_its_phase_table_as_t_end_grows():
     ens = ProbeEnsemble(default_ensemble(seed=0).members[:6], seed=0)
     for t_end in (4.0, 8.0, 40.0):
         assert smoothing_peak_over_its_table(ens, t_end) < 2.5 * 2**20, t_end
+
+
+@pytest.mark.parametrize("name", ["strichartz-4-inf", "smoothing", "maximal"])
+def test_a_probe_holds_one_member(name):
+    # the ensemble is built inside the reading: an eager one held all 120 members,
+    # 3.9 MB, and the probes peaked 4.8 to 5.4 MiB above their table
+    probe = FREE_PROBES[name][0]
+    spectral._phase_table.cache_clear()
+    tracemalloc.start()
+    try:
+        probe(default_ensemble(seed=0), 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spectral._phase_table.cache_clear()
+    table = (round(4.0 / SNAPSHOT_SPACING) + 1) * DEFAULT_PROBE_GRID.n_points * 16
+    assert peak - table < 2.5 * 2**20
 
 
 def test_an_ensemble_lives_on_one_grid():

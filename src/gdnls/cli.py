@@ -140,8 +140,17 @@ def _to_float_list(key, val):
         raise ConfigError(f"field {key!r}: expected comma-separated numbers, got {val!r}") from None
 
 
+def _to_seed(key, val):
+    seed = _to_int(key, val)
+    try:
+        check_seed(seed)
+    except ParameterError as exc:
+        raise ConfigError(f"field {key!r}: {exc}") from None
+    return seed
+
+
 # keys every experiment takes; see the schemas of _EXPERIMENTS
-_COMMON = {"seed": (_to_int, 0), "output_path": (str, "")}
+_COMMON = {"seed": (_to_seed, 0), "output_path": (str, "")}
 
 # (experiment, library parameter) -> the config field it comes from, where the names differ
 _CONFIG_FIELDS = {("soliton-atlas", "c"): "c_grid", ("theorem1-scan", "n_points"): "num_points",
@@ -246,9 +255,7 @@ def _gauge_setup(p: dict):
 def _ineq_setup(p: dict):
     _require(p["probe"] in _PROBES, "probe", f"must be one of {', '.join(_PROBES)}")
     check_horizon(p["t_end"])
-    check, data, _ = _PROBES[p["probe"]]
-    check(p)
-    return data(p)
+    _PROBES[p["probe"]][0](p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,47 +325,39 @@ def _run_gauge_check(p: dict):
 
 
 def _run_ineq_probe(p: dict):
-    _, data, probe = _PROBES[p["probe"]]
-    rep = probe(p, data(p))
+    rep = _PROBES[p["probe"]][1](p)
     columns = ["inequality_id", "worst_ratio", "worst_member"]
     rows = [[rep.inequality_id, rep.worst_ratio, rep.worst_member]]
     checks = {"worst_ratio": rep.worst_ratio, "near_ties": rep.near_ties, **rep.params}
     return columns, rows, checks
 
 
-def _ensemble(p: dict):
-    return default_ensemble(seed=p["seed"])
-
-
-def _leibniz_pairs(p: dict):
+def _leibniz_pairs(seed: int):
     """50 seeded pairs of Gaussians on the probe grid, each drawn when the probe reaches it."""
-    seed = p["seed"]
-    check_seed(seed)  # here, not at the first draw, so that validation refuses it
-
-    def draws():
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            a, b = 0.5 + rng.random(2) * 2.0
-            xa, xb = rng.uniform(-4, 4, size=2)
-            yield (gaussian_field(DEFAULT_PROBE_GRID, a, center=xa),
-                   gaussian_field(DEFAULT_PROBE_GRID, b, center=xb))
-
-    return draws()
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        a, b = 0.5 + rng.random(2) * 2.0
+        xa, xb = rng.uniform(-4, 4, size=2)
+        yield (gaussian_field(DEFAULT_PROBE_GRID, a, center=xa),
+               gaussian_field(DEFAULT_PROBE_GRID, b, center=xb))
 
 
-# probe -> (its precondition check, its data, its run on that data).  Building the
-# data (the default ensemble, or the Leibniz pairs) checks the seed and forms no
-# field.  Entries call the library by module-global name, never through a stored
-# function object, so a wrapper installed on the module attribute
+# probe -> (its precondition check, its run, which builds its input: the default ensemble
+# or the Leibniz pairs).  Entries call the library by module-global name, never through a
+# stored function object, so a wrapper installed on the module attribute
 # (perfbench/tracing.py) sees each call.
 _PROBES = {
-    "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]), _ensemble,
-                   lambda p, ens: strichartz_probe(ens, p["q"], p["r"], p["t_end"])),
-    "smoothing": (lambda p: None, _ensemble, lambda p, ens: smoothing_probe(ens, p["t_end"])),
-    "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]), _ensemble,
-                lambda p, ens: maximal_probe(ens, p["p"], p["s"], p["t_end"])),
-    "leibniz": (lambda p: check_leibniz_order(p["s"]), _leibniz_pairs,
-                lambda p, pairs: leibniz_probe(pairs, p["s"], 2.0, 4.0, 4.0, 4.0, 4.0)),
+    "strichartz": (lambda p: check_strichartz_pair(p["q"], p["r"]),
+                   lambda p: strichartz_probe(default_ensemble(seed=p["seed"]),
+                                              p["q"], p["r"], p["t_end"])),
+    "smoothing": (lambda p: None,
+                  lambda p: smoothing_probe(default_ensemble(seed=p["seed"]), p["t_end"])),
+    "maximal": (lambda p: check_maximal_exponents(p["p"], p["s"]),
+                lambda p: maximal_probe(default_ensemble(seed=p["seed"]),
+                                        p["p"], p["s"], p["t_end"])),
+    "leibniz": (lambda p: check_leibniz_order(p["s"]),
+                lambda p: leibniz_probe(_leibniz_pairs(p["seed"]), p["s"],
+                                        2.0, 4.0, 4.0, 4.0, 4.0)),
 }
 
 # experiment -> (schema: key -> (converter, default), None default = required;

@@ -54,12 +54,11 @@ def check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class _DefaultMembers(Sequence):
-    """default_ensemble's members in order, each formed when it is reached and never stored.
+    """default_ensemble's members in order, formed on each pass and never stored.
 
     Gaussians come first, then smooth random fields drawn from one generator
-    seeded with `seed`.  A pass forms the members it reaches in order, and
-    only draws (without forming) the random members it skips; each member's
-    edge decay is checked as it is formed.
+    seeded with `seed`; each member's edge decay is checked as it is formed.
+    An index or slice takes one whole pass.
     """
     grid: GridSpec
     seed: int
@@ -74,33 +73,20 @@ class _DefaultMembers(Sequence):
         return len(self.GAUSSIANS) + self.N_RANDOM
 
     def __getitem__(self, k):
-        indices = range(len(self))[k]  # a tuple's IndexError and TypeError
-        if not isinstance(k, slice):
-            return next(self._formed([indices]))
-        formed = tuple(self._formed(sorted(indices)))
-        return formed if indices.step > 0 else formed[::-1]
+        return tuple(self)[k]
 
     def __iter__(self):
-        return self._formed(range(len(self)))
-
-    def _formed(self, indices):
-        """The members at the ascending `indices`, formed in one pass."""
-        grid, n = self.grid, self.grid.n_points
-        rng = None
-        for k in indices:
-            if k < len(self.GAUSSIANS):
-                f = gaussian_field(grid, *self.GAUSSIANS[k])
-            else:
-                if rng is None:  # the pass's first random member
-                    rng, drawn = np.random.default_rng(self.seed), len(self.GAUSSIANS)
-                    envelope = np.exp(-0.1 * grid.x**2)
-                    cut = np.abs(grid.xi) <= 8.0
-                for _ in range(drawn, k):  # the draws of the members skipped
-                    rng.standard_normal(n)
-                    rng.standard_normal(n)
-                coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                drawn = k + 1
-                f = ComplexField(grid, envelope * np.fft.ifft(np.where(cut, coef, 0.0)))
+        grid = self.grid
+        for a, v, x0 in self.GAUSSIANS:
+            f = gaussian_field(grid, a, v, x0)
+            f.check_edge_decay()
+            yield f
+        rng = np.random.default_rng(self.seed)
+        envelope = np.exp(-0.1 * grid.x**2)
+        cut = np.abs(grid.xi) <= 8.0
+        for _ in range(self.N_RANDOM):
+            coef = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+            f = ComplexField(grid, envelope * np.fft.ifft(np.where(cut, coef, 0.0)))
             f.check_edge_decay()
             yield f
 

@@ -210,17 +210,17 @@ def pc_mass_closed(p: SolitonParams) -> float:
     return float(_phase_mass(p, math.inf))
 
 
-def l2_mass_grid(p: SolitonParams, grid: GridSpec | None = None) -> float:
-    """Integral of |phi|^2 = |g|^2 by Riemann sum, on _envelope_grid(p) unless a grid is given."""
-    return l2_norm(_envelope(p, grid or _envelope_grid(p))) ** 2
+def l2_mass_grid(p: SolitonParams) -> float:
+    """Integral of |phi|^2 = |g|^2 by Riemann sum, on _envelope_grid(p)."""
+    return l2_norm(_envelope(p, _envelope_grid(p))) ** 2
 
 
-def virial_ratio(p: SolitonParams, grid: GridSpec | None = None) -> float:
+def virial_ratio(p: SolitonParams) -> float:
     """||phi_x||^2 / ||phi||^2 = ||(d/dx + i c/2) g||^2 / ||g||^2, spectrally; equals omega.
 
-    Computed on _envelope_grid(p) unless a grid is given.
+    Computed on _envelope_grid(p).
     """
-    g = _envelope(p, grid or _envelope_grid(p))
+    g = _envelope(p, _envelope_grid(p))
     ghat = np.fft.fft(g.values)
     power = np.abs(ghat / np.max(np.abs(ghat))) ** 2  # scaled, so tiny waves do not underflow
     return float(np.sum((g.grid.xi + 0.5 * p.c) ** 2 * power) / np.sum(power))

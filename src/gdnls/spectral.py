@@ -353,29 +353,19 @@ def _power(values: np.ndarray, q: float, out: np.ndarray | None = None) -> np.nd
 
 
 def _time_quadrature(values_pow: np.ndarray, times: np.ndarray, q: float) -> np.ndarray:
-    """(integral g^q dt)^{1/q} along axis 0 by trapezoid; exact max for q = inf.
-
-    These are np.trapezoid(values_pow**q, times, axis=0)'s operations in
-    its order, so the result equals it bit for bit; they run in place in
-    the one array of powers.
-    """
+    """(integral g^q dt)^{1/q} along axis 0 by np.trapezoid; exact max for q = inf."""
     if np.isinf(q):
         return values_pow.max(axis=0)
-    y = _power(values_pow, q)
-    s = y[:-1]
-    np.add(s, y[1:], out=s)  # row k + 1 is read before row k is written: no copy
-    s *= np.diff(times).reshape((-1,) + (1,) * (y.ndim - 1))
-    s /= 2.0
-    return np.add.reduce(s, axis=0) ** (1.0 / q)
+    return np.trapezoid(_power(values_pow, q), times, axis=0) ** (1 / q)
 
 
 class _TimeNorm:
     """_time_quadrature of rows fed in time order, a block at a time, per point.
 
     The max for q = inf is a running max.  For finite q each trapezoid
-    interval term is formed as _time_quadrature forms it, the first term of
+    interval term is formed as np.trapezoid forms it, the first term of
     a block from the last row of the block before, and the terms are added
-    in time order, as np.add.reduce adds the rows of a C-contiguous array.
+    in time order, as its np.add.reduce adds the rows of a C-contiguous array.
     So `norm()` equals _time_quadrature over every row fed since the last
     reset bit for bit, in memory of 2 (block + 1) rows.
     """

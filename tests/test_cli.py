@@ -722,17 +722,37 @@ def test_seed_override(tmp_path):
     assert json.loads(manifest.read_text())["config"]["seed"] == 7
 
 
+# each experiment with its required keys, ineq-probe once per probe
+SEED_CASES = [
+    *[pytest.param(e, text, id=e) for e, text in (
+        ("soliton-atlas", ATLAS), ("evolve", ""), ("scatter-probe", ""), ("gauge-check", ""),
+        ("theorem1-scan", "sigma = 2\nnorm = L2\n"))],
+    *[pytest.param("ineq-probe", f"probe = {p}\n", id=p) for p in cli._PROBES],
+]
+
+
 @pytest.mark.parametrize("how", ["key", "flag"])
-@pytest.mark.parametrize("probe", ["strichartz", "smoothing", "maximal", "leibniz"])
-def test_a_negative_seed_is_a_validation_error(tmp_path, capsys, probe, how):
-    # the ensemble and the Leibniz draws refuse it when they are built, before any draw
-    text = f"probe = {probe}\n" + ("seed = -3\n" if how == "key" else "")
+@pytest.mark.parametrize("experiment, text", SEED_CASES)
+def test_a_negative_seed_is_a_validation_error(tmp_path, capsys, experiment, text, how):
+    # seed is a common key: every experiment refuses it where the config comes in
+    text += "seed = -3\n" if how == "key" else ""
     cfg = write(tmp_path, "p.cfg", text)
     flag = ["--seed", "-3"] if how == "flag" else []
-    assert main(["ineq-probe", "--config", cfg, "--out", str(tmp_path / "o"), *flag]) \
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o"), *flag]) \
         == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: field 'seed': ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("probe", list(cli._PROBES))
+def test_validation_builds_no_probe_input(monkeypatch, probe):
+    # the run builds its ensemble or pairs; validation checks the seed without them
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation built a probe input")
+
+    monkeypatch.setattr(cli, "default_ensemble", refuse)
+    monkeypatch.setattr(cli, "_leibniz_pairs", refuse)
+    assert validate_config("ineq-probe", {"probe": probe, "seed": "7"}).parameters["seed"] == 7
 
 
 def test_a_leibniz_run_holds_one_pair():

@@ -530,7 +530,7 @@ def test_default_q_grid_within_range():
 
 
 def assert_time_quadrature_is_the_trapezoid(u, times, q):
-    # the reference is numpy's trapezoid, which the library no longer calls
+    # the reference is numpy's trapezoid of u**q; the library takes it of _power's powers
     ref = np.trapezoid(u**q, times, axis=0) ** (1.0 / q)
     assert np.array_equal(spectral._time_quadrature(u, times, q), ref)
 

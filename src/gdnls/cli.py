@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -57,6 +56,14 @@ from .solitons import (
 )
 from .spectral import l2_norm
 
+try:  # the interpreter's own SHA-256: hashlib would map OpenSSL (~3.5 MB) for one digest
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -75,7 +82,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(self.normalized(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return sha256(blob).hexdigest()[:16]
 
 
 @dataclass
@@ -535,6 +542,11 @@ def main(argv=None) -> int:
         configs = [_load_config(p, args.command if single else None, args.seed) for p in paths]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:  # an unusable --out is refused before any config runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     results = sweep(configs, workers=args.workers, out_dir=args.out)
     for path, r in zip(paths, results):

@@ -58,7 +58,7 @@ class _DefaultMembers(Sequence):
 
     Gaussians come first, then smooth random fields drawn from one generator
     seeded with `seed`; each member's edge decay is checked as it is formed.
-    An index or slice takes one whole pass.
+    An index, a slice or a reversal takes one whole pass.
     """
     grid: GridSpec
     seed: int
@@ -74,6 +74,9 @@ class _DefaultMembers(Sequence):
 
     def __getitem__(self, k):
         return tuple(self)[k]
+
+    def __reversed__(self):  # Sequence's would take one whole pass per index
+        return reversed(tuple(self))
 
     def __iter__(self):
         grid = self.grid

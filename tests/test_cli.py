@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -252,6 +253,21 @@ def test_main_exit_codes(tmp_path):
     bad = write(tmp_path, "bad.cfg", "sigma = 2\nwhat = 1\n")
     assert main(["soliton-atlas", "--config", bad]) == EXIT_VALIDATION
     assert main(["soliton-atlas", "--config", str(tmp_path / "missing.cfg")]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["soliton-atlas", "sweep"])
+def test_main_refuses_an_unusable_out_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    text = ("experiment = soliton-atlas\n" if command == "sweep" else "") + ATLAS
+    cfg = write(tmp_path, "atlas.cfg", text)
+    out = tmp_path / "a_file" / "sub"
+    (tmp_path / "a_file").write_text("")
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and str(out) in err
 
 
 def test_main_numerical_failure_exit_code(tmp_path):
@@ -714,6 +730,24 @@ def test_importing_the_cli_leaves_the_thread_pool_and_scipy_unloaded():
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_a_run_leaves_hashlib_and_openssl_unloaded(tmp_path):
+    # config_hash takes the interpreter's built-in SHA-256; hashlib would map libcrypto
+    src = str(Path(gdnls.__file__).resolve().parents[1])
+    configs = [("soliton-atlas", ATLAS), ("theorem1-scan", "sigma = 2\nnorm = L2\n"),
+               ("evolve", ""), ("scatter-probe", "t_end = 1\nn_points = 1024\n"),
+               ("gauge-check", "")]
+    code = "import sys\nfrom gdnls import cli\n"
+    for k, (experiment, text) in enumerate(configs):
+        argv = [experiment, "--config", write(tmp_path, f"{k}.cfg", text), "--out"]
+        code += f"assert cli.main({argv!r} + [sys.argv[1]]) == 0\n"
+    code += "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         check=True)
+    assert out.stdout.split()[-2:] == ["False", "False"]
+    assert len(list((tmp_path / "o").glob("*.csv"))) == len(configs)
+
+
 def test_seed_override(tmp_path):
     cfg = write(tmp_path, "p.cfg", "probe = strichartz\nq = inf\nr = 2\n")
     assert main(["ineq-probe", "--config", cfg, "--out",
@@ -742,6 +776,13 @@ def test_a_negative_seed_is_a_validation_error(tmp_path, capsys, experiment, tex
         == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: field 'seed': ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, text", SEED_CASES)
+def test_config_hash_is_the_sha256_of_the_normalized_config(experiment, text):
+    cfg = validate_config(experiment, parse_config_text(text))
+    blob = json.dumps(cfg.normalized(), sort_keys=True).encode()
+    assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("probe", list(cli._PROBES))

@@ -88,6 +88,22 @@ def test_lazy_members_are_the_eager_ones_bit_for_bit(seed):
         assert_same_fields(got, expect[k])
 
 
+def test_a_reversal_takes_one_pass(monkeypatch):
+    # Sequence's __reversed__ indexes once per member, and each index is a whole pass
+    ens = default_ensemble(seed=0)
+    expect = tuple(ens.members)[::-1]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_field(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "gaussian_field", counted)
+    got = list(reversed(ens.members))
+    assert len(calls) == 100
+    assert_same_fields(got, expect)
+
+
 def test_a_lazy_member_checks_its_edge_when_it_is_formed():
     # on a box of 16 some members do not decay at the edge: the ensemble is still
     # built, and a pass stops with ResolutionError at the first of them

@@ -101,8 +101,8 @@ class ComplexField:
 
     def edge_magnitude(self) -> float:
         """Largest sample magnitude in the outermost 8 points on each side."""
-        v = np.abs(self.values)
-        return float(max(v[:8].max(), v[-8:].max()))
+        v = self.values
+        return float(max(np.abs(v[:8]).max(), np.abs(v[-8:]).max()))
 
     def check_edge_decay(self) -> None:
         m = self.edge_magnitude()

@@ -2,7 +2,8 @@
 
 `integrate_halfline` is the trapezoid rule on the line for the improper
 integrals without a closed form; `cumulative_integral` is the one
-running integral, spectral on the grid samples.
+running integral, spectral on the grid samples; `least_squares_slope`
+is the one straight-line fit, behind every log-log rate.
 """
 
 from __future__ import annotations
@@ -61,3 +62,23 @@ def cumulative_integral(values: np.ndarray, grid) -> np.ndarray:
     x = grid.x
     ramp = (vhat[0].real / grid.n_points) * (x - x[0])
     return ramp + np.real(osc - osc[0])
+
+
+def least_squares_slope(x, y) -> float:
+    """Slope of the least-squares line through the points (x_k, y_k), in closed form.
+
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, which np.polyfit's
+    degree-1 fit matches to rounding, without its LAPACK solver.  A
+    non-finite point, such as the log of a value that underflowed to 0,
+    or fewer than two distinct x raise ValueError.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"slope fit: point {k} is not finite (x = {x[k]}, y = {y[k]})")
+    dx = x - x.mean()
+    spread = float(np.sum(dx * dx))
+    if not spread > 0:
+        raise ValueError(f"slope fit needs two distinct x, got {x.size} point(s) at {x[:1]}")
+    return float(np.sum(dx * (y - y.mean()))) / spread

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ComplexField, GridSpec, ParameterError, Trajectory
+from .quadrature import least_squares_slope
 from .spectral import _fed, _XtReducer, free_group, sobolev_norm
 from .spectral import xt_norm  # noqa: F401  the benchmark's tracer wraps gdnls.scattering.xt_norm
 
@@ -49,7 +50,7 @@ class ScatterReport:
         t, _, d = np.array(self.pullback_cauchy).reshape(-1, 3).T
         if len(d) < 2 or not np.all(d > 0):
             return None
-        return float(np.polyfit(np.log2(t), np.log2(d), 1)[0])
+        return least_squares_slope(np.log2(t), np.log2(d))
 
 
 def pullback_cauchy(traj: Trajectory, s_prime: float, checkpoints) -> list:
@@ -83,7 +84,7 @@ def decay_exponent(curve, t_min: float) -> float:
             f"decay fit needs >= 4 snapshots with t >= t_min = {t_min:g}, got {len(pts)}"
         )
     t, v = np.array(pts).T
-    return float(np.polyfit(np.log(t), np.log(v), 1)[0])
+    return least_squares_slope(np.log(t), np.log(v))
 
 
 def _prefix_lengths(times: np.ndarray) -> list:

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, ParameterError, _carrier
-from .quadrature import QuadratureError, integrate_halfline
+from .grid import ComplexField, GridSpec, ParameterError, _carrier, _read_only
+from .quadrature import QuadratureError, integrate_halfline, least_squares_slope
 from .spectral import CUSP_WINDOW, _homogeneous_norm_sq, l2_norm
 
 # Largest soliton grid: a complex array of 2^20 points is 16 MiB and a
-# homogeneous norm holds about ten at once.  soliton_grid grows like
+# homogeneous norm holds about ten at once (10.2 traced at 2^15 points:
+# spectral.TAYLOR_BLOCK rows and their seed).  soliton_grid grows like
 # 1/alpha at both ends of the speed range, the envelope grid as
 # c -> 2 sqrt(omega) only; at 2^27 points one array alone would be 2 GiB.
 MAX_GRID_POINTS = 2**20
@@ -106,11 +108,16 @@ def _phase_mass(p: SolitonParams, x) -> np.ndarray:
     return (2.0 * (p.sigma + 1.0) / p.sigma) * (ramp + math.atan(beta))
 
 
+# One envelope: the grid-computed norms of one wave (l2_mass_grid,
+# virial_ratio, hsc_norm) are taken in turn on the same grid.
+@lru_cache(maxsize=1)
 def _envelope(p: SolitonParams, grid: GridSpec) -> ComplexField:
     """Sample g = amplitude exp(-i _phase_mass / (2 sigma + 2)), so that phi = g e^{i c x / 2}.
 
-    Raises ResolutionError if |g| = |phi| does not decay at the box edge, and
-    ParameterError naming sigma if amplitude's rate or numerator overflows.
+    Built once per (p, grid) and kept until another is asked for; its
+    values are read-only.  Raises ResolutionError if |g| = |phi| does not
+    decay at the box edge, and ParameterError naming sigma if amplitude's
+    rate or numerator overflows.
     """
     if not (math.isfinite(p.sigma * p.alpha)
             and math.isfinite((p.sigma + 1.0) * (4.0 * p.omega - p.c**2))):
@@ -119,6 +126,7 @@ def _envelope(p: SolitonParams, grid: GridSpec) -> ComplexField:
     phase = _phase_mass(p, x) / (2.0 * p.sigma + 2.0)
     g = ComplexField(grid, amplitude(p, x) * np.exp(-1j * phase))
     g.check_edge_decay()
+    _read_only(g.values)
     return g
 
 
@@ -319,7 +327,7 @@ def endpoint_sequence(sigma: float, omega: float, norm: str,
 def endpoint_slope(rows) -> float:
     """Log-log slope of value against alpha over endpoint_sequence rows."""
     alphas, _, values = zip(*rows)
-    return float(np.polyfit(np.log(alphas), np.log(values), 1)[0])
+    return least_squares_slope(np.log(alphas), np.log(values))
 
 
 def endpoint_rate(sigma: float, omega: float, norm: str,

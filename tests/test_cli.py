@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdnls
-from gdnls import cli
+from gdnls import cli, solitons, spectral
 from gdnls.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -455,6 +455,44 @@ def test_main_exits_3_naming_c_past_the_i_of_c_point_cap(tmp_path, capsys):
     assert main(["soliton-atlas", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "I(c) at c = 1.99999999" in err and "cap of 2097152" in err
+
+
+def test_main_exits_3_when_a_slope_fit_meets_a_zero_norm(tmp_path, capsys, monkeypatch):
+    # log 0 = -inf has no place on a fitted line
+    monkeypatch.setitem(solitons._ENDPOINT_NORMS, "L2", lambda p: 0.0)
+    cfg = write(tmp_path, "zero.cfg", "sigma = 2\nnorm = L2\n")
+    with np.errstate(divide="ignore"):
+        code = main(["theorem1-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: slope fit: point 0 is not finite" in capsys.readouterr().err
+
+
+def test_the_benchmarked_experiments_run_without_lapack(tmp_path, monkeypatch):
+    # np.polyfit reaches LAPACK through lstsq and leggauss through eigvalsh;
+    # each maps about a megabyte more of the library into a run
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, name, refuse)
+    spectral._unit_cusp_panels.cache_clear()  # rebuilt from the Gauss rule
+    configs = [
+        ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "8"}),
+        ("theorem1-scan", {"sigma": "2", "norm": "Lpc"}),
+        ("theorem1-scan", {"sigma": "1", "norm": "L2"}),
+        ("soliton-atlas", {"sigma": "2", "c_grid": "-0.5, 0, 0.5"}),
+        ("scatter-probe", {"t_end": "4", "n_points": "1024"}),
+        ("gauge-check", {"n_points": "1024", "t_end": "0.25"}),
+        *[("ineq-probe", {**raw, "t_end": "1"}) for raw in (
+            {"probe": "strichartz", "q": "4", "r": "inf"},
+            {"probe": "strichartz", "q": "inf", "r": "2"},
+            {"probe": "smoothing"}, {"probe": "leibniz"}, {"probe": "maximal"})],
+    ]
+    for experiment, raw in configs:
+        record = run(validate_config(experiment, raw), out_dir=tmp_path)
+        if experiment == "scatter-probe":  # both of its fits were taken
+            assert record.checks["cauchy_rate"] is not None
+            assert "decay_exponent" in record.checks
 
 
 def test_validate_sizes_soliton_grids_only_for_hsc():

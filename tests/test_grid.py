@@ -103,6 +103,17 @@ def test_edge_decay_check():
         flat.check_edge_decay()
 
 
+@pytest.mark.parametrize("n", [16, 32, 1024])
+def test_edge_magnitude_reads_the_edge_samples_alone(n):
+    # at N = 16 the two 8-point ends meet and cover the whole field
+    rng = np.random.default_rng(n)
+    g = GridSpec(n, 8.0)
+    for _ in range(20):
+        f = ComplexField(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        v = np.abs(f.values)
+        assert f.edge_magnitude() == float(max(v[:8].max(), v[-8:].max()))
+
+
 def test_trajectory_time_axis_validation():
     g = GridSpec(16, 8.0)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from gdnls.quadrature import (
     QuadratureError,
     cumulative_integral,
     integrate_halfline,
+    least_squares_slope,
 )
 
 
@@ -80,3 +81,22 @@ def test_cumulative_integral_starts_near_zero():
         got = cumulative_integral(dens(grid.x), grid)
         assert abs(got[0]) < 1e-13
         assert np.all(np.diff(got) >= -1e-15)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_least_squares_slope_matches_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    x = np.log(np.sort(rng.uniform(1e-3, 10.0, rng.integers(2, 40))))
+    y = rng.uniform(-3.0, 3.0) * x + rng.normal(0.0, 0.1, x.size) + rng.uniform(-5.0, 5.0)
+    expect = np.polyfit(x, y, 1)[0]
+    assert least_squares_slope(x, y) == pytest.approx(expect, rel=1e-13, abs=1e-15)
+
+
+def test_least_squares_slope_refuses_non_finite_points_and_one_x():
+    x = np.log([1.0, 2.0, 4.0])
+    with np.errstate(divide="ignore"):
+        y = np.log([1.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match=r"point 1 is not finite \(x = .*, y = -inf\)"):
+        least_squares_slope(x, y)
+    with pytest.raises(ValueError, match="two distinct x"):
+        least_squares_slope([1.0, 1.0], [0.0, 1.0])

@@ -391,6 +391,25 @@ def test_envelope_grid_norms_are_converged(p, monkeypatch):
         assert norm(p) == pytest.approx(value, rel=1e-14, abs=0.0), norm.__name__
 
 
+def test_an_atlas_row_builds_one_envelope(monkeypatch):
+    p = SolitonParams(1.0, -0.5, 2.0)
+    builds = []
+
+    def counted(q, x):
+        builds.append(q)
+        return amplitude(q, x)
+
+    solitons._envelope.cache_clear()
+    monkeypatch.setattr(solitons, "amplitude", counted)
+    l2_mass_grid(p), virial_ratio(p), hsc_norm(p)  # the grid-computed columns of a row
+    assert builds == [p]
+    g = _envelope(p, _envelope_grid(p))
+    assert not g.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.values[0] = 0.0
+    solitons._envelope.cache_clear()
+
+
 def test_envelope_times_carrier_is_the_wave():
     p = SolitonParams(1.0, -1.5, 2.0)
     grid = soliton_grid(p)

@@ -9,6 +9,7 @@ f = exp(-a x^2) one has fhat(xi) = sqrt(pi/a) exp(-xi^2/(4a)), hence
 import math
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +25,7 @@ from gdnls.probes import (
     maximal_probe,
     smoothing_probe,
 )
-from gdnls.solitons import SolitonParams, endpoint_waves, full_wave, soliton_grid
+from gdnls.solitons import SolitonParams, endpoint_waves, full_wave, hsc_norm, soliton_grid
 from gdnls.spectral import (
     DEFAULT_Q_GRID,
     MixedNormSpec,
@@ -451,10 +452,74 @@ def test_homogeneous_norm_matches_the_direct_sum(fields, s):
 
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
 def test_homogeneous_norm_makes_at_most_k_plus_1_ffts(grid, fft_calls):
-    # one for the lattice part, TAYLOR_TERMS for the cusp part
+    # one row for the lattice part, TAYLOR_TERMS rows for the cusp part,
+    # made TAYLOR_BLOCK rows to a call; every row of length N
     sobolev_norm(box_filling_gaussian(grid, 0.0), 0.25, homogeneous=True)
-    assert set(fft_calls) == {(grid.n_points,)}
-    assert len(fft_calls) <= spectral.TAYLOR_TERMS + 1
+    assert {shape[-1] for shape in fft_calls} == {grid.n_points}
+    assert sum(math.prod(shape[:-1]) for shape in fft_calls) <= spectral.TAYLOR_TERMS + 1
+    assert len(fft_calls) <= 1 + math.ceil(spectral.TAYLOR_TERMS / spectral.TAYLOR_BLOCK)
+
+
+def one_row_shifted_taylor(transform, g, y, index, z):
+    """_shifted_taylor as one transform call per Taylor term: the reference it must equal."""
+    out = transform(g)[index]
+    coef = 1.0
+    for p in range(1, spectral.TAYLOR_TERMS):
+        g = g * y
+        coef = coef * z / p
+        out += coef * transform(g)[index]
+    return out
+
+
+@pytest.mark.parametrize("transform", [np.fft.fft, np.fft.ifft], ids=["fft", "ifft"])
+@pytest.mark.parametrize("n", [16, 1024, 4096, 32768])
+def test_shifted_taylor_equals_the_one_row_loop(transform, n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = np.linspace(-1.0, 1.0, n, endpoint=False)
+    index = rng.integers(0, n, 500)
+    z = 1j * np.pi * (rng.random(500) - 0.5)
+    got = spectral._shifted_taylor(transform, g, y, index, z)
+    assert np.array_equal(got, one_row_shifted_taylor(transform, g, y, index, z))
+
+
+def test_the_off_lattice_sums_equal_the_one_row_loop(monkeypatch):
+    # fourier_transform_samples, evaluate_interpolant (so rescale) and
+    # hsc_norm bit for bit against the same calls on the one-row loop
+    f = gaussian_field(GRID, 1.0, velocity=3.0, center=1.0)
+    targets = np.linspace(-np.pi / GRID.spacing, np.pi / GRID.spacing, 777)
+    points = np.linspace(-40.0, 40.0, 555)
+    waves = [*endpoint_waves(2.0, 1.0, 8), SolitonParams(1.0, 0.5, 3.0)]
+
+    def outputs():
+        return [fourier_transform_samples(f, targets), evaluate_interpolant(f, points),
+                rescale(f, 0.5, 2.0).values, [hsc_norm(p) for p in waves]]
+
+    got = outputs()
+    monkeypatch.setattr(spectral, "_shifted_taylor", one_row_shifted_taylor)
+    for a, b in zip(got, outputs()):
+        assert np.array_equal(a, b)
+
+
+def test_a_cusp_norm_holds_about_ten_arrays_at_once():
+    # solitons.MAX_GRID_POINTS is sized on this count: TAYLOR_BLOCK rows
+    # and the next block's seed, once the lattice part has let go of its own
+    grid = CUSP_GRIDS[1]
+    f = box_filling_gaussian(grid, 0.0)
+    sobolev_norm(f, 0.25, homogeneous=True)  # the cached cusp panels
+    tracemalloc.start()
+    try:
+        sobolev_norm(f, 0.25, homogeneous=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 16 * grid.n_points
+
+
+def test_the_gauss_rule_is_leggauss_16():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    got_nodes, got_weights = spectral._gauss_legendre_16()
+    assert np.array_equal(got_nodes, nodes) and np.array_equal(got_weights, weights)
 
 
 # ---------------------------------------------------------------------------

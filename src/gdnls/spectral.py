@@ -212,48 +212,92 @@ def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.nda
 
 
 # Half-width of the cusp window of a homogeneous norm, in lattice spacings
-# 2 pi / L: the erfc cutoff is centered at 20 spacings with width 4, so it
-# is below roundoff at 40.
+# 2 pi / L.  The erfc cutoff is centered at 20 spacings with width 4, so at
+# 40 it is erfc(5) / 2 ~ 7.7e-13, not below roundoff: the part of the cusp
+# weight past the window is dropped, and this truncation, not the Gauss
+# rule, is the leading error of the cusp quadrature (see _homogeneous_norm_sq).
 CUSP_WINDOW = 40
 
 
-# The 16-point Gauss-Legendre rule on [-1, 1] at its nodes x >= 0, equal to
-# np.polynomial.legendre.leggauss(16) there; the rule is symmetric.  Written
-# out, a run loads neither numpy.polynomial nor the LAPACK solver it calls.
-_GAUSS_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                0.9445750230732326, 0.9894009349916499)
-_GAUSS_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                  0.062253523938647456, 0.027152459411754176)
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p0, p1
 
 
-def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 16-point Gauss-Legendre on [-1, 1], as leggauss(16) gives them."""
-    nodes, weights = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
-    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of n-point Gauss-Legendre on [-1, 1]; read-only.
 
-
-def _cusp_panels(a: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss panels on (0, a], dyadically graded toward 0, width capped at delta.
-
-    The cap keeps each panel short against the intrinsic variation scale
-    2*pi/L of the transform, so 16-point Gauss resolves the integrand.
-    Each dyadic interval (a 2^-(k+1), a 2^-k], k = 0..52, is cut into at
-    most 64 equal panels.
+    Newton's method on P_n from Tricomi's first guesses cos(pi (i + 3/4) /
+    (n + 1/2)), for the nodes x >= 0, mirrored; then the weights
+    2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 formed as (1 - x)(1 + x).  The
+    nodes are np.polynomial.legendre.leggauss(n)'s to an ulp and the
+    weights closer to the exact ones than leggauss's, and the rule is
+    built from numpy arithmetic alone: a run loads neither numpy.polynomial
+    nor the LAPACK eigensolver leggauss calls.
     """
-    nodes, weights = _gauss_legendre_16()
-    lo = a * 2.0 ** -np.arange(1, 54)  # left ends; each interval is as long as its left end
-    # the slack keeps a count that is an integer up to rounding from being bumped by it
-    count = np.clip(np.ceil(lo / delta - 1e-9), 1, 64).astype(np.int64)
-    step = lo / count
-    interval = np.repeat(np.arange(lo.size), count)
-    index = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
-    mid = lo[interval] + (index + 0.5) * step[interval]
-    half = 0.5 * step[interval]
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    return pts, wts
+    x = np.cos(np.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))  # x >= 0, descending
+    for _ in range(100):  # 4 to 6 steps for the orders of the cusp panels
+        p0, p1 = _legendre(n, x)
+        step = p1 * (1.0 - x) * (1.0 + x) / (n * (p0 - x * p1))
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    p0, p1 = _legendre(n, x)
+    derivative = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * derivative**2)
+    if n % 2:
+        x[-1] = 0.0
+    return (_read_only(np.concatenate([-x, x[:n // 2][::-1]])),
+            _read_only(np.concatenate([w, w[:n // 2][::-1]])))
+
+
+def _panel_order(width: float) -> int:
+    """Gauss order of a cusp panel `width` lattice spacings wide: 12 or more.
+
+    The smallest n >= 12 with (e pi W / (8 n))^(2n) <= 1e-19 for width W.
+    |fhat|^2 is the transform of f's autocorrelation, which lives on lags
+    |u| < L, and a field that decays at the box edge puts little of it past
+    L/2; n-point Gauss-Legendre on a panel W spacings wide integrates
+    e^{i xi u} with |u| <= L/2 to about that bound (Trefethen, SIAM Rev.
+    50(1), 2008).  On (l, 2 l] the cusp of |xi|^{2s} at 0 maps to -3 on
+    [-1, 1], whose Bernstein ellipse gives (3 + sqrt 8)^(-2n) < 1e-18 at
+    the floor n = 12.
+    """
+    n = 12
+    while (math.e * math.pi * width / (8.0 * n)) ** (2 * n) > 1e-19:
+        n += 1
+    return n
+
+
+def _cusp_depth(window: int, s: float) -> int:
+    """Dyadic levels of the cusp panels of an Hdot^s norm: min(53, ceil(log2 a + 60/(2s+1))).
+
+    a is the window in lattice spacings.  The sliver (0, a 2^-D] left out
+    next to the cusp carries (a 2^-D)^(2s+1) times the weight |xi|^{2s} of
+    the first spacing (0, delta], over which |fhat| barely varies, so this
+    D leaves out less than 2^-60 of the cusp integral over that spacing
+    alone.  53 levels, reached as s -> 0, grade down to the rounding of a.
+    """
+    return min(53, math.ceil(math.log2(window) + 60.0 / (2.0 * s + 1.0)))
+
+
+def _cusp_panels(a: float, delta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss panels on (a 2^-depth, a], one per dyadic interval, graded toward 0.
+
+    The interval (a 2^-(k+1), a 2^-k], k < depth, is one Gauss-Legendre
+    panel of _panel_order(its width / delta) points: 38, 26, 18 and 14
+    points on the four outer intervals of a = 40 delta, 12 on every other.
+    """
+    pts, wts = [], []
+    for lo in a * 2.0 ** -np.arange(1, depth + 1):  # each interval is as long as its left end
+        nodes, weights = _gauss_legendre(_panel_order(lo / delta))
+        pts.append(lo * (1.5 + 0.5 * nodes))
+        wts.append(0.5 * lo * weights)
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 def _cutoff(u: np.ndarray) -> np.ndarray:
@@ -269,13 +313,13 @@ def _cutoff(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _unit_cusp_panels(spacings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_cusp_panels(spacings, 1) and _cutoff there, built once per window width; read-only.
+def _unit_cusp_panels(spacings: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_cusp_panels(spacings, 1, depth) and _cutoff there, built once per key; read-only.
 
     The panels depend only on a / delta, so delta times these points and
-    weights are _cusp_panels(spacings * delta, delta) up to rounding.
+    weights are _cusp_panels(spacings * delta, delta, depth) up to rounding.
     """
-    pts, wts = _cusp_panels(float(spacings), 1.0)
+    pts, wts = _cusp_panels(float(spacings), 1.0, depth)
     return _read_only(pts), _read_only(wts), _read_only(_cutoff(pts))
 
 
@@ -291,11 +335,16 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
     the cusp (_cutoff): the cusp-free remainder is summed on the lattice
     (spectrally accurate), and the compactly concentrated cusp part, on
     the window of CUSP_WINDOW lattice spacings each side of -shift, is
-    integrated with graded Gauss panels whose width never exceeds the
-    lattice spacing, so sharply concentrated spectra are still resolved.
-    The window must lie in the band |xi| <= pi/h, or
-    fourier_transform_samples raises.  cusp=False leaves the cusp part
-    out; the caller then owes a bound on |fhat| over the window.
+    integrated with one Gauss panel per dyadic interval toward the cusp,
+    _cusp_depth(window, s) of them, each of the order its width needs
+    (_panel_order): 600 targets each side at s = 1/4.  Its leading error
+    is the window's truncation of the cutoff (erfc(5)/2 ~ 7.7e-13 at its
+    edge): widening the window from 40 to 48 spacings moves the squared
+    Hdot^{1/4} norm of the sigma = 2, j = 1 endpoint wave (c = -1.9365,
+    N = 2048) by 2.0e-14 relative.  The window must lie in the band
+    |xi| <= pi/h, or fourier_transform_samples raises.  cusp=False leaves
+    the cusp part out; the caller then owes a bound on |fhat| over the
+    window.
     """
     grid = f.grid
     delta = 2.0 * np.pi / grid.box_length
@@ -309,9 +358,10 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
         return total / (2.0 * np.pi)
     del xi, fhat, w_smooth  # the cusp sum holds TAYLOR_BLOCK + 1 arrays of N at once
 
-    # cusp part: chi is below roundoff past 10 transition widths; on grids
-    # of fewer than 128 points the band, N/2 spacings wide, cuts the window
-    pts, wts, chi = _unit_cusp_panels(min(CUSP_WINDOW, grid.n_points // 2))
+    # cusp part: on grids of fewer than 128 points the band, N/2 spacings
+    # wide, cuts the window
+    window = min(CUSP_WINDOW, grid.n_points // 2)
+    pts, wts, chi = _unit_cusp_panels(window, _cusp_depth(window, s))
     pts = delta * pts
     weight = delta * wts * pts ** (2.0 * s) * chi
     fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))

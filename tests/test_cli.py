@@ -362,6 +362,20 @@ def test_evolve_reports_the_library_conserved_report(tmp_path):
     assert manifest["checks"]["min_cfl_margin"] == rep.min_cfl_margin
 
 
+def test_a_default_evolve_run_stores_no_trajectory():
+    # the defaults hand 101 snapshots of 2048 points to the sink, one CSV row each:
+    # 3.3 MB if stored, and the run reads none of them back
+    cfg = validate_config("evolve", {})
+    tracemalloc.start()
+    try:
+        record = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(record.rows) == 101
+    assert peak < len(record.rows) * cfg.parameters["n_points"] * 16
+
+
 def test_main_exits_3_when_the_state_turns_non_finite(tmp_path, capsys, poison_ifft):
     poison_ifft(19)  # NaN from stage 4 of step 5 on
     cfg = write(tmp_path, "nan.cfg", "t_end = 0.01\n")
@@ -475,7 +489,8 @@ def test_the_benchmarked_experiments_run_without_lapack(tmp_path, monkeypatch):
 
     for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
-    spectral._unit_cusp_panels.cache_clear()  # rebuilt from the Gauss rule
+    spectral._unit_cusp_panels.cache_clear()  # rebuilt from the Gauss rules,
+    spectral._gauss_legendre.cache_clear()  # which are generated again
     configs = [
         ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "8"}),
         ("theorem1-scan", {"sigma": "2", "norm": "Lpc"}),
@@ -784,6 +799,22 @@ def test_a_run_leaves_hashlib_and_openssl_unloaded(tmp_path):
                          check=True)
     assert out.stdout.split()[-2:] == ["False", "False"]
     assert len(list((tmp_path / "o").glob("*.csv"))) == len(configs)
+
+
+def test_importing_the_cli_builds_no_gauss_rule():
+    # the first Hsc norm builds the cusp panels and their Gauss rules, so an import, which
+    # the benchmark times as set-up, takes none of that work; no run loads numpy.polynomial
+    src = str(Path(gdnls.__file__).resolve().parents[1])
+    code = ("import sys\nfrom gdnls import cli, spectral\n"
+            "def built():\n"
+            "    return [spectral._gauss_legendre.cache_info().currsize,\n"
+            "            spectral._unit_cusp_panels.cache_info().currsize]\n"
+            "print(*built())\n"
+            "cli.run(cli.validate_config('soliton-atlas', {'sigma': '2', 'c_grid': '0'}))\n"
+            "print(*built(), 'numpy.polynomial' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.split() == ["0", "0", "5", "1", "False"]  # orders 38, 26, 18, 14 and 12
 
 
 def test_seed_override(tmp_path):

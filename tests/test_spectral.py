@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from gdnls import spectral
+from gdnls import solitons, spectral
 from gdnls.grid import ComplexField, GridSpec, Trajectory, gaussian_field
 from gdnls.probes import (
     DEFAULT_PROBE_GRID,
@@ -299,12 +299,36 @@ def direct_interpolant(f, points):
     return np.exp(1j * np.outer(points - grid.x[0], grid.xi)) @ fhat
 
 
+def reference_cusp_panels(a, width, depth=53):
+    """The cusp rule before the Gauss orders followed the error bound: the reference rule.
+
+    16-point Gauss panels on (a 2^-depth, a], dyadically graded toward 0,
+    each dyadic interval (a 2^-(k+1), a 2^-k] cut into equal panels at
+    most `width` wide.  With width = delta and depth 53 this is the old
+    spectral._cusp_panels(a, delta): its cap of 64 panels per interval was
+    never reached at a = 40 delta, and is dropped here, so a finer width
+    keeps its panels that narrow.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    lo = a * 2.0 ** -np.arange(1, depth + 1)  # left ends; each interval is as long as its left end
+    # the slack keeps a count that is an integer up to rounding from being bumped by it
+    count = np.maximum(np.ceil(lo / width - 1e-9), 1).astype(np.int64)
+    step = lo / count
+    interval = np.repeat(np.arange(lo.size), count)
+    index = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
+    mid = lo[interval] + (index + 0.5) * step[interval]
+    half = 0.5 * step[interval]
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
+    return pts, wts
+
+
 def direct_homogeneous_norm_sq(f, s):
-    """The cusp quadrature with one direct sum per signed panel point.
+    """The old cusp quadrature with one direct sum per signed panel point.
 
     This is the reference path of spectral._homogeneous_norm_sq: the same
     lattice part, and direct_fourier_samples at all 2 x 1408 signed Gauss
-    points.
+    points of reference_cusp_panels.
     """
     grid = f.grid
     delta = 2.0 * np.pi / grid.box_length
@@ -322,7 +346,7 @@ def direct_homogeneous_norm_sq(f, s):
     total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
 
     a = min(center + 5.0 * width, np.pi / grid.spacing)
-    pts, wts = spectral._cusp_panels(a, delta)
+    pts, wts = reference_cusp_panels(a, delta)
     for sgn in (1.0, -1.0):
         fh = direct_fourier_samples(f, sgn * pts)
         total += np.sum(wts * pts ** (2.0 * s) * chi(pts) * np.abs(fh) ** 2)
@@ -344,11 +368,12 @@ CUSP_GRIDS = [GridSpec(4096, 80.0), GridSpec(32768, 3968.0)]
 @pytest.mark.parametrize("peak", [0.0, 10.0, 60.0], ids=["at0", "inside", "outside"])
 def test_fourier_transform_samples_match_the_direct_sum(grid, peak):
     # peak is the spectral peak in units of 2 pi / L; the cusp window
-    # [-a, a] ends at 40 of them
+    # [-a, a] ends at 40 of them.  The targets are the panels of the deepest
+    # grading, 53 levels, as s -> 0 takes them
     delta = 2.0 * np.pi / grid.box_length
     a = 40.0 * delta
     f = box_filling_gaussian(grid, peak * delta)
-    pts, _ = spectral._cusp_panels(a, delta)
+    pts, _ = spectral._cusp_panels(a, delta, 53)
     targets = np.concatenate([pts, -pts])
     got = fourier_transform_samples(f, targets)
     # every target on the small grid; every 4th on the large one
@@ -387,22 +412,25 @@ def test_fourier_transform_samples_reject_targets_past_the_band():
 @pytest.mark.parametrize("length", [80.0, 3968.0, 124.0 * 2**10, 980836.2970092912])
 def test_cached_cusp_panels_scale_to_the_direct_build(length):
     # at the last length, rounding put (a/2) / delta just past 20 and, before
-    # the panel count took a slack, gave the direct build three more panels
+    # the panel count took a slack, gave the direct build three more panels;
+    # the depths are those of s = 3.5, 1/4 and s -> 0
     delta = 2.0 * np.pi / length
-    pts, wts, chi = spectral._unit_cusp_panels(spectral.CUSP_WINDOW)
-    direct_pts, direct_wts = spectral._cusp_panels(spectral.CUSP_WINDOW * delta, delta)
-    for scaled, direct in ((delta * pts, direct_pts), (delta * wts, direct_wts)):
-        assert scaled.shape == direct.shape
-        assert np.max(np.abs(scaled - direct)) <= 2.0 * np.spacing(np.max(direct))
-    assert np.array_equal(chi, spectral._cutoff(pts))
-    assert not any(a.flags.writeable for a in (pts, wts, chi))
-    assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW)[0] is pts  # built once
+    for depth in (13, 46, 53):
+        pts, wts, chi = spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)
+        direct_pts, direct_wts = spectral._cusp_panels(spectral.CUSP_WINDOW * delta, delta,
+                                                       depth)
+        for scaled, direct in ((delta * pts, direct_pts), (delta * wts, direct_wts)):
+            assert scaled.shape == direct.shape
+            assert np.max(np.abs(scaled - direct)) <= 2.0 * np.spacing(np.max(direct))
+        assert np.array_equal(chi, spectral._cutoff(pts))
+        assert not any(a.flags.writeable for a in (pts, wts, chi))
+        assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)[0] is pts  # built once
 
 
 def test_cutoff_is_the_erfc_of_scipy():
     # scipy's erfc differs from math.erfc only by rounding, and only in its
     # far tail; past 128 spacings the cutoff is 0 exactly
-    u = np.concatenate([np.linspace(0.0, 160.0, 20001), spectral._unit_cusp_panels(40)[0]])
+    u = np.concatenate([np.linspace(0.0, 160.0, 20001), spectral._unit_cusp_panels(40, 53)[0]])
     chi = spectral._cutoff(u)
     np.testing.assert_allclose(chi, 0.5 * erfc((u - 20.0) / 4.0), rtol=1e-13, atol=1e-300)
     assert np.all(chi[u >= 128.0] == 0.0)
@@ -516,10 +544,95 @@ def test_a_cusp_norm_holds_about_ten_arrays_at_once():
     assert peak <= 10.5 * 16 * grid.n_points
 
 
-def test_the_gauss_rule_is_leggauss_16():
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    got_nodes, got_weights = spectral._gauss_legendre_16()
-    assert np.array_equal(got_nodes, nodes) and np.array_equal(got_weights, weights)
+# every Gauss order a cusp panel takes: the window is min(CUSP_WINDOW, N/2) spacings,
+# N a power of two >= 16, and grades at most 53 levels
+PANEL_ORDERS = sorted({spectral._panel_order(min(spectral.CUSP_WINDOW, n // 2) * 2.0 ** -(k + 1))
+                       for n in (16, 32, 64, 128) for k in range(53)})
+
+
+def test_the_gauss_generator_is_leggauss_at_every_panel_order():
+    # leggauss's own weights are off the exact ones by up to 8e-13 relative
+    # at n = 38; the generator's by 1.2e-14 (a 50-digit Newton reference)
+    assert PANEL_ORDERS == [12, 13, 14, 17, 18, 23, 26, 34, 38]
+    for n in PANEL_ORDERS:
+        nodes, weights = spectral._gauss_legendre(n)
+        expect_nodes, expect_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, expect_nodes, rtol=0, atol=np.finfo(float).eps)
+        np.testing.assert_allclose(weights, expect_weights, rtol=1e-12)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        moments = [np.sum(weights * nodes ** (2 * j)) for j in range(n)]  # exact to degree 2n-1
+        np.testing.assert_allclose(moments, 2.0 / (2.0 * np.arange(n) + 1.0), rtol=0, atol=1e-15)
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        assert spectral._gauss_legendre(n)[0] is nodes  # built once
+
+
+def test_the_panel_orders_follow_the_error_bound():
+    # the four outer intervals of the 40-spacing window, then the floor of 12
+    assert [spectral._panel_order(40.0 * 2.0 ** -(k + 1)) for k in range(6)] == [
+        38, 26, 18, 14, 12, 12]
+    for width in (20.0, 10.0, 5.0, 2.5, 1.25):
+        n = spectral._panel_order(width)
+        assert (math.e * math.pi * width / (8.0 * n)) ** (2 * n) <= 1e-19
+        assert n == 12 or (math.e * math.pi * width / (8.0 * (n - 1))) ** (2 * n - 2) > 1e-19
+    # 46 levels at s = 1/4, 53 as s -> 0; log2 a keeps a deep s from cutting short
+    assert [spectral._cusp_depth(40, s) for s in (0.0, 0.02, 0.25, 0.5, 1.0, 2.0, 3.5)] == [
+        53, 53, 46, 36, 26, 18, 13]
+    assert spectral._cusp_depth(32, 0.25) == 45
+
+
+def finer_unit_cusp_panels(spacings, depth):
+    """_unit_cusp_panels on reference_cusp_panels four times finer, 60 levels deep."""
+    pts, wts = reference_cusp_panels(float(spacings), 0.25, depth=60)
+    return pts, wts, spectral._cutoff(pts)
+
+
+def _refined_gaussians():
+    # a Gaussian as wide as the box admits, its spectrum filling half the cusp
+    # window, at the cusp and 10 spacings off it, and a narrow one off the cusp
+    fields = []
+    for n, length in ((256, 16.0), (1024, 32.0), (4096, 80.0)):
+        grid = GridSpec(n, length)
+        delta = 2.0 * np.pi / length
+        wide = 32.0 / (0.5 * length) ** 2
+        fields += [gaussian_field(grid, wide), gaussian_field(grid, wide, velocity=10.0 * delta),
+                   gaussian_field(grid, 1.0, velocity=3.0 * delta)]
+    for f in fields:
+        f.check_edge_decay()
+    return [(f, 0.0) for f in fields]
+
+
+def _refined_envelopes():
+    waves = [SolitonParams(1.0, c, 2.0) for c in (-1.99, -1.5, 0.0, 1.2, 1.9)]
+    return [(solitons._envelope(p, solitons._envelope_grid(p)), 0.5 * p.c) for p in waves]
+
+
+@pytest.mark.parametrize("fields", [_refined_gaussians, _refined_envelopes],
+                         ids=["gaussians", "sigma2_envelopes"])
+@pytest.mark.parametrize("s", [0.02, 0.25, 0.5, 1.0, 2.0, 3.5])
+def test_the_cusp_rule_matches_a_four_times_finer_graded_rule(fields, s, monkeypatch):
+    cases = fields()
+    got = [math.sqrt(spectral._homogeneous_norm_sq(f, s, shift)) for f, shift in cases]
+    monkeypatch.setattr(spectral, "_unit_cusp_panels", finer_unit_cusp_panels)
+    for (f, shift), value in zip(cases, got):
+        expect = math.sqrt(spectral._homogeneous_norm_sq(f, s, shift))
+        assert value == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
+def test_one_hsc_norm_hands_the_cusp_sum_at_most_1300_targets(monkeypatch):
+    # 600 targets each side of the cusp at s_c = 1/4; the 16-point panels of
+    # width 2 pi / L took 1408
+    sizes = []
+    kernel = spectral.fourier_transform_samples
+
+    def counted(f, xi_targets):
+        sizes.append(np.size(xi_targets))
+        return kernel(f, xi_targets)
+
+    monkeypatch.setattr(spectral, "fourier_transform_samples", counted)
+    for p in (next(iter(endpoint_waves(2.0, 1.0, 1))), SolitonParams(1.0, 0.0, 2.0)):
+        sizes.clear()
+        hsc_norm(p)
+        assert len(sizes) == 1 and sizes[0] <= 1300
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Usage: gdnls <experiment> --config <path> [--out <dir>] [--seed N]
-       gdnls sweep --config <path> [--config <path> ...] [--out <dir>] [--workers N] [--seed N]
+       gdnls sweep --config <path> [<path> ...] [--out <dir>] [--workers N] [--seed N]
 
 Config files are flat ``key = value`` text; unknown keys are errors.
 Each run writes a CSV (RFC-4180 style, 17 significant digits) and a JSON
@@ -43,6 +43,7 @@ from .scattering import ScatterAccumulator
 from .solitons import (
     ENDPOINT_NORMS,
     SolitonParams,
+    _envelope_grid,
     check_hsc_sigma,
     endpoint_sequence,
     endpoint_slope,
@@ -183,7 +184,7 @@ def validate_config(experiment: str, raw: dict) -> ExperimentConfig:
         else:
             params[key] = default
     # fields that a run reads with no domain object to check them, or does not read at all
-    for key in ("omega", "delta", "width", "s"):
+    for key in ("omega", "c", "delta", "width", "s"):
         if key in params:
             _require(math.isfinite(params[key]), key, "must be finite")
     for key in ("omega", "delta", "width"):
@@ -275,7 +276,7 @@ def _run_soliton_atlas(p: dict):
     for c, sp in zip(p["c_grid"], _atlas_setup(p)):
         rows.append([
             float(c), sp.alpha, l2_mass_closed(sp), l2_mass_grid(sp),
-            pc_mass_closed(sp), virial_ratio(sp), hsc_norm(sp),
+            pc_mass_closed(sp), virial_ratio(sp), hsc_norm(sp, _envelope_grid(sp)),
         ])
     checks = {"virial_max_rel_err": max(abs(r[5] / p["omega"] - 1.0) for r in rows)}
     return columns, rows, checks
@@ -526,8 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.set_defaults(workers=1)
     sw = sub.add_parser("sweep", help="run several configs concurrently")
-    sw.add_argument("--config", action="append", required=True,
-                    help="repeatable; each file names its experiment")
+    sw.add_argument("--config", action="extend", nargs="+", required=True,
+                    help="one or more paths, repeatable; each file names its experiment")
     sw.add_argument("--out", default="results")
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--seed", type=int, default=None)

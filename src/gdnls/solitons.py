@@ -273,12 +273,13 @@ def hsc_norm(p: SolitonParams, grid: GridSpec | None = None) -> float:
 
 # norm -> its value at a wave: L2 and H1 by the closed mass formula (the virial identity
 # gives ||phi||_H1^2 = (1+omega) ||phi||_L2^2), Lpc the p_c-th power of the L^{p_c} norm,
-# Hsc on a grid.  Entries call by module-global name, which a tracer may wrap (cli._PROBES).
+# Hsc on the envelope grid, passed so that a tracer's hook reads the grid the norm uses.
+# Entries call by module-global name, which a tracer may wrap (cli._PROBES).
 _ENDPOINT_NORMS = {
     "L2": lambda p: math.sqrt(l2_mass_closed(p)),
     "H1": lambda p: math.sqrt((1.0 + p.omega) * l2_mass_closed(p)),
     "Lpc": lambda p: pc_mass_closed(p),
-    "Hsc": lambda p: hsc_norm(p),
+    "Hsc": lambda p: hsc_norm(p, _envelope_grid(p)),
 }
 ENDPOINT_NORMS = tuple(_ENDPOINT_NORMS)
 

@@ -442,8 +442,12 @@ def test_main_names_num_points_when_a_later_speed_reaches_the_endpoint(tmp_path,
     ("theorem1-scan", "sigma = 1e-300\nnorm = Hsc\n", EXIT_VALIDATION, "sigma"),
     ("soliton-atlas", "sigma = 2\nc_grid = -1.999999999999\n", EXIT_OK, None),
     ("soliton-atlas", "sigma = 2\nomega = 1e-300\nc_grid = 0\n", EXIT_OK, None),
+    # the Gaussian datum reads no c, so no domain object would refuse it
+    ("evolve", "c = nan\n", EXIT_VALIDATION, "c"),
+    ("evolve", "c = -inf\n", EXIT_VALIDATION, "c"),
 ], ids=["theorem1-scan", "theorem1-scan-26", "theorem1-scan-27", "theorem1-scan-alpha0",
-        "theorem1-scan-sigma", "soliton-atlas", "soliton-atlas-omega"])
+        "theorem1-scan-sigma", "soliton-atlas", "soliton-atlas-omega", "evolve-c-nan",
+        "evolve-c-inf"])
 def test_main_runs_near_the_endpoint_or_names_the_field(tmp_path, capsys, experiment, text,
                                                          code, field_name):
     # the waves' grids resolve their envelopes, so they stay small as alpha -> 0

@@ -569,9 +569,8 @@ def main(argv=None) -> int:
             print(f"numerical failure: {r}" if single else f"error: {path}: {r}", file=sys.stderr)
             continue
         print(f"{r.experiment} {r.config_hash}: ok")
-        if single:
-            for key, val in r.checks.items():
-                print(f"  {key} = {val}")
+        for key, val in r.checks.items():
+            print(f"  {key} = {val}")
     return EXIT_NUMERICAL if any(isinstance(r, Exception) for r in results) else EXIT_OK
 
 

@@ -105,12 +105,16 @@ class ComplexField:
         return float(max(np.abs(v[:8]).max(), np.abs(v[-8:]).max()))
 
     def check_edge_decay(self) -> None:
-        m = self.edge_magnitude()
-        if m > EDGE_DECAY_THRESHOLD:
-            raise ResolutionError(
-                f"field magnitude {m:.3e} at box edge exceeds {EDGE_DECAY_THRESHOLD:.0e}; "
-                "enlarge the box or the profile is unresolved"
-            )
+        check_edge_magnitude(self.edge_magnitude())
+
+
+def check_edge_magnitude(m: float) -> None:
+    """ResolutionError if a field's edge_magnitude m exceeds EDGE_DECAY_THRESHOLD."""
+    if m > EDGE_DECAY_THRESHOLD:
+        raise ResolutionError(
+            f"field magnitude {m:.3e} at box edge exceeds {EDGE_DECAY_THRESHOLD:.0e}; "
+            "enlarge the box or the profile is unresolved"
+        )
 
 
 def gaussian_field(grid: GridSpec, width: float, velocity: float = 0.0,

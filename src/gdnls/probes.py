@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
+from .grid import (ComplexField, GridSpec, ParameterError, Trajectory, check_edge_magnitude,
+                   gaussian_field)
 from .spectral import (
     SOBOLEV_ORDER_RANGE,
     MixedNormSpec,
@@ -41,6 +42,12 @@ NEAR_TIE_RTOL = 1e-12
 # ceiling.  free_group keeps the tables of the last two time grids it was
 # given, so a process may hold two of them.  A t_end that asks for more is a typo.
 MAX_SNAPSHOTS = 4000
+# The sharp (6, 6) Strichartz ratio over t >= 0 for data whose |e^{it Lap} f| is
+# even in t, as for every modulated real profile (all 100 Gaussians).  Gaussians
+# maximize over t in R, where the constant is 12^{-1/12} (Foschi 2007;
+# Hundertmark & Zharnitsky 2006), and half the time axis holds half of
+# ||u||_6^6.  A datum focusing at a late time nears 12^{-1/12} on [0, T].
+SHARP_BOUND_6_6 = (2.0 * 12.0 ** 0.5) ** (-1.0 / 6.0)  # 0.72426344
 # Rows of a member's evolution formed and reduced at a time: 8, 16 and 27
 # rows run equally fast, and 16 complex rows of 2048 points are 512 KiB.
 _BLOCK_ROWS = 16
@@ -52,6 +59,13 @@ def check_seed(seed) -> None:
         raise ParameterError("seed", f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _mirror_map(gaussians) -> dict:
+    """k -> j < k for each Gaussian (a, v, x0) at k whose mirror (a, -v, -x0) sits at j."""
+    at = {g: k for k, g in enumerate(gaussians)}
+    return {k: j for k, (a, v, x0) in enumerate(gaussians)
+            if (j := at.get((a, -v, -x0), k)) < k}
+
+
 @dataclass(frozen=True)
 class _DefaultMembers(Sequence):
     """default_ensemble's members in order, formed on each pass and never stored.
@@ -59,11 +73,20 @@ class _DefaultMembers(Sequence):
     Gaussians come first, then smooth random fields drawn from one generator
     seeded with `seed`; each member's edge decay is checked as it is formed.
     An index, a slice or a reversal takes one whole pass.
+
+    The Gaussians form mirror pairs, (a, v, x0) <-> (a, -v, -x0): MIRRORS
+    maps each later member to the earlier one it reflects, x -> -x.  The
+    free group and every probe norm commute with that reflection.  On
+    DEFAULT_PROBE_GRID each mirror's samples are its partner's at index
+    (-i) mod N, bit for bit; on a box where the members do not vanish at
+    x = -L/2, that one sample differs, by less than the edge threshold
+    both pass.  The random members have no partner.
     """
     grid: GridSpec
     seed: int
     GAUSSIANS = tuple((a, v, x0) for a in (0.5, 1.0, 2.0, 4.0, 8.0)
                       for v in (-4.0, -2.0, 0.0, 2.0, 4.0) for x0 in (-6.0, -2.0, 2.0, 6.0))
+    MIRRORS = _mirror_map(GAUSSIANS)
     N_RANDOM = 20
 
     def __post_init__(self):
@@ -79,10 +102,28 @@ class _DefaultMembers(Sequence):
         return reversed(tuple(self))
 
     def __iter__(self):
+        return self._pass(form_mirrors=True)
+
+    def _pass(self, form_mirrors: bool):
+        """Each member in order, its edge decay checked at its place in the pass.
+
+        With form_mirrors false a mirror is not formed: its place yields its
+        partner's index, once its edge check has run on the partner's
+        samples reflected, so a pass stops at the same first member.
+        """
         grid = self.grid
-        for a, v, x0 in self.GAUSSIANS:
+        reflected_edge = -np.r_[:8, -8:0] % grid.n_points  # the mirror's edge_magnitude samples
+        mirror_edge = {}
+        for k, (a, v, x0) in enumerate(self.GAUSSIANS):
+            partner = None if form_mirrors else self.MIRRORS.get(k)
+            if partner is not None:
+                check_edge_magnitude(mirror_edge.pop(partner))
+                yield partner
+                continue
             f = gaussian_field(grid, a, v, x0)
             f.check_edge_decay()
+            if not form_mirrors:
+                mirror_edge[k] = float(np.abs(f.values[reflected_edge]).max())
             yield f
         rng = np.random.default_rng(self.seed)
         envelope = np.exp(-0.1 * grid.x**2)
@@ -213,6 +254,9 @@ def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_nor
     and the ratios equal mixed_norm's quadratures over the whole moduli
     bit for bit.  The grid is read from the ensemble, so a default
     ensemble's members are each formed once, as the loop reaches them.
+    A default ensemble's mirror members are not formed: each takes its
+    partner's ratio, so within a tie between partners _worst names the
+    earlier one.
     """
     times = _snapshot_times(t_end)
     grid = ens.grid
@@ -224,8 +268,14 @@ def _free_ratios(ens: ProbeEnsemble, spec: MixedNormSpec, t_end: float, data_nor
         work, per_time = np.empty(shape), np.empty(len(times))
     else:
         per_point = _TimeNorm(r, shape[1:], shape[0])
+    members = ens.members
+    if isinstance(members, _DefaultMembers):
+        members = members._pass(form_mirrors=False)
     ratios = []
-    for f in ens.members:
+    for f in members:
+        if isinstance(f, int):  # a mirror member: its partner's index
+            ratios.append(ratios[f])
+            continue
         for rows, block in _free_blocks(grid, f.values, times, d, buf, _BLOCK_ROWS):
             u = np.abs(block, out=moduli[:len(block)])
             if time_outer:
@@ -245,7 +295,11 @@ def strichartz_probe(ens: ProbeEnsemble, q: float, r: float, t_end: float) -> Pr
     """||e^{it Lap} f||_{L^q_t L^r_x([0,T])} / ||f||_{L^2} for an admissible pair (q, r)."""
     check_strichartz_pair(q, r)
     ratios = _free_ratios(ens, MixedNormSpec("time", q, r), t_end, l2_norm)
-    return _worst(ratios, "strichartz", {"q": q, "r": r, "T": t_end})
+    rep = _worst(ratios, "strichartz", {"q": q, "r": r, "T": t_end})
+    if q == r == 6:
+        rep.params.update(sharp_bound=SHARP_BOUND_6_6,
+                          exceeds_sharp_bound=rep.worst_ratio > SHARP_BOUND_6_6)
+    return rep
 
 
 def smoothing_probe(ens: ProbeEnsemble, t_end: float) -> ProbeReport:

@@ -171,9 +171,10 @@ def test_the_tracer_runs_a_streamed_scatter_probe(tmp_path):
 
 
 def test_a_traced_probe_ensemble_iteration_forms_each_member_once(tmp_path):
-    # 4 ensemble probes x 120 members, and 300 fields in the Leibniz step: 50 pairs,
-    # their products and three derivatives each.  A probe that formed a member twice,
-    # e.g. member 0 to read the grid, would count more.
+    # 4 ensemble probes x 70 members (the 120 less the 50 mirrors, which are never
+    # formed), and 300 fields in the Leibniz step: 50 pairs, their products and three
+    # derivatives each.  A probe that formed a member twice, e.g. member 0 to read
+    # the grid, or that formed a mirror, would count more.
     from gdnls import cli
 
     spec = importlib.util.spec_from_file_location(
@@ -187,7 +188,7 @@ def test_a_traced_probe_ensemble_iteration_forms_each_member_once(tmp_path):
         for cfg in configs:
             cli.run(cfg, tmp_path)
     names = [s.name for s in tracer.spans]
-    assert names.count("grid.validate_field") == 780
+    assert names.count("grid.validate_field") == 580
     assert names.count("probes.default_ensemble") == 4
 
 

@@ -693,8 +693,10 @@ def test_sweep_with_a_numerical_failure_exits_3_and_keeps_the_other_run(tmp_path
                  "--out", out]) == EXIT_NUMERICAL
     assert (tmp_path / "o" / "good.csv").exists()
     captured = capsys.readouterr()
-    good_hash = json.loads((tmp_path / "o" / "good.json").read_text())["config_hash"]
-    assert captured.out.splitlines() == [f"soliton-atlas {good_hash}: ok"]
+    manifest = json.loads((tmp_path / "o" / "good.json").read_text())
+    assert captured.out.splitlines() == [f"soliton-atlas {manifest['config_hash']}: ok"] + [
+        f"  {key} = {val}" for key, val in manifest["checks"].items()]
+    assert list(manifest["checks"]) == ["virial_max_rel_err"]
     errors = captured.err.splitlines()
     assert [line.split(": ")[1] for line in errors] == [first, second]
     assert all(line.startswith("error: ") and "CFL" in line for line in errors)
@@ -726,6 +728,21 @@ def test_ineq_probe_manifest_counts_near_ties_and_the_csv_does_not(tmp_path):
         record = run(validate_config("ineq-probe", parse_config_text(text)), out_dir=tmp_path)
         stem = f"ineq-probe-{record.config_hash}"
         assert expect(json.loads((tmp_path / f"{stem}.json").read_text())["checks"]["near_ties"])
+        lines = (tmp_path / f"{stem}.csv").read_text().strip().split("\n")
+        assert lines[0] == "inequality_id,worst_ratio,worst_member" and len(lines) == 2
+
+
+def test_the_6_6_manifest_records_the_sharp_bound_and_the_csv_does_not(tmp_path):
+    for pair, keys in (("q = 6\nr = 6\n", {"sharp_bound", "exceeds_sharp_bound"}),
+                       ("q = 4\nr = inf\n", set())):
+        text = "probe = strichartz\nt_end = 0.5\n" + pair
+        record = run(validate_config("ineq-probe", parse_config_text(text)), out_dir=tmp_path)
+        stem = f"ineq-probe-{record.config_hash}"
+        checks = json.loads((tmp_path / f"{stem}.json").read_text())["checks"]
+        assert set(checks) == {"worst_ratio", "near_ties", "q", "r", "T"} | keys
+        if keys:
+            assert checks["sharp_bound"] == pytest.approx(0.72426344, rel=1e-8, abs=0)
+            assert checks["exceeds_sharp_bound"] == (checks["worst_ratio"] > checks["sharp_bound"])
         lines = (tmp_path / f"{stem}.csv").read_text().strip().split("\n")
         assert lines[0] == "inequality_id,worst_ratio,worst_member" and len(lines) == 2
 

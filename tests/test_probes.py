@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -247,6 +248,118 @@ def test_probes_equal_the_trajectory_reference(seed, t_end):
         else:  # D^d is applied to fhat before the inverse transform, not after it
             assert rep.worst_ratio == pytest.approx(ref[k], rel=1e-13, abs=0), name
             assert ref[rep.worst_member] == pytest.approx(ref[k], rel=1e-13, abs=0), name
+
+
+MIRRORS = probes._DefaultMembers.MIRRORS
+# the free probes and the (6, 6) pair, whose report carries the sharp bound
+MIRROR_PROBES = {name: probe for name, (probe, _, _) in FREE_PROBES.items()}
+MIRROR_PROBES["strichartz-6-6"] = lambda ens, t: strichartz_probe(ens, 6.0, 6.0, t)
+
+
+def test_the_mirror_map_pairs_every_gaussian_and_no_random_member():
+    gaussians = probes._DefaultMembers.GAUSSIANS
+    assert len(gaussians) == 100 and len(MIRRORS) == 50
+    assert sorted([*MIRRORS, *MIRRORS.values()]) == list(range(100))
+    for k, j in MIRRORS.items():
+        a, v, x0 = gaussians[j]
+        assert j < k and gaussians[k] == (a, -v, -x0)
+
+
+def test_a_mirror_is_its_partner_reflected_bit_for_bit():
+    members = list(default_ensemble(seed=0).members)
+    n = DEFAULT_PROBE_GRID.n_points
+    reflected = -np.arange(n) % n  # x_i -> -x_i; x_0 = -L/2 is L/2 on the periodic box
+    for k, j in MIRRORS.items():
+        np.testing.assert_array_equal(members[k].values, members[j].values[reflected])
+
+
+@functools.cache
+def direct_reports(seed, t_end):
+    """MIRROR_PROBES' reports, and the ratios each took its worst of, on the
+    120 default members held in a tuple: the path that transforms every member."""
+    ens = ProbeEnsemble(tuple(default_ensemble(seed=seed).members), seed)
+    ratios, worst = [], probes._worst
+
+    def recording(member_ratios, *args):
+        ratios.append(member_ratios)
+        return worst(member_ratios, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes, "_worst", recording)
+        reports = {name: probe(ens, t_end) for name, probe in MIRROR_PROBES.items()}
+    return reports, dict(zip(MIRROR_PROBES, ratios))
+
+
+@pytest.mark.parametrize("t_end", [4.0, 8.0])
+def test_mirror_partners_take_the_same_direct_ratio(t_end):
+    # the largest gap measured is 4.9e-16 relative
+    _, ratios = direct_reports(0, t_end)
+    for name in FREE_PROBES:
+        for k, j in MIRRORS.items():
+            assert ratios[name][k] == pytest.approx(ratios[name][j], rel=1e-13, abs=0), (name, k)
+
+
+@pytest.mark.parametrize("seed, t_end", [(0, 4.0), (0, 8.0), (7, 4.0), (7, 8.0)])
+def test_the_default_ensemble_reports_what_its_members_in_a_tuple_report(seed, t_end):
+    # ratio, member, near ties and params, bit for bit: no worst member is a mirror
+    ens = default_ensemble(seed=seed)
+    reports, _ = direct_reports(seed, t_end)
+    for name, probe in MIRROR_PROBES.items():
+        assert probe(ens, t_end) == reports[name], name
+
+
+# on a box of 16 member 0 does not decay at the edge.  On a box of 32 every
+# Gaussian does, each mirror's check reads its partner's reflected samples,
+# and the first random field, member 100, does not
+@pytest.mark.parametrize("grid, refused", [(GridSpec(64, 16.0), 0), (GridSpec(128, 32.0), 100)])
+def test_a_probe_refuses_the_member_a_pass_refuses(grid, refused, monkeypatch):
+    ens, checked = default_ensemble(grid, seed=0), []
+    check = probes.check_edge_magnitude
+
+    def recording(m):
+        checked.append(m)
+        check(m)
+
+    monkeypatch.setattr("gdnls.grid.check_edge_magnitude", recording)
+    monkeypatch.setattr(probes, "check_edge_magnitude", recording)
+
+    def checks_until_refused(run):
+        checked.clear()
+        with pytest.raises(ResolutionError) as exc:
+            run()
+        return list(checked), str(exc.value)
+
+    direct = checks_until_refused(lambda: list(ens.members))  # forms every member
+    assert len(direct[0]) == refused + 1
+    assert checks_until_refused(lambda: strichartz_probe(ens, 4.0, np.inf, 1.0)) == direct
+
+
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_the_6_6_ratio_of_a_gaussian_matches_its_closed_form(a):
+    # exp(-a x^2) on [0, T]: (sqrt(pi/(6a)) arctan(4aT)/(4a) / (pi/(2a))^{3/2})^{1/6};
+    # measured 7.2e-7 and 1.8e-7 low, the trapezoid rule in time
+    t_end = 4.0
+    closed = (np.sqrt(np.pi / (6 * a)) * np.arctan(4 * a * t_end) / (4 * a)
+              / (np.pi / (2 * a)) ** 1.5) ** (1 / 6)
+    rep = strichartz_probe(ProbeEnsemble((gaussian_field(DEFAULT_PROBE_GRID, a),), 0),
+                           6.0, 6.0, t_end)
+    assert rep.worst_ratio == pytest.approx(closed, rel=2e-6, abs=0)
+    assert rep.params["sharp_bound"] == pytest.approx(0.72426344, rel=1e-8, abs=0)
+    assert rep.params["exceeds_sharp_bound"] is False
+
+
+def test_the_default_6_6_run_exceeds_the_sharp_bound():
+    # member 88, the a = 8 Gaussian at rest, varies on the time scale 1/(4a),
+    # below SNAPSHOT_SPACING, so the trapezoid rule reads it high
+    rep = strichartz_probe(default_ensemble(seed=0), 6.0, 6.0, 4.0)
+    assert rep.worst_member == 88 and rep.worst_ratio == pytest.approx(0.72845, rel=1e-5)
+    assert rep.params["sharp_bound"] == probes.SHARP_BOUND_6_6
+    assert rep.params["exceeds_sharp_bound"] is True
+
+
+def test_only_the_6_6_pair_reports_the_sharp_bound(small_ensemble):
+    for q, r in ((4.0, np.inf), (np.inf, 2.0), (8.0, 4.0)):
+        assert list(strichartz_probe(small_ensemble, q, r, 1.0).params) == ["q", "r", "T"]
 
 
 @pytest.mark.parametrize("name", sorted(FREE_PROBES))

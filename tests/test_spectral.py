@@ -251,7 +251,9 @@ def test_probe_ratios_equal_the_uncached_reference(seed, t_end, monkeypatch):
 
     monkeypatch.setattr(spectral, "_phase_table", uncached)
     assert maximal_probe(ens, 4.0, 0.25, t_end) == cached  # ratio, member and params
-    assert len(built) == len(ens.members)  # the probe looked the table up through spectral
+    # the probe looked the table up through spectral, once per member it
+    # transformed: the 120 members less their 50 mirrors, which take their partners' ratios
+    assert len(built) == len(ens.members) - len(ens.members.MIRRORS) == 70
 
 
 def test_evaluate_interpolant_reproduces_samples():

@@ -187,24 +187,32 @@ def _shifted_taylor(transform, g: np.ndarray, y: np.ndarray, index: np.ndarray,
     return out
 
 
-def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.ndarray:
-    """Continuum Fourier transform fhat(xi) = integral f e^{-i xi x} dx by Riemann sum.
+def _in_band(grid: GridSpec, xi) -> np.ndarray:
+    """xi in lattice spacings 2 pi / L; ValueError if a frequency lies past the band |xi| <= pi/h.
 
-    Spectrally accurate for fields that decay at the box edge, at every
-    frequency of the band |xi| <= pi/h, on the lattice or off it.  The sum
-    is periodic in xi with period 2 pi/h, so a target past the band would
-    alias onto an in-band frequency: such a target raises ValueError.
-    With xi = 2 pi (k + e) / L, |e| <= 1/2, and x_j = -L/2 + j h, the sum
-    h sum_j f_j e^{-i xi x_j} is h (-1)^k fft(f e^{z y})[k mod N] with
-    y = 2x/L and z = -i pi e.
+    A Riemann sum of the Fourier transform is periodic in xi with period
+    2 pi/h, so a frequency past the band would alias onto one inside it.
     """
-    grid = f.grid
-    u = np.asarray(xi_targets, dtype=float) * (0.5 * grid.box_length / np.pi)
+    u = np.asarray(xi, dtype=float) * (0.5 * grid.box_length / np.pi)
     # |u| = N/2 is the Nyquist edge; the slack admits a target rounded past it
     if np.any(np.abs(u) > 0.5 * grid.n_points * (1.0 + 8.0 * np.finfo(float).eps)):
         raise ValueError(
             f"frequency targets must lie in the band |xi| <= pi/h = {np.pi / grid.spacing:.17g}"
-            f"; the largest |xi| is {np.max(np.abs(xi_targets)):.17g}")
+            f"; the largest |xi| is {np.max(np.abs(xi)):.17g}")
+    return u
+
+
+def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.ndarray:
+    """Continuum Fourier transform fhat(xi) = integral f e^{-i xi x} dx by Riemann sum.
+
+    Spectrally accurate for fields that decay at the box edge, at every
+    frequency of the band |xi| <= pi/h, on the lattice or off it; a target
+    past the band raises ValueError (_in_band).  With xi = 2 pi (k + e) / L,
+    |e| <= 1/2, and x_j = -L/2 + j h, the sum h sum_j f_j e^{-i xi x_j} is
+    h (-1)^k fft(f e^{z y})[k mod N] with y = 2x/L and z = -i pi e.
+    """
+    grid = f.grid
+    u = _in_band(grid, xi_targets)
     k = np.rint(u).astype(np.int64)
     y = 2.0 * grid.x / grid.box_length
     out = _shifted_taylor(np.fft.fft, f.values, y, k % grid.n_points, -1j * np.pi * (u - k))
@@ -219,40 +227,56 @@ def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.nda
 CUSP_WINDOW = 40
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_{n-1}(x), P_n(x)) by the three-term recurrence."""
+def _legendre(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_{n_i - 1}(x_i), P_{n_i}(x_i)) for every i by one three-term recurrence to max n."""
     p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
+    q0, q1 = p0.copy(), p1.copy()
+    ends = {k: n == k for k in set(n.tolist())}
+    for k in range(2, int(n.max()) + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p0, p1
+        if k in ends:
+            np.copyto(q0, p0, where=ends[k])
+            np.copyto(q1, p1, where=ends[k])
+    return q0, q1
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of n-point Gauss-Legendre on [-1, 1]; read-only.
+def _gauss_legendre(orders: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(nodes ascending, weights) of n-point Gauss-Legendre on [-1, 1], n in orders; read-only.
 
-    Newton's method on P_n from Tricomi's first guesses cos(pi (i + 3/4) /
-    (n + 1/2)), for the nodes x >= 0, mirrored; then the weights
-    2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 formed as (1 - x)(1 + x).  The
-    nodes are np.polynomial.legendre.leggauss(n)'s to an ulp and the
-    weights closer to the exact ones than leggauss's, and the rule is
-    built from numpy arithmetic alone: a run loads neither numpy.polynomial
-    nor the LAPACK eigensolver leggauss calls.
+    Halley's method on P_n for the nodes x >= 0 of every order at once,
+    each step one recurrence to the largest order (_legendre), from
+    Tricomi's guesses (1 - (n - 1) / (8 n^3)) cos(pi (i + 3/4) / (n + 1/2)),
+    mirrored; P_n'' is (2 x P_n' - n (n + 1) P_n) / (1 - x^2) by Legendre's
+    equation.  Then the weights 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2
+    formed as (1 - x)(1 + x).  The nodes are
+    np.polynomial.legendre.leggauss(n)'s to an ulp and the weights closer
+    to the exact ones than leggauss's, and the rules are built from numpy
+    arithmetic alone: a run loads neither numpy.polynomial nor the LAPACK
+    eigensolver leggauss calls.
     """
-    x = np.cos(np.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))  # x >= 0, descending
-    for _ in range(100):  # 4 to 6 steps for the orders of the cusp panels
-        p0, p1 = _legendre(n, x)
-        step = p1 * (1.0 - x) * (1.0 + x) / (n * (p0 - x * p1))
+    half = [(n + 1) // 2 for n in orders]
+    order = np.repeat(np.asarray(orders), half)
+    n = order.astype(float)
+    i = np.concatenate([np.arange(h) for h in half])
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (i + 0.75) / (n + 0.5))  # x >= 0
+    for _ in range(100):  # 3 steps for the orders of the cusp panels
+        p0, p1 = _legendre(order, x)
+        derivative = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        newton = p1 / derivative
+        bend = (2.0 * x * derivative - n * (n + 1.0) * p1) / ((1.0 - x) * (1.0 + x) * derivative)
+        step = newton / (1.0 - 0.5 * newton * bend)
         x = x - step
         if np.max(np.abs(step)) <= 1e-16:
             break
-    p0, p1 = _legendre(n, x)
+    p0, p1 = _legendre(order, x)
     derivative = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
     w = 2.0 / ((1.0 - x) * (1.0 + x) * derivative**2)
-    if n % 2:
-        x[-1] = 0.0
-    return (_read_only(np.concatenate([-x, x[:n // 2][::-1]])),
-            _read_only(np.concatenate([w, w[:n // 2][::-1]])))
+    x[(order % 2 == 1) & (i == order // 2)] = 0.0  # an odd order's middle node
+    starts = np.cumsum(half)[:-1]
+    return tuple((_read_only(np.concatenate([-xs, xs[:m // 2][::-1]])),
+                  _read_only(np.concatenate([ws, ws[:m // 2][::-1]])))
+                 for m, xs, ws in zip(orders, np.split(x, starts), np.split(w, starts)))
 
 
 def _panel_order(width: float) -> int:
@@ -292,22 +316,29 @@ def _cusp_panels(a: float, delta: float, depth: int) -> tuple[np.ndarray, np.nda
     panel of _panel_order(its width / delta) points: 38, 26, 18 and 14
     points on the four outer intervals of a = 40 delta, 12 on every other.
     """
+    lows = a * 2.0 ** -np.arange(1, depth + 1)  # each interval is as long as its left end
+    orders = [_panel_order(lo / delta) for lo in lows]
+    distinct = tuple(sorted(set(orders), reverse=True))
+    rules = dict(zip(distinct, _gauss_legendre(distinct)))
     pts, wts = [], []
-    for lo in a * 2.0 ** -np.arange(1, depth + 1):  # each interval is as long as its left end
-        nodes, weights = _gauss_legendre(_panel_order(lo / delta))
+    for lo, n in zip(lows, orders):
+        nodes, weights = rules[n]
         pts.append(lo * (1.5 + 0.5 * nodes))
         wts.append(0.5 * lo * weights)
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _cutoff(u: np.ndarray) -> np.ndarray:
+def _cutoff(u: np.ndarray, reach: float = 27.0) -> np.ndarray:
     """erfc((u - 20) / 4) / 2 at u = |xi| / delta >= 0 lattice spacings from the cusp.
 
-    math.erfc is taken only below u = 128; past it chi is 0, as erfc(27) < 1e-318.
+    math.erfc is taken only below u = 20 + 4 reach; past it chi is set to
+    0.  At the default reach that is u = 128, as erfc(27) < 1e-318.  Where
+    only 1 - chi is wanted, reach 6 gives the same 1 - chi: past it chi <
+    erfc(6) / 2 < 2^-54, and 1 - chi rounds to 1.
     """
     arg = (u - 20.0) / 4.0
     chi = np.zeros_like(arg)
-    band = np.flatnonzero(arg < 27.0)
+    band = np.flatnonzero(arg < reach)
     chi[band] = [0.5 * math.erfc(t) for t in arg[band]]
     return chi
 
@@ -321,6 +352,63 @@ def _unit_cusp_panels(spacings: int, depth: int) -> tuple[np.ndarray, np.ndarray
     """
     pts, wts = _cusp_panels(float(spacings), 1.0, depth)
     return _read_only(pts), _read_only(wts), _read_only(_cutoff(pts))
+
+
+# Homogeneous orders s below this take the cusp rule in autocorrelation form
+# (_homogeneous_norm_sq): every scale-critical order s_c = 1/2 - 1/(2 sigma).
+# The form's roundoff is that of every lag, about eps A_0, against lag
+# weights that the window's outer panels set, while the cusp sum is set by
+# the spectrum near the cusp; the ratio grows like (window / spectral
+# width)^(2s).  On the widest Gaussians a box admits the norm errs, against
+# a finer rule, by 6e-16 relative at s = 1/4, 1.0e-15 at 1/2, 1.3e-14 at 1
+# and 1.7e-11 at 3.5.  Higher orders sum the rule point by point.
+_LAG_FORM_BELOW = 0.5
+
+# Unit cusp nodes u <= 1/4 enter _cusp_kernel through the Taylor series of
+# cos(2 pi u m / N), m < N, whose argument then stays below pi/2.
+_SERIES_REACH = 0.25
+
+
+@lru_cache(maxsize=8)
+def _cusp_kernel(n_points: int, window: int, depth: int, s: float) -> np.ndarray:
+    """Lag weights T_m, m < N, of the cusp rule in autocorrelation form; once per key, read-only.
+
+    T_m = (2 - [m = 0]) 2 sum_i c_i cos(2 pi u_i m / N) with c_i = w_i
+    u_i^{2s} chi_i over the unit panels (u, w, chi) = _unit_cusp_panels(
+    window, depth): delta^{1+2s} T is the cosine transform of the weights
+    of the signed panel points, folded onto m >= 0 (_homogeneous_norm_sq).
+    The nodes u > _SERIES_REACH (137 of 600 at s = 1/4) take each cosine
+    to rounding as cos a cos b - sin a sin b over m = q B + r, B ~ sqrt N:
+    two matrix products of shape (N/B, ., B).  The others take the series
+    sum_p (-1)^p (2 pi m / N)^{2p} / (2p)! sum_i c_i u_i^{2p} by Horner's
+    rule: with 2 pi u m / N < pi/2, the terms from degree TAYLOR_TERMS on
+    leave less than (pi/2)^24 / 24! < 1e-19, the bound of _shifted_taylor.
+    """
+    u, w, chi = _unit_cusp_panels(window, depth)
+    c = w * u ** (2.0 * s) * chi
+    far = u > _SERIES_REACH
+    block = 1 << (n_points.bit_length() // 2)
+    # u q B / N in turns, reduced to [-1/2, 1/2] without rounding: u's 26 leading
+    # bits times q B < 2^27 are exact, and the rest is below 2^-21 turns
+    starts = np.arange(0, n_points, block)
+    lead = np.round(u[far] * 2.0**20) * 2.0**-20
+    turns = np.outer(starts, lead) / n_points
+    turns -= np.rint(turns)
+    turns += np.outer(starts, u[far] - lead) / n_points
+    coarse = 2.0 * np.pi * turns
+    fine = np.outer((2.0 * np.pi / n_points) * u[far], np.arange(block))
+    kernel = ((np.cos(coarse) * c[far]) @ np.cos(fine)
+              - (np.sin(coarse) * c[far]) @ np.sin(fine)).ravel()
+    z2 = np.square((2.0 * np.pi / n_points) * np.arange(n_points))
+    u2, c_near = np.square(u[~far]), c[~far]
+    moments = [np.sum(c_near * u2**p) for p in range(TAYLOR_TERMS // 2)]
+    series = moments[-1]
+    for p in range(len(moments) - 1, 0, -1):
+        series = moments[p - 1] - series * z2 / ((2 * p) * (2 * p - 1))
+    kernel += series
+    kernel *= 4.0
+    kernel[0] *= 0.5
+    return _read_only(kernel)
 
 
 def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
@@ -337,36 +425,66 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
     the window of CUSP_WINDOW lattice spacings each side of -shift, is
     integrated with one Gauss panel per dyadic interval toward the cusp,
     _cusp_depth(window, s) of them, each of the order its width needs
-    (_panel_order): 600 targets each side at s = 1/4.  Its leading error
+    (_panel_order): 600 points each side at s = 1/4.  Its leading error
     is the window's truncation of the cutoff (erfc(5)/2 ~ 7.7e-13 at its
     edge): widening the window from 40 to 48 spacings moves the squared
     Hdot^{1/4} norm of the sigma = 2, j = 1 endpoint wave (c = -1.9365,
-    N = 2048) by 2.0e-14 relative.  The window must lie in the band
-    |xi| <= pi/h, or fourier_transform_samples raises.  cusp=False leaves
-    the cusp part out; the caller then owes a bound on |fhat| over the
-    window.
+    N = 2048) by 2.0e-14 relative.
+
+    The window must lie in the band |xi| <= pi/h, where the Riemann sum
+    does not alias, or ValueError is raised (_in_band).  For s below
+    _LAG_FORM_BELOW the cusp rule sum_i W_i |fhat(eta_i)|^2 over the signed
+    points eta_i = +-delta u_i - shift is taken in autocorrelation form:
+    the Riemann sum gives |fhat(eta)|^2 = h^2 sum_{|m| < N} e^{-i eta m h}
+    A_m, with A_m = sum_l f_{l+m} conj(f_l) the aperiodic autocorrelation,
+    so the rule is h^2 delta^{1+2s} sum_{m >= 0} T_m Re(e^{i shift m h}
+    A_m) with T = _cusp_kernel.  A_m is ifft(|fft(f, 2N)|^2)[m], and the
+    even bins of the same zero-padded transform are the lattice's: such a
+    norm makes two transforms of length 2N.  Other orders sum the rule
+    point by point, with fourier_transform_samples.  cusp=False leaves the
+    cusp part out, with one transform of length N; the caller then owes a
+    bound on |fhat| over the window.
     """
     grid = f.grid
+    n, h = grid.n_points, grid.spacing
     delta = 2.0 * np.pi / grid.box_length
-
-    # lattice part: fhat sampled on the grid frequencies
     xi = grid.xi + shift
-    fhat = grid.spacing * np.fft.fft(f.values)
-    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - _cutoff(np.abs(xi) / delta))
-    total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
-    if not cusp:
-        return total / (2.0 * np.pi)
-    del xi, fhat, w_smooth  # the cusp sum holds TAYLOR_BLOCK + 1 arrays of N at once
+    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - _cutoff(np.abs(xi) / delta, 6.0))
+    del xi
+    if cusp:
+        # on grids of fewer than 128 points the band, N/2 spacings wide, cuts the window
+        window = min(CUSP_WINDOW, n // 2)
+        depth = _cusp_depth(window, s)
+        pts, wts, chi = _unit_cusp_panels(window, depth)
+        top = delta * np.max(pts)
+        _in_band(grid, [top - shift, -top - shift])
+        if s < _LAG_FORM_BELOW:
+            # |fhat / h|^2 at the frequencies pi k / L; the even k are the lattice
+            spectrum = np.fft.fft(f.values, 2 * n)
+            power = np.square(spectrum.real)
+            power += np.square(spectrum.imag)
+            del spectrum
+            total = delta * np.sum(w_smooth * power[::2])
+            # power is real, so its forward transform is 2N conj(A_m): half an ifft's work
+            lags = np.fft.rfft(power)[:n]
+            del power
+            if shift:  # e^{-i shift m h} as e^{-i shift q B h} e^{-i shift r h}, m = q B + r
+                b = 1 << (n.bit_length() // 2)
+                lags *= np.multiply.outer(np.exp(-1j * (shift * h * b) * np.arange(n // b)),
+                                          np.exp(-1j * (shift * h) * np.arange(b))).ravel()
+            kernel = _cusp_kernel(n, window, depth, s)
+            total += delta ** (1.0 + 2.0 * s) * np.sum(kernel * lags.real) / (2 * n)
+            return h * h * total / (2.0 * np.pi)
 
-    # cusp part: on grids of fewer than 128 points the band, N/2 spacings
-    # wide, cuts the window
-    window = min(CUSP_WINDOW, grid.n_points // 2)
-    pts, wts, chi = _unit_cusp_panels(window, _cusp_depth(window, s))
-    pts = delta * pts
-    weight = delta * wts * pts ** (2.0 * s) * chi
-    fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
-    for half in np.split(fh, 2):
-        total += np.sum(weight * np.abs(half) ** 2)
+    fhat = h * np.fft.fft(f.values)
+    total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
+    if cusp:
+        del fhat, w_smooth  # the point sum holds TAYLOR_BLOCK + 1 arrays of N at once
+        pts = delta * pts
+        weight = delta * wts * pts ** (2.0 * s) * chi
+        fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
+        for half in np.split(fh, 2):
+            total += np.sum(weight * np.abs(half) ** 2)
     return total / (2.0 * np.pi)
 
 

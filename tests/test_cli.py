@@ -493,7 +493,8 @@ def test_the_benchmarked_experiments_run_without_lapack(tmp_path, monkeypatch):
 
     for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(owner, name, refuse)
-    spectral._unit_cusp_panels.cache_clear()  # rebuilt from the Gauss rules,
+    spectral._cusp_kernel.cache_clear()  # rebuilt from the cusp panels,
+    spectral._unit_cusp_panels.cache_clear()  # which are rebuilt from the Gauss rules,
     spectral._gauss_legendre.cache_clear()  # which are generated again
     configs = [
         ("theorem1-scan", {"sigma": "2", "norm": "Hsc", "num_points": "8"}),
@@ -823,19 +824,22 @@ def test_a_run_leaves_hashlib_and_openssl_unloaded(tmp_path):
 
 
 def test_importing_the_cli_builds_no_gauss_rule():
-    # the first Hsc norm builds the cusp panels and their Gauss rules, so an import, which
-    # the benchmark times as set-up, takes none of that work; no run loads numpy.polynomial
+    # the first Hsc norm builds the cusp panels, their Gauss rules and the lag weights,
+    # so an import, which the benchmark times as set-up, takes none of that work; no run
+    # loads numpy.polynomial
     src = str(Path(gdnls.__file__).resolve().parents[1])
     code = ("import sys\nfrom gdnls import cli, spectral\n"
             "def built():\n"
             "    return [spectral._gauss_legendre.cache_info().currsize,\n"
-            "            spectral._unit_cusp_panels.cache_info().currsize]\n"
+            "            spectral._unit_cusp_panels.cache_info().currsize,\n"
+            "            spectral._cusp_kernel.cache_info().currsize]\n"
             "print(*built())\n"
             "cli.run(cli.validate_config('soliton-atlas', {'sigma': '2', 'c_grid': '0'}))\n"
             "print(*built(), 'numpy.polynomial' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert out.stdout.split() == ["0", "0", "5", "1", "False"]  # orders 38, 26, 18, 14 and 12
+    # one batch of the orders 38, 26, 18, 14 and 12, one panel set, one grid size
+    assert out.stdout.split() == ["0", "0", "0", "1", "1", "1", "False"]
 
 
 def test_seed_override(tmp_path):

@@ -480,14 +480,115 @@ def test_homogeneous_norm_matches_the_direct_sum(fields, s):
         assert sobolev_norm(f, s, homogeneous=True) == pytest.approx(expect, rel=1e-13)
 
 
+def taylor_sampled_norm_sq(f, s, shift=0.0):
+    """_homogeneous_norm_sq with its cusp rule summed point by point: the rule it rewrites.
+
+    The same lattice part (the cusp=False path), and fourier_transform_samples,
+    the shifted-Taylor kernel, at every signed point of the same panels.
+    """
+    grid = f.grid
+    delta = 2.0 * np.pi / grid.box_length
+    window = min(spectral.CUSP_WINDOW, grid.n_points // 2)
+    pts, wts, chi = spectral._unit_cusp_panels(window, spectral._cusp_depth(window, s))
+    pts = delta * pts
+    weight = delta * wts * pts ** (2.0 * s) * chi
+    fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
+    cusp = sum(np.sum(weight * np.abs(half) ** 2) for half in np.split(fh, 2))
+    return spectral._homogeneous_norm_sq(f, s, shift, cusp=False) + cusp / (2.0 * np.pi)
+
+
+def _endpoint_scan_envelopes():
+    # the Hsc norms of the endpoint-scan workload at seed 0 whose cusp is summed:
+    # 5 of the 8 scan waves, and the atlas speeds
+    waves = [*endpoint_waves(2.0, 1.0, 8), *(SolitonParams(1.0, c, 2.0) for c in (-0.5, 0.1, 0.7))]
+    cases = [(solitons._envelope(p, solitons._envelope_grid(p)), 0.5 * p.c) for p in waves]
+    cases = [(g, shift) for (g, shift), p in zip(cases, waves)
+             if solitons._cusp_reach(p, g.grid.box_length) > 0.0]
+    assert len(cases) == 8
+    return [(g, 0.25, shift) for g, shift in cases]
+
+
+def _box_filling_gaussians():
+    return [(box_filling_gaussian(grid, peak * 2.0 * np.pi / grid.box_length), s, 0.0)
+            for grid in CUSP_GRIDS for peak in (0.0, 10.0, 60.0) for s in (0.02, 0.25)]
+
+
+@pytest.mark.parametrize("cases", [
+    _endpoint_scan_envelopes,
+    lambda: [(f, 0.25, 0.0) for f in _endpoint_fields() + _atlas_fields()],
+    lambda: [(f, 1.0 / 3.0, 0.0) for f in _sigma3_fields()],
+    _box_filling_gaussians,
+], ids=["endpoint_scan", "endpoint_and_atlas_waves", "criterion6_sigma3", "box_filling"])
+def test_the_autocorrelation_form_is_the_taylor_sampled_cusp_rule(cases):
+    # the same panels, weights and cutoff, summed over lags instead of points;
+    # the lag form's roundoff reaches 1.4e-15 on the box-filling Gaussians
+    for f, s, shift in cases():
+        got = spectral._homogeneous_norm_sq(f, s, shift)
+        assert got == pytest.approx(taylor_sampled_norm_sq(f, s, shift), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_points", [16, 64, 1024, 4096])
+@pytest.mark.parametrize("s", [0.02, 0.25, 1.0, 3.5])
+def test_the_cusp_kernel_is_the_direct_cosine_sum(n_points, s):
+    # one cosine per (lag, point) pair, the far nodes and the series alike
+    window = min(spectral.CUSP_WINDOW, n_points // 2)
+    depth = spectral._cusp_depth(window, s)
+    kernel = spectral._cusp_kernel(n_points, window, depth, s)
+    u, w, chi = spectral._unit_cusp_panels(window, depth)
+    m = np.arange(n_points)
+    direct = 4.0 * np.cos(2.0 * np.pi * np.outer(m, u) / n_points) @ (w * u ** (2.0 * s) * chi)
+    direct[0] *= 0.5
+    assert kernel.shape == (n_points,)
+    assert np.max(np.abs(kernel - direct)) <= 1e-14 * np.max(np.abs(direct))
+    assert not kernel.flags.writeable
+    assert spectral._cusp_kernel(n_points, window, depth, s) is kernel  # built once
+
+
+def test_a_cusp_window_past_the_band_raises():
+    # the lag sum is periodic in the shift with period 2 pi / h, so a window
+    # past the band would alias silently; the band edge itself is allowed
+    grid = GridSpec(256, 40.0)
+    f = gaussian_field(grid, 1.0)
+    band = np.pi / grid.spacing
+    top = 2.0 * np.pi / grid.box_length * np.max(spectral._unit_cusp_panels(40, 46)[0])
+    spectral._homogeneous_norm_sq(f, 0.25, band - top)
+    with pytest.raises(ValueError, match="band"):
+        spectral._homogeneous_norm_sq(f, 0.25, band - top + 0.01)
+    spectral._homogeneous_norm_sq(f, 0.25, band, cusp=False)  # no window, no check
+
+
+@pytest.fixture
+def transform_lengths(monkeypatch):
+    """(name, length) of each call of np.fft.fft, ifft, rfft and irfft, in call order."""
+    calls = []
+
+    def counting(name, transform):
+        def wrapper(a, n=None, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1] if n is None else n))
+            return transform(a, n, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
-def test_homogeneous_norm_makes_at_most_k_plus_1_ffts(grid, fft_calls):
-    # one row for the lattice part, TAYLOR_TERMS rows for the cusp part,
-    # made TAYLOR_BLOCK rows to a call; every row of length N
-    sobolev_norm(box_filling_gaussian(grid, 0.0), 0.25, homogeneous=True)
-    assert {shape[-1] for shape in fft_calls} == {grid.n_points}
-    assert sum(math.prod(shape[:-1]) for shape in fft_calls) <= spectral.TAYLOR_TERMS + 1
-    assert len(fft_calls) <= 1 + math.ceil(spectral.TAYLOR_TERMS / spectral.TAYLOR_BLOCK)
+def test_a_cusp_norm_makes_two_transforms_of_length_2n(grid, transform_lengths):
+    # the zero-padded spectrum, whose even bins are the lattice part, and the
+    # transform of its power, the autocorrelation; a norm that leaves the cusp
+    # part out makes one transform of length N, and an order from
+    # _LAG_FORM_BELOW on adds the TAYLOR_TERMS point-sum rows, TAYLOR_BLOCK to a call
+    f = box_filling_gaussian(grid, 0.0)
+    sobolev_norm(f, 0.25, homogeneous=True)
+    assert transform_lengths == [("fft", 2 * grid.n_points), ("rfft", 2 * grid.n_points)]
+    transform_lengths.clear()
+    spectral._homogeneous_norm_sq(f, 0.25, cusp=False)
+    assert transform_lengths == [("fft", grid.n_points)]
+    transform_lengths.clear()
+    sobolev_norm(f, spectral._LAG_FORM_BELOW, homogeneous=True)
+    blocks = math.ceil(spectral.TAYLOR_TERMS / spectral.TAYLOR_BLOCK)
+    assert transform_lengths == [("fft", grid.n_points)] * (1 + blocks)
 
 
 def one_row_shifted_taylor(transform, g, y, index, z):
@@ -514,16 +615,15 @@ def test_shifted_taylor_equals_the_one_row_loop(transform, n):
 
 
 def test_the_off_lattice_sums_equal_the_one_row_loop(monkeypatch):
-    # fourier_transform_samples, evaluate_interpolant (so rescale) and
-    # hsc_norm bit for bit against the same calls on the one-row loop
+    # fourier_transform_samples and evaluate_interpolant (so rescale) bit for
+    # bit against the same calls on the one-row loop
     f = gaussian_field(GRID, 1.0, velocity=3.0, center=1.0)
     targets = np.linspace(-np.pi / GRID.spacing, np.pi / GRID.spacing, 777)
     points = np.linspace(-40.0, 40.0, 555)
-    waves = [*endpoint_waves(2.0, 1.0, 8), SolitonParams(1.0, 0.5, 3.0)]
 
     def outputs():
         return [fourier_transform_samples(f, targets), evaluate_interpolant(f, points),
-                rescale(f, 0.5, 2.0).values, [hsc_norm(p) for p in waves]]
+                rescale(f, 0.5, 2.0).values]
 
     got = outputs()
     monkeypatch.setattr(spectral, "_shifted_taylor", one_row_shifted_taylor)
@@ -532,18 +632,21 @@ def test_the_off_lattice_sums_equal_the_one_row_loop(monkeypatch):
 
 
 def test_a_cusp_norm_holds_about_ten_arrays_at_once():
-    # solitons.MAX_GRID_POINTS is sized on this count: TAYLOR_BLOCK rows
-    # and the next block's seed, once the lattice part has let go of its own
+    # solitons.MAX_GRID_POINTS is sized on ten: the point sum of an order from
+    # _LAG_FORM_BELOW on holds TAYLOR_BLOCK rows and the next block's seed, once
+    # the lattice part has let go of its own.  The lag form, every Hsc norm,
+    # holds the zero-padded spectrum and its power: 4.5 arrays of N
     grid = CUSP_GRIDS[1]
     f = box_filling_gaussian(grid, 0.0)
-    sobolev_norm(f, 0.25, homogeneous=True)  # the cached cusp panels
-    tracemalloc.start()
-    try:
-        sobolev_norm(f, 0.25, homogeneous=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10.5 * 16 * grid.n_points
+    for s, arrays in ((0.25, 4.6), (1.0, 10.5)):
+        sobolev_norm(f, s, homogeneous=True)  # the cached cusp panels and lag weights
+        tracemalloc.start()
+        try:
+            sobolev_norm(f, s, homogeneous=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 16 * grid.n_points
 
 
 # every Gauss order a cusp panel takes: the window is min(CUSP_WINDOW, N/2) spacings,
@@ -554,10 +657,14 @@ PANEL_ORDERS = sorted({spectral._panel_order(min(spectral.CUSP_WINDOW, n // 2) *
 
 def test_the_gauss_generator_is_leggauss_at_every_panel_order():
     # leggauss's own weights are off the exact ones by up to 8e-13 relative
-    # at n = 38; the generator's by 1.2e-14 (a 50-digit Newton reference)
+    # at n = 38; the generator's by 1.2e-14 (a 50-digit Newton reference).
+    # One order alone is built as in a batch of all nine
     assert PANEL_ORDERS == [12, 13, 14, 17, 18, 23, 26, 34, 38]
-    for n in PANEL_ORDERS:
-        nodes, weights = spectral._gauss_legendre(n)
+    rules = spectral._gauss_legendre(tuple(PANEL_ORDERS))
+    for n, (nodes, weights) in zip(PANEL_ORDERS, rules):
+        alone_nodes, alone_weights = spectral._gauss_legendre((n,))[0]
+        np.testing.assert_allclose(alone_nodes, nodes, rtol=0, atol=np.finfo(float).eps)
+        np.testing.assert_allclose(alone_weights, weights, rtol=1e-14)
         expect_nodes, expect_weights = np.polynomial.legendre.leggauss(n)
         np.testing.assert_allclose(nodes, expect_nodes, rtol=0, atol=np.finfo(float).eps)
         np.testing.assert_allclose(weights, expect_weights, rtol=1e-12)
@@ -565,7 +672,7 @@ def test_the_gauss_generator_is_leggauss_at_every_panel_order():
         moments = [np.sum(weights * nodes ** (2 * j)) for j in range(n)]  # exact to degree 2n-1
         np.testing.assert_allclose(moments, 2.0 / (2.0 * np.arange(n) + 1.0), rtol=0, atol=1e-15)
         assert not (nodes.flags.writeable or weights.flags.writeable)
-        assert spectral._gauss_legendre(n)[0] is nodes  # built once
+    assert spectral._gauss_legendre(tuple(PANEL_ORDERS)) is rules  # built once
 
 
 def test_the_panel_orders_follow_the_error_bound():
@@ -616,21 +723,22 @@ def test_the_cusp_rule_matches_a_four_times_finer_graded_rule(fields, s, monkeyp
     got = [math.sqrt(spectral._homogeneous_norm_sq(f, s, shift)) for f, shift in cases]
     monkeypatch.setattr(spectral, "_unit_cusp_panels", finer_unit_cusp_panels)
     for (f, shift), value in zip(cases, got):
-        expect = math.sqrt(spectral._homogeneous_norm_sq(f, s, shift))
+        # the finer rule summed point by point, free of the lag form's roundoff
+        expect = math.sqrt(taylor_sampled_norm_sq(f, s, shift))
         assert value == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 def test_one_hsc_norm_hands_the_cusp_sum_at_most_1300_targets(monkeypatch):
-    # 600 targets each side of the cusp at s_c = 1/4; the 16-point panels of
-    # width 2 pi / L took 1408
+    # 600 signed panel points each side of the cusp at s_c = 1/4, which the
+    # lag weights sum over; the 16-point panels of width 2 pi / L took 1408
     sizes = []
-    kernel = spectral.fourier_transform_samples
+    build = spectral._cusp_kernel.__wrapped__
 
-    def counted(f, xi_targets):
-        sizes.append(np.size(xi_targets))
-        return kernel(f, xi_targets)
+    def counted(n_points, window, depth, s):
+        sizes.append(2 * spectral._unit_cusp_panels(window, depth)[0].size)
+        return build(n_points, window, depth, s)
 
-    monkeypatch.setattr(spectral, "fourier_transform_samples", counted)
+    monkeypatch.setattr(spectral, "_cusp_kernel", counted)
     for p in (next(iter(endpoint_waves(2.0, 1.0, 1))), SolitonParams(1.0, 0.0, 2.0)):
         sizes.clear()
         hsc_norm(p)

@@ -27,6 +27,22 @@ def fft_calls(monkeypatch):
 
 
 @pytest.fixture
+def transform_lengths(monkeypatch):
+    """(name, length) of each call of np.fft.fft, ifft, rfft and irfft, in call order."""
+    calls = []
+
+    def counting(name, transform):
+        def wrapper(a, n=None, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1] if n is None else n))
+            return transform(a, n, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
+@pytest.fixture
 def poison_ifft(monkeypatch):
     """poison_ifft(k) makes np.fft.ifft fill its result with NaN from call k + 1 on."""
 

@@ -721,6 +721,133 @@ def test_sweep_end_to_end(tmp_path):
     assert (tmp_path / "o" / "two.json").exists()
 
 
+# validates, then the CFL-like guard stops the first step (StabilityError)
+BLOWUP = "sigma = 2\ndelta = 5\ndt = 1e-2\nt_end = 0.1\nn_points = 1024\n"
+
+
+def failed_manifest(path):
+    manifest = json.loads(path.read_text())
+    assert manifest["status"] == "failed"
+    assert (manifest["exit_code"], manifest["error_type"]) == (EXIT_NUMERICAL, "StabilityError")
+    assert "checks" not in manifest and "wall_time_s" not in manifest
+    assert set(manifest) >= {"config", "config_hash", "version", "timestamp", "versions"}
+    return manifest
+
+
+def test_a_failed_run_leaves_a_failed_manifest_and_no_csv(tmp_path, capsys):
+    cfg = write(tmp_path, "blowup.cfg", BLOWUP + "output_path = blowup\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    manifest = failed_manifest(out / "blowup.json")
+    assert f"numerical failure: {manifest['message']}\n" == capsys.readouterr().err
+    assert "CFL" in manifest["message"]
+    config = validate_config("evolve", parse_config_text(BLOWUP + "output_path = blowup\n"))
+    assert manifest["config"] == config.normalized()
+    assert manifest["config_hash"] == config.config_hash()
+    assert sorted(p.name for p in out.iterdir()) == ["blowup.json"]
+
+
+def test_a_swept_failure_leaves_a_failed_manifest_beside_an_ok_one(tmp_path):
+    bad = write(tmp_path, "bad.cfg", "experiment = evolve\n" + BLOWUP)
+    good = write(tmp_path, "good.cfg",
+                 "experiment = soliton-atlas\n" + ATLAS + "output_path = good\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", bad, good, "--workers", "2",
+                 "--out", str(out)]) == EXIT_NUMERICAL
+    config = validate_config("evolve", parse_config_text(BLOWUP))
+    failed_manifest(out / f"evolve-{config.config_hash()}.json")
+    assert json.loads((out / "good.json").read_text())["status"] == "ok"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"evolve-{config.config_hash()}.json", "good.csv", "good.json"])
+
+
+def test_a_failed_run_leaves_a_stale_csv_of_its_stem_in_place(tmp_path):
+    good = validate_config("soliton-atlas", parse_config_text(ATLAS + "output_path = x\n"))
+    run(good, out_dir=tmp_path)
+    csv_text = (tmp_path / "x.csv").read_text()
+    doomed = validate_config("evolve", parse_config_text(BLOWUP + "output_path = x\n"))
+    (result,) = sweep([doomed], out_dir=tmp_path)
+    assert isinstance(result, Exception)
+    assert (tmp_path / "x.csv").read_text() == csv_text
+    failed_manifest(tmp_path / "x.json")
+
+
+def test_a_validation_failure_writes_nothing(tmp_path):
+    cfg = write(tmp_path, "short.cfg", "t_end = 0.0004\n")  # shorter than one step
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_a_library_sweep_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doomed = validate_config("evolve", parse_config_text(BLOWUP))
+    (result,) = sweep([doomed])
+    assert type(result).__name__ == "StabilityError"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stem, error", [("x", "[Errno 21] Is a directory: "),
+                                         ("x\0y", "embedded null byte")], ids=["dir", "nul"])
+def test_a_stem_that_cannot_be_written_fails_as_a_run(tmp_path, capsys, stem, error):
+    # the CSV cannot be written, and neither can the failed manifest: the run's
+    # own error is the one reported
+    out = tmp_path / "o"
+    (out / "x.csv").mkdir(parents=True)
+    (out / "x.json").mkdir()
+    cfg = write(tmp_path, "atlas.cfg", ATLAS + f"output_path = {stem}\n")
+    assert main(["soliton-atlas", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {error}")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["x.csv", "x.json"]
+
+
+@pytest.mark.parametrize("same", ["output_path", "config"])
+def test_a_sweep_refuses_two_configs_that_write_one_stem(tmp_path, capsys, monkeypatch, same):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    first = write(tmp_path, "first.cfg",
+                  "experiment = soliton-atlas\n" + ATLAS + "output_path = shared\n")
+    second = first if same == "config" else write(
+        tmp_path, "second.cfg", "experiment = theorem1-scan\nsigma = 2\nnorm = Lpc\n"
+        "num_points = 5\noutput_path = ./shared\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", first, second, "--workers", "2",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'output_path': ") and f"{first} and {second}" in err
+    assert not out.exists()
+
+
+def test_a_rerun_rewrites_its_files_in_place_to_the_fresh_bytes(tmp_path, monkeypatch):
+    # a fixed clock makes the manifests comparable byte for byte
+    import time
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        perf_counter=lambda: 0.0, strftime=time.strftime, gmtime=lambda: time.gmtime(0)))
+
+    def scan(n, out):
+        text = f"sigma = 2\nnorm = Lpc\nnum_points = {n}\noutput_path = scan\n"
+        run(validate_config("theorem1-scan", parse_config_text(text)), out_dir=out)
+        return [out / "scan.csv", out / "scan.json"]
+
+    files = scan(8, tmp_path / "o")
+    for path in files:
+        path.chmod(0o600)
+    before = [os.stat(p) for p in files]
+    fresh = scan(5, tmp_path / "fresh")
+    scan(5, tmp_path / "o")
+    assert [p.read_bytes() for p in files] == [p.read_bytes() for p in fresh]
+    assert files[0].stat().st_size < before[0].st_size  # the CSV shrank
+    assert [(s.st_ino, s.st_mode) for s in before] == [
+        (os.stat(p).st_ino, os.stat(p).st_mode) for p in files]
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["scan.csv", "scan.json"]
+
+
 def test_ineq_probe_manifest_counts_near_ties_and_the_csv_does_not(tmp_path):
     # seed 0, t_end 4.  Every member is unitary at (inf, 2); smoothing's count
     # rests on last bits (8 here), so only a tie beside the worst member is pinned

@@ -465,11 +465,13 @@ def test_hsc_norm_at_sigma_one_is_the_l2_norm():
     assert hsc_norm(p) == pytest.approx(math.sqrt(l2_mass_closed(p)), rel=1e-13)
 
 
-def test_a_long_endpoint_scan_stays_on_small_grids(fft_calls):
-    # every speed that stays admissible; soliton_grid would need 2^33 points at the end
+def test_a_long_endpoint_scan_stays_on_small_grids(transform_lengths):
+    # every speed that stays admissible; soliton_grid would need 2^33 points at the end.
+    # A cusp norm transforms its samples zero-padded to 2N, by fft and by rfft
     rows = endpoint_sequence(2.0, 1.0, "Hsc", 26)
     assert len(rows) == 26
-    assert max(shape[-1] for shape in fft_calls) <= 8192
+    assert {name for name, _ in transform_lengths} == {"fft", "rfft"}
+    assert max(n for _, n in transform_lengths) <= 8192
     assert endpoint_slope(rows) == pytest.approx(0.0, abs=0.05)
 
 

@@ -557,22 +557,6 @@ def test_a_cusp_window_past_the_band_raises():
     spectral._homogeneous_norm_sq(f, 0.25, band, cusp=False)  # no window, no check
 
 
-@pytest.fixture
-def transform_lengths(monkeypatch):
-    """(name, length) of each call of np.fft.fft, ifft, rfft and irfft, in call order."""
-    calls = []
-
-    def counting(name, transform):
-        def wrapper(a, n=None, *args, **kwargs):
-            calls.append((name, np.shape(a)[-1] if n is None else n))
-            return transform(a, n, *args, **kwargs)
-        return wrapper
-
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    return calls
-
-
 @pytest.mark.parametrize("grid", CUSP_GRIDS, ids=["N4096", "N32768"])
 def test_a_cusp_norm_makes_two_transforms_of_length_2n(grid, transform_lengths):
     # the zero-padded spectrum, whose even bins are the lattice part, and the

@@ -18,8 +18,8 @@ from .spectral import CUSP_WINDOW, _homogeneous_norm_sq, l2_norm
 
 # Largest soliton grid: a complex array of 2^20 points is 16 MiB.  An Hsc
 # norm holds 4.5 at once (traced at 2^15 points: the zero-padded spectrum of
-# 2N points and its power), and a homogeneous norm of order 1/2 or more
-# about ten (spectral.TAYLOR_BLOCK rows and their seed).  soliton_grid grows like
+# 2N points and its power), and a homogeneous norm of order 1 or more at most
+# 5.5 (the derivative it norms beside them).  soliton_grid grows like
 # 1/alpha at both ends of the speed range, the envelope grid as
 # c -> 2 sqrt(omega) only; at 2^27 points one array alone would be 2 GiB.
 MAX_GRID_POINTS = 2**20

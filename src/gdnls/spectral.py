@@ -209,7 +209,9 @@ def fourier_transform_samples(f: ComplexField, xi_targets: np.ndarray) -> np.nda
     frequency of the band |xi| <= pi/h, on the lattice or off it; a target
     past the band raises ValueError (_in_band).  With xi = 2 pi (k + e) / L,
     |e| <= 1/2, and x_j = -L/2 + j h, the sum h sum_j f_j e^{-i xi x_j} is
-    h (-1)^k fft(f e^{z y})[k mod N] with y = 2x/L and z = -i pi e.
+    h (-1)^k fft(f e^{z y})[k mod N] with y = 2x/L and z = -i pi e.  No
+    library norm calls it: it is the reference sampler of the tests and
+    the tracer.
     """
     grid = f.grid
     u = _in_band(grid, xi_targets)
@@ -354,16 +356,6 @@ def _unit_cusp_panels(spacings: int, depth: int) -> tuple[np.ndarray, np.ndarray
     return _read_only(pts), _read_only(wts), _read_only(_cutoff(pts))
 
 
-# Homogeneous orders s below this take the cusp rule in autocorrelation form
-# (_homogeneous_norm_sq): every scale-critical order s_c = 1/2 - 1/(2 sigma).
-# The form's roundoff is that of every lag, about eps A_0, against lag
-# weights that the window's outer panels set, while the cusp sum is set by
-# the spectrum near the cusp; the ratio grows like (window / spectral
-# width)^(2s).  On the widest Gaussians a box admits the norm errs, against
-# a finer rule, by 6e-16 relative at s = 1/4, 1.0e-15 at 1/2, 1.3e-14 at 1
-# and 1.7e-11 at 3.5.  Higher orders sum the rule point by point.
-_LAG_FORM_BELOW = 0.5
-
 # Unit cusp nodes u <= 1/4 enter _cusp_kernel through the Taylor series of
 # cos(2 pi u m / N), m < N, whose argument then stays below pi/2.
 _SERIES_REACH = 0.25
@@ -417,84 +409,86 @@ def _homogeneous_norm_sq(f: ComplexField, s: float, shift: float = 0.0,
 
     This is the squared Hdot^s norm of f e^{i shift x}, whose transform is
     fhat(xi - shift): a wave that is an envelope times a carrier can be
-    normed on a grid that resolves only the envelope.  The weight has a
-    cusp at xi = -shift, so the plain lattice sum converges only
-    algebraically.  The weight is split with a smooth erfc cutoff about
-    the cusp (_cutoff): the cusp-free remainder is summed on the lattice
-    (spectrally accurate), and the compactly concentrated cusp part, on
-    the window of CUSP_WINDOW lattice spacings each side of -shift, is
-    integrated with one Gauss panel per dyadic interval toward the cusp,
-    _cusp_depth(window, s) of them, each of the order its width needs
-    (_panel_order): 600 points each side at s = 1/4.  Its leading error
+    normed on a grid that resolves only the envelope.  With s = m + r,
+    m = floor(s), the integrand is |xi + shift|^{2r} |ghat(xi)|^2 with
+    ghat = (i (xi + shift))^m fhat, one multiplier on the lattice: the
+    Hdot^s norm is the Hdot^r norm of the m-th derivative.  At r = 0 the
+    weight is smooth, and the lattice sum alone is the norm (one transform
+    of length N).  For 0 < r < 1 the weight has a cusp at xi = -shift, so
+    the plain lattice sum converges only algebraically.  The weight is
+    split with a smooth erfc cutoff about the cusp (_cutoff): the
+    cusp-free remainder is summed on the lattice (spectrally accurate),
+    and the compactly concentrated cusp part, on the window of
+    CUSP_WINDOW lattice spacings each side of -shift, is integrated with
+    one Gauss panel per dyadic interval toward the cusp,
+    _cusp_depth(window, r) of them, each of the order its width needs
+    (_panel_order): 600 points each side at r = 1/4.  Its leading error
     is the window's truncation of the cutoff (erfc(5)/2 ~ 7.7e-13 at its
     edge): widening the window from 40 to 48 spacings moves the squared
     Hdot^{1/4} norm of the sigma = 2, j = 1 endpoint wave (c = -1.9365,
     N = 2048) by 2.0e-14 relative.
 
     The window must lie in the band |xi| <= pi/h, where the Riemann sum
-    does not alias, or ValueError is raised (_in_band).  For s below
-    _LAG_FORM_BELOW the cusp rule sum_i W_i |fhat(eta_i)|^2 over the signed
-    points eta_i = +-delta u_i - shift is taken in autocorrelation form:
-    the Riemann sum gives |fhat(eta)|^2 = h^2 sum_{|m| < N} e^{-i eta m h}
-    A_m, with A_m = sum_l f_{l+m} conj(f_l) the aperiodic autocorrelation,
-    so the rule is h^2 delta^{1+2s} sum_{m >= 0} T_m Re(e^{i shift m h}
-    A_m) with T = _cusp_kernel.  A_m is ifft(|fft(f, 2N)|^2)[m], and the
-    even bins of the same zero-padded transform are the lattice's: such a
-    norm makes two transforms of length 2N.  Other orders sum the rule
-    point by point, with fourier_transform_samples.  cusp=False leaves the
-    cusp part out, with one transform of length N; the caller then owes a
-    bound on |fhat| over the window.
+    does not alias, or ValueError is raised (_in_band).  The cusp rule
+    sum_i W_i |ghat(eta_i)|^2 over the signed points eta_i = +-delta u_i -
+    shift is taken in autocorrelation form: the Riemann sum gives
+    |ghat(eta)|^2 = h^2 sum_{|k| < N} e^{-i eta k h} A_k, with A_k =
+    sum_l g_{l+k} conj(g_l) the aperiodic autocorrelation, so the rule is
+    h^2 delta^{1+2r} sum_{k >= 0} T_k Re(e^{i shift k h} A_k) with T =
+    _cusp_kernel.  A_k is ifft(|fft(g, 2N)|^2)[k], and the even bins of
+    the same zero-padded transform are the lattice's: such a norm makes
+    two transforms of length 2N, after the two of length N that form g
+    when m > 0.  The form's roundoff, about eps A_0 against lag weights
+    that the window's outer panels set, grows like (window / spectral
+    width)^(2r), which r < 1 keeps below (window / width)^2.  cusp=False
+    leaves the cusp part out, summing the lattice part alone; the caller
+    then owes a bound on |ghat| over the window.
     """
     grid = f.grid
     n, h = grid.n_points, grid.spacing
     delta = 2.0 * np.pi / grid.box_length
     xi = grid.xi + shift
-    w_smooth = np.abs(xi) ** (2.0 * s) * (1.0 - _cutoff(np.abs(xi) / delta, 6.0))
+    m = math.floor(s)
+    r = s - m
+    if not r:
+        fhat = h * np.fft.fft(f.values)
+        return delta * np.sum(np.abs(xi) ** (2.0 * s) * np.abs(fhat) ** 2) / (2.0 * np.pi)
+    g = np.fft.ifft((1j * xi) ** m * np.fft.fft(f.values)) if m else f.values
+    w_smooth = np.abs(xi) ** (2.0 * r) * (1.0 - _cutoff(np.abs(xi) / delta, 6.0))
     del xi
-    if cusp:
-        # on grids of fewer than 128 points the band, N/2 spacings wide, cuts the window
-        window = min(CUSP_WINDOW, n // 2)
-        depth = _cusp_depth(window, s)
-        pts, wts, chi = _unit_cusp_panels(window, depth)
-        top = delta * np.max(pts)
-        _in_band(grid, [top - shift, -top - shift])
-        if s < _LAG_FORM_BELOW:
-            # |fhat / h|^2 at the frequencies pi k / L; the even k are the lattice
-            spectrum = np.fft.fft(f.values, 2 * n)
-            power = np.square(spectrum.real)
-            power += np.square(spectrum.imag)
-            del spectrum
-            total = delta * np.sum(w_smooth * power[::2])
-            # power is real, so its forward transform is 2N conj(A_m): half an ifft's work
-            lags = np.fft.rfft(power)[:n]
-            del power
-            if shift:  # e^{-i shift m h} as e^{-i shift q B h} e^{-i shift r h}, m = q B + r
-                b = 1 << (n.bit_length() // 2)
-                lags *= np.multiply.outer(np.exp(-1j * (shift * h * b) * np.arange(n // b)),
-                                          np.exp(-1j * (shift * h) * np.arange(b))).ravel()
-            kernel = _cusp_kernel(n, window, depth, s)
-            total += delta ** (1.0 + 2.0 * s) * np.sum(kernel * lags.real) / (2 * n)
-            return h * h * total / (2.0 * np.pi)
-
-    fhat = h * np.fft.fft(f.values)
-    total = delta * np.sum(w_smooth * np.abs(fhat) ** 2)
-    if cusp:
-        del fhat, w_smooth  # the point sum holds TAYLOR_BLOCK + 1 arrays of N at once
-        pts = delta * pts
-        weight = delta * wts * pts ** (2.0 * s) * chi
-        fh = fourier_transform_samples(f, np.concatenate([pts - shift, -pts - shift]))
-        for half in np.split(fh, 2):
-            total += np.sum(weight * np.abs(half) ** 2)
-    return total / (2.0 * np.pi)
+    if not cusp:
+        ghat = h * np.fft.fft(g)
+        return delta * np.sum(w_smooth * np.abs(ghat) ** 2) / (2.0 * np.pi)
+    # on grids of fewer than 128 points the band, N/2 spacings wide, cuts the window
+    window = min(CUSP_WINDOW, n // 2)
+    depth = _cusp_depth(window, r)
+    top = delta * np.max(_unit_cusp_panels(window, depth)[0])
+    _in_band(grid, [top - shift, -top - shift])
+    # |ghat / h|^2 at the frequencies pi k / L; the even k are the lattice
+    spectrum = np.fft.fft(g, 2 * n)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    del spectrum
+    total = delta * np.sum(w_smooth * power[::2])
+    # power is real, so its forward transform is 2N conj(A_k): half an ifft's work
+    lags = np.fft.rfft(power)[:n]
+    del power
+    if shift:  # e^{-i shift k h} as e^{-i shift q B h} e^{-i shift p h}, k = q B + p
+        b = 1 << (n.bit_length() // 2)
+        lags *= np.multiply.outer(np.exp(-1j * (shift * h * b) * np.arange(n // b)),
+                                  np.exp(-1j * (shift * h) * np.arange(b))).ravel()
+    kernel = _cusp_kernel(n, window, depth, r)
+    total += delta ** (1.0 + 2.0 * r) * np.sum(kernel * lags.real) / (2 * n)
+    return h * h * total / (2.0 * np.pi)
 
 
 def sobolev_norm(f: ComplexField, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s, s >= 0) norm on the Fourier side.
 
-    Inhomogeneous norms, and the homogeneous one at s = 0 (the L^2 norm),
-    use the lattice sum (spectrally accurate, the weight is smooth).
-    Homogeneous norms with s > 0 are quadratures of the continuum
-    integral, resolving the |xi|^{2s} cusp at zero.
+    Inhomogeneous norms, and homogeneous ones of integer order, take the
+    lattice sum (spectrally accurate, the weight is smooth).  Other
+    homogeneous norms are quadratures of the continuum integral, resolving
+    the |xi|^{2s} cusp at zero (_homogeneous_norm_sq).
     """
     lo, hi = (0.0 if homogeneous else SOBOLEV_ORDER_RANGE[0]), SOBOLEV_ORDER_RANGE[1]
     if not lo <= s <= hi:

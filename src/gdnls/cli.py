@@ -40,7 +40,7 @@ from .probes import (
     smoothing_probe,
     strichartz_probe,
 )
-from .scattering import ScatterAccumulator
+from .scattering import ScatterAccumulator, check_dispersion_box
 from .solitons import (
     ENDPOINT_NORMS,
     SolitonParams,
@@ -251,8 +251,10 @@ def _scatter_setup(p: dict):
     dt = p["dt"]
     stride = max(1, int(min(0.02 / dt, MAX_STEPS))) if dt > 0 else 1
     cfg = _evolution(p, "gdnls", p["sigma"], stride)
+    u0 = _gaussian(p, cfg.grid)  # a datum cut by the box is refused before its spread
+    check_dispersion_box(p["width"], p["box_length"], p["t_end"])
     diagnostics = ScatterAccumulator(cfg.grid, cfg.snapshot_times, p["s"], p["s_prime"])
-    return cfg, diagnostics, _gaussian(p, cfg.grid)
+    return cfg, diagnostics, u0
 
 
 def _gauge_setup(p: dict):
@@ -313,7 +315,8 @@ def _run_evolve(p: dict):
     rows = [[float(t), float(m), float(e), float(a)]
             for t, m, e, a in zip(rep.times, rep.mass, rep.energy, rep.linf)]
     checks = {"mass_drift": rep.mass_drift, "energy_drift": rep.energy_drift,
-              "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin}
+              "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin,
+              "max_spectral_tail": rep.max_spectral_tail}
     return columns, rows, checks
 
 
@@ -325,6 +328,7 @@ def _run_scatter_probe(p: dict):
     checks = {
         "mass_drift": rep.mass_drift,
         "min_cfl_margin": rep.min_cfl_margin,
+        "max_spectral_tail": rep.max_spectral_tail,
         "xt_final": report.xt_norm_curve[-1][1],
         "decay_exponent": report.decay_exponent,
         "cauchy_diffs": [d for _, _, d in report.pullback_cauchy],

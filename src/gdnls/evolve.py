@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, GridSpec, ParameterError, Trajectory
+from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, Trajectory
 
 
 # Ceiling on t_end / dt.  The runs in the docs, demos and tests take at most
@@ -26,6 +26,12 @@ MAX_STEPS = 10**7
 # its snapshots to its diagnostics and stores none, but is held to the same
 # snapshot count.
 MAX_TRAJECTORY_BYTES = 2**30
+
+# Ceiling on a snapshot's share of sum |vhat|^2 in N/6 <= |k| < N/3.  Up to tails
+# of 2e-5, grids of N and 2N points agree on ||u_x|| to four digits; by 1.3e-4
+# they differ in the third.  The benchmark's runs read about 1e-32, and evolve's
+# soliton datum at c = 0.5 reads 2.6e-10.
+MAX_SPECTRAL_TAIL = 1e-5
 
 
 class StabilityError(RuntimeError):
@@ -98,6 +104,9 @@ class ConservedReport:
     linf: np.ndarray
     # min over the run's states of 1 - dt * max|u|^{2 sigma} * xi_max; NaN when not recorded
     min_cfl_margin: float = math.nan
+    # max over the snapshots of the share of sum |vhat|^2 in N/6 <= |k| < N/3; NaN when
+    # not recorded
+    max_spectral_tail: float = math.nan
 
     @property
     def mass_drift(self) -> float:
@@ -135,7 +144,16 @@ class _Stepper:
         vhat' = E vhat - dt/6 E L f1 - dt/3 Eh L (f2 + f3) - dt/6 L f4,
     and the six coefficient arrays, L folded in, are built once.  The rest of
     a step is arithmetic into fixed arrays, with |v|^{2 sigma} formed as
-    (re^2 + im^2)^sigma.
+    (re^2 + im^2)^sigma; a step allocates nothing and copies nothing.
+
+    Each array has one home.  vhat is the stage buffer w: a step reads vhat
+    only for Eh vhat and E vhat, before the first stage vector w2 overwrites
+    it, and its closing combination writes vhat' back into w.  |v|^{2 sigma} lives in the
+    real part of a complex array whose imaginary part stays 0 (`power` is
+    that real view), so each stage product is complex times complex.  numpy
+    forms a real times complex product by casting the real factor to
+    complex(p, 0) and running the same complex loop, so the products are the
+    same bit for bit, without the cast's buffer.
 
     `v` (and for gdnls `vx`) hold the state in physical space.  For gdnls each
     stage's v = ifft(w) and v_x = ifft(i xi w) are one (2, N) inverse call:
@@ -157,19 +175,24 @@ class _Stepper:
         self._e = self._eh * self._eh
         self._stage = (0.5 * dt * self._eh * lin, 0.5 * dt * lin, dt * self._eh * lin)
         self._close = (dt / 6.0 * self._e * lin, dt / 3.0 * self._eh * lin, dt / 6.0 * lin)
-        self._ehv, self._ev, self._acc, self._f, self._tmp, self._prod = np.empty(
-            (6, n), dtype=complex)
-        self.power = np.empty(n)
+        self._ehv, self._ev, self._acc, self._f, self._tmp = np.empty((5, n), dtype=complex)
+        self._cpower = np.zeros(n, dtype=complex)
+        self.power = self._cpower.real
         self._squares = np.empty(2 * n)
-        self.vhat = np.fft.fft(v0)
+        # the re and im slots of N/6 <= k < N/3 and of -N/3 < k <= -N/6 in fft order,
+        # the band just inside the 2/3 cut
+        lo, hi = -(-n // 6), -(-n // 3)
+        self._band = (slice(2 * lo, 2 * hi), slice(2 * (n - hi + 1), 2 * (n - lo + 1)))
         if cfg.equation == "gdnls":
             # pair[0] holds (w, i xi w), pair[1] their inverse transforms (v, v_x)
             self._pair = np.empty((2, 2, n), dtype=complex)
             self._w, self.v, self.vx = self._pair[0, 0], self._pair[1, 0], self._pair[1, 1]
-            np.fft.ifft(self._ixi * self.vhat, out=self.vx)
         else:
             self._pair = None
             (self._w, self.v), self.vx = np.empty((2, n), dtype=complex), None
+        self.vhat = np.fft.fft(v0, out=self._w)
+        if self.vx is not None:
+            np.fft.ifft(self._ixi * self.vhat, out=self.vx)
         self.v[:] = v0
 
     def guard(self) -> float:
@@ -181,6 +204,14 @@ class _Stepper:
         self._modulus_power()
         return self._cfl * float(np.max(self.power))
 
+    def spectral_tail(self) -> float:
+        """Share of sum |vhat|^2 in N/6 <= |k| < N/3 for the current state; 0 for vhat = 0."""
+        sq = self._squares
+        np.square(self.vhat.view(np.float64), out=sq)
+        total = float(np.sum(sq))
+        band = sum(float(np.sum(sq[part])) for part in self._band)
+        return band / total if total > 0.0 else 0.0
+
     def derivative(self) -> np.ndarray:
         """v_x of the current state: the carried one (gdnls), or ifft(i xi vhat) (dnls)."""
         return np.fft.ifft(self._ixi * self.vhat) if self.vx is None else self.vx
@@ -190,7 +221,7 @@ class _Stepper:
         ehv, ev, acc, tmp = self._ehv, self._ev, self._acc, self._tmp
         c1, c2, c3 = self._stage
         d1, d23, d4 = self._close
-        np.multiply(self._eh, self.vhat, out=ehv)
+        np.multiply(self._eh, self.vhat, out=ehv)  # the last reads of vhat: w is next written
         np.multiply(self._e, self.vhat, out=ev)
         f = self._transform()
         np.subtract(ev, np.multiply(d1, f, out=tmp), out=acc)
@@ -202,8 +233,7 @@ class _Stepper:
         np.subtract(acc, np.multiply(d23, f, out=tmp), out=acc)
         self._stage_state(ev, c3, f)
         f = self._transform()
-        np.subtract(acc, np.multiply(d4, f, out=tmp), out=self.vhat)
-        np.copyto(self._w, self.vhat)
+        np.subtract(acc, np.multiply(d4, f, out=tmp), out=self.vhat)  # vhat' into w
         self._invert()
 
     def _modulus_power(self) -> None:
@@ -214,9 +244,13 @@ class _Stepper:
             np.power(self.power, self.sigma, out=self.power)
 
     def _transform(self) -> np.ndarray:
-        """fft(|v|^{2 sigma} v_x) (gdnls) or fft(|v|^2 v) (dnls), from the last power formed."""
-        np.multiply(self.power, self.v if self.vx is None else self.vx, out=self._prod)
-        return np.fft.fft(self._prod, out=self._f)
+        """fft(|v|^{2 sigma} v_x) (gdnls) or fft(|v|^2 v) (dnls), from the last power formed.
+
+        The product goes into _tmp, which the stage arithmetic reuses once
+        the transform has read it.
+        """
+        np.multiply(self._cpower, self.v if self.vx is None else self.vx, out=self._tmp)
+        return np.fft.fft(self._tmp, out=self._f)
 
     def _stage_state(self, base, coef, f) -> None:
         """Stage vector w = base - coef * f, taken to physical space with its power."""
@@ -273,7 +307,10 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
     u0 must pass check_edge_decay(), as gauge_transform and full_wave require.
     Every state the run reaches, u0 and the final one included, must satisfy
     the CFL-like guard dt * max|u|^{2 sigma} * xi_max <= 1 and be finite;
-    otherwise StabilityError names the time.
+    otherwise StabilityError names the time.  At each snapshot, once the guard
+    has passed, the share of sum |vhat|^2 in N/6 <= |k| < N/3 must not exceed
+    MAX_SPECTRAL_TAIL; otherwise ResolutionError names the time and the share,
+    and the sink never sees that snapshot.
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial datum grid does not match the configured grid")
@@ -292,6 +329,7 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
     linf = np.empty(len(times))
 
     min_margin = math.inf
+    max_tail = 0.0
     j = 0
     for k in range(n_steps + 1):
         if k:
@@ -306,6 +344,13 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
                                  f"exceeds 1 at t = {t:.6g}")
         min_margin = min(min_margin, 1.0 - guard)
         if k % stride == 0 or k == n_steps:
+            tail = stepper.spectral_tail()
+            if tail > MAX_SPECTRAL_TAIL:
+                raise ResolutionError(
+                    f"spectral tail {tail:.3g} (share of sum |vhat|^2 in N/6 <= |k| < N/3) "
+                    f"exceeds {MAX_SPECTRAL_TAIL:g} at t = {t:.6g}: the grid no longer "
+                    "resolves the state; raise n_points")
+            max_tail = max(max_tail, tail)
             v = stepper.v
             sink(t, v)
             mass[j] = _mass(v, h)
@@ -314,5 +359,5 @@ def evolve(u0: ComplexField, cfg: EvolutionConfig, sink=None):
             j += 1
 
     report = ConservedReport(times=times, mass=mass, energy=energy, linf=linf,
-                             min_cfl_margin=min_margin)
+                             min_cfl_margin=min_margin, max_spectral_tail=max_tail)
     return (sink if stored is None else Trajectory(cfg.grid, times, stored.values)), report

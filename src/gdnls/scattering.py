@@ -7,6 +7,7 @@ bundles the diagnostics of snapshots streamed by evolve, or of stored rows (spec
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ from .spectral import _fed, _XtReducer, free_group, sobolev_norm
 from .spectral import xt_norm  # noqa: F401  the benchmark's tracer wraps gdnls.scattering.xt_norm
 
 CHECKPOINTS = (1.0, 2.0, 4.0, 8.0)  # pull-back comparison times, those <= t_end used
+
+# Ceiling on the free Gaussian's predicted edge-to-peak ratio at t_end.  On the
+# default box (L = 160, width 1) the decay exponent reads -0.4965 at t_end = 18
+# (ratio 0.58), -0.4904 at 20 (0.74), -0.479 at 22 (0.88), -0.459 at 24 (1.00)
+# and -0.300 at 32 (1.35): past 0.75 it leaves -1/2 by more than 0.01.
+MAX_EDGE_RATIO = 0.75
 
 
 @dataclass
@@ -57,6 +64,34 @@ def pullback_cauchy(traj: Trajectory, s_prime: float, checkpoints) -> list:
     """H^{s'} distances between pull-backs at consecutive checkpoints."""
     idx = _nearest(traj.times, checkpoints)
     return _cauchy_rows(traj.grid, traj.times[idx], traj.values[idx], s_prime)
+
+
+def edge_ratio(width: float, box_length: float, t_end: float) -> float:
+    """Predicted edge-to-peak ratio of the free Gaussian exp(-width x^2) at t_end.
+
+    Under the free flow, |u(t, x)| is proportional to exp(-a x^2 / (1 + 16 a^2 t^2))
+    with a = width; with its periodic image the edge carries twice that at
+    x = L/2, so the ratio is 2 exp(-a (L/2)^2 / (1 + 16 a^2 t^2)).
+    """
+    # q^2 = a (L/2)^2 / (1 + 16 a^2 T^2) with q = (L/2) / hypot(1 / sqrt(a), 4 sqrt(a) T):
+    # no inf / inf, and a spread past the floats gives q = 0, not NaN
+    q = 0.5 * box_length / math.hypot(1.0 / math.sqrt(width), 4.0 * math.sqrt(width) * t_end)
+    return 2.0 * math.exp(-q * q)
+
+
+def check_dispersion_box(width: float, box_length: float, t_end: float) -> None:
+    """ParameterError naming box_length if the dispersing Gaussian reaches the box edge.
+
+    Past MAX_EDGE_RATIO the wave's periodic images meet, and the decay fit
+    reads a non-dispersive exponent.
+    """
+    ratio = edge_ratio(width, box_length, t_end)
+    if ratio > MAX_EDGE_RATIO:
+        raise ParameterError(
+            "box_length", f"the free Gaussian reaches the box edge by t_end = {t_end:g}: its "
+            f"predicted edge-to-peak ratio 2 exp(-width (L/2)^2 / (1 + 16 width^2 t_end^2)) "
+            f"is {ratio:.3g} on box_length = {box_length:g}, above {MAX_EDGE_RATIO:g}; "
+            "lengthen box_length or shorten t_end")
 
 
 def _nearest(times: np.ndarray, checkpoints) -> list:

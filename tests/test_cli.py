@@ -356,8 +356,10 @@ def test_evolve_reports_the_library_conserved_report(tmp_path):
                     EvolutionConfig("gdnls", grid, dt=p["dt"], t_end=p["t_end"],
                                     sigma=p["sigma"], snapshot_stride=p["snapshot_stride"]))
     assert record.checks == {"mass_drift": rep.mass_drift, "energy_drift": rep.energy_drift,
-                             "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin}
+                             "linf_flag": rep.linf_flag, "min_cfl_margin": rep.min_cfl_margin,
+                             "max_spectral_tail": rep.max_spectral_tail}
     assert 0.0 < rep.min_cfl_margin < 1.0
+    assert 0.0 < rep.max_spectral_tail < 1e-30
     manifest = json.loads((tmp_path / f"evolve-{cfg.config_hash()}.json").read_text())
     assert manifest["checks"]["min_cfl_margin"] == rep.min_cfl_margin
 
@@ -381,6 +383,32 @@ def test_main_exits_3_when_the_state_turns_non_finite(tmp_path, capsys, poison_i
     cfg = write(tmp_path, "nan.cfg", "t_end = 0.01\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert "state became non-finite at t = 0.005" in capsys.readouterr().err
+
+
+def test_main_exits_3_when_the_grid_stops_resolving_the_state(tmp_path, capsys):
+    # sigma = 2 steepens 2 exp(-x^2) past what N = 1024 on L = 40 resolves near t = 0.072
+    cfg = write(tmp_path, "steep.cfg", "sigma = 2\ndelta = 2\nn_points = 1024\n"
+                "box_length = 40\ndt = 2e-5\nt_end = 0.14\n")
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: spectral tail ")
+    share, t = re.search(r"tail (\S+) .* exceeds 1e-05 at t = (\S+):", err).groups()
+    assert float(share) > 1e-5 and float(t) < 0.14
+    manifest, = (json.loads(f.read_text()) for f in out.glob("*.json"))
+    assert manifest["error_type"] == "ResolutionError" and not list(out.glob("*.csv"))
+
+
+def test_main_refuses_a_scatter_probe_horizon_its_gaussian_outlives(tmp_path, capsys):
+    # at t_end = 32 the free Gaussian fills the default box (predicted edge ratio 1.35),
+    # where the decay exponent reads -0.300; refused before any step
+    cfg = write(tmp_path, "long.cfg", "t_end = 32\n")
+    out = tmp_path / "o"
+    assert main(["scatter-probe", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'box_length': ") and "t_end = 32" in err
+    assert "2 exp(-width (L/2)^2 / (1 + 16 width^2 t_end^2)) is 1.35" in err
+    assert not out.exists()
 
 
 def test_main_rejects_dt_that_does_not_divide_t_end(tmp_path, capsys):
@@ -554,6 +582,7 @@ def test_scatter_probe_reports_the_library_scatter_report():
         diagnostics = ScatterAccumulator(grid, traj.times, p["s"], p["s_prime"])
         rep = _fed(diagnostics, traj.times, traj.values).report()
         assert record.checks["min_cfl_margin"] == conserved.min_cfl_margin
+        assert record.checks["max_spectral_tail"] == conserved.max_spectral_tail
         assert record.csv_text() == "T,xt_norm\n" + "".join(
             f"{t:.17g},{v:.17g}\n" for t, v in rep.xt_norm_curve)
         assert record.checks["xt_final"] == rep.xt_norm_curve[-1][1]

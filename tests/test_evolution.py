@@ -1,12 +1,15 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from gdnls.evolve import (
+    MAX_SPECTRAL_TAIL,
     ConservedReport,
     EvolutionConfig,
     StabilityError,
+    _Stepper,
     evolve,
 )
 from gdnls.grid import ComplexField, GridSpec, ParameterError, ResolutionError
@@ -244,6 +247,143 @@ def test_a_dnls_step_makes_eight_single_calls(n_steps, fft_calls):
     traj, _ = evolve(gaussian(), cfg)
     # set-up: fft(u0); each snapshot's energy: ifft(i xi vhat)
     assert Counter(fft_calls) == {(GRID.n_points,): 8 * n_steps + 1 + len(traj)}
+
+
+class _SeparateArraysStepper:
+    """Reference: the IFRK4 step with a real |v|^{2 sigma} array multiplied into the
+    complex v_x or v (numpy casts it to complex(p, 0) through a buffer), vhat in an
+    array of its own copied into the stage buffer after each step, and every other
+    result in a fresh array.  The coefficients and the order of operations are
+    _Stepper's."""
+
+    def __init__(self, cfg, v0):
+        n, xi, dt = cfg.grid.n_points, cfg.grid.xi, cfg.dt
+        self.sigma = cfg.sigma if cfg.equation == "gdnls" else 1.0
+        self.ixi = 1j * xi
+        lin = (np.abs(np.fft.fftfreq(n, d=1.0 / n)) < n / 3.0).astype(float).astype(complex)
+        if cfg.equation == "dnls":
+            lin *= self.ixi
+        self.eh = np.exp(-1j * xi**2 * (0.5 * dt))
+        self.e = self.eh * self.eh
+        self.stage = (0.5 * dt * self.eh * lin, 0.5 * dt * lin, dt * self.eh * lin)
+        self.close = (dt / 6.0 * self.e * lin, dt / 3.0 * self.eh * lin, dt / 6.0 * lin)
+        self.gdnls = cfg.equation == "gdnls"
+        self.vhat = np.fft.fft(v0)
+        self.w = np.empty(n, dtype=complex)
+        self.v = v0.copy()
+        self.vx = np.fft.ifft(self.ixi * self.vhat) if self.gdnls else None
+        self.modulus_power()
+
+    def modulus_power(self):
+        sq = np.square(self.v.view(np.float64))
+        self.power = np.add(sq[0::2], sq[1::2])
+        if self.sigma != 1.0:
+            self.power = np.power(self.power, self.sigma)
+
+    def transform(self):
+        return np.fft.fft(np.multiply(self.power, self.vx if self.gdnls else self.v))
+
+    def invert(self):
+        if self.gdnls:
+            self.v, self.vx = np.fft.ifft(np.stack([self.w, self.ixi * self.w]))
+        else:
+            self.v = np.fft.ifft(self.w)
+        self.modulus_power()
+
+    def step(self):
+        (c1, c2, c3), (d1, d23, d4) = self.stage, self.close
+        ehv, ev = self.eh * self.vhat, self.e * self.vhat
+        f = self.transform()
+        acc = ev - d1 * f
+        for base, coef, d in ((ehv, c1, d23), (ehv, c2, d23), (ev, c3, d4)):
+            self.w = base - coef * f
+            self.invert()
+            f = self.transform()
+            acc = acc - d * f
+        self.vhat = acc
+        np.copyto(self.w, self.vhat)
+        self.invert()
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("equation, sigma", [
+    ("gdnls", 1.0), ("gdnls", 1.5), ("gdnls", 2.0), ("dnls", 1.0)])
+def test_the_step_keeps_the_arithmetic_of_separate_arrays(equation, sigma, n):
+    # vhat sharing the stage buffer and |v|^{2 sigma} in a complex buffer change no bit
+    grid = GridSpec(n, 80.0)
+    u0 = 0.9 * np.exp(-grid.x**2 + 0.4j * grid.x)
+    cfg = EvolutionConfig(equation, grid, dt=1e-3, t_end=0.05, sigma=sigma)
+    stepper, ref = _Stepper(cfg, u0), _SeparateArraysStepper(cfg, u0)
+    stepper.guard()
+    for _ in range(50):
+        stepper.step()
+        stepper.guard()
+        ref.step()
+        pairs = [(stepper.vhat, ref.vhat), (stepper.v, ref.v), (stepper.power, ref.power)]
+        if equation == "gdnls":
+            pairs.append((stepper.vx, ref.vx))
+        for got, want in pairs:
+            assert np.array_equal(got.view(float), want.view(float))
+
+
+@pytest.mark.parametrize("equation, sigma", [("gdnls", 1.5), ("gdnls", 2.0), ("dnls", 1.0)])
+def test_a_step_allocates_nothing_of_size(equation, sigma):
+    # a (4096,) complex temporary would be 64 KiB; what is left is numpy's scalars
+    grid = GridSpec(4096, 160.0)
+    cfg = EvolutionConfig(equation, grid, dt=1e-3, t_end=1.0, sigma=sigma)
+    stepper = _Stepper(cfg, gaussian(0.5, grid).values)
+    stepper.guard()
+    stepper.step()  # warm-up
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            stepper.guard()
+            stepper.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**10
+
+
+def _band_share(vhat):
+    n = len(vhat)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    energy = np.abs(vhat) ** 2
+    return np.sum(energy[(n / 6.0 <= k) & (k < n / 3.0)]) / np.sum(energy)
+
+
+def test_the_spectral_tail_is_the_share_of_the_band_inside_the_cut():
+    rng = np.random.default_rng(7)
+    for n in (16, 1024, 4096):
+        grid = GridSpec(n, 80.0)
+        cfg = EvolutionConfig("gdnls", grid, dt=1e-3, t_end=0.01)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tail = _Stepper(cfg, v0).spectral_tail()
+        assert abs(tail - _band_share(np.fft.fft(v0))) <= 1e-14
+        assert _Stepper(cfg, np.zeros(n, dtype=complex)).spectral_tail() == 0.0
+
+
+# sigma = 2 and 2 exp(-x^2) steepen until the grid N = 1024 on L = 40 no longer
+# resolves them: the tail passes MAX_SPECTRAL_TAIL between t = 0.07 and 0.08
+UNDER_RESOLVED = GridSpec(1024, 40.0)
+
+
+def test_an_under_resolved_run_stops_with_the_time_and_the_tail():
+    cfg = EvolutionConfig("gdnls", UNDER_RESOLVED, dt=2e-5, t_end=0.14, sigma=2.0)
+    taken = []
+    with pytest.raises(ResolutionError, match=r"spectral tail .* exceeds 1e-05 at t = 0\.07"):
+        evolve(gaussian(2.0, UNDER_RESOLVED), cfg, lambda t, v: taken.append(t))
+    assert taken and taken[-1] < 0.075  # the refused snapshot never reached the sink
+
+
+def test_the_report_keeps_the_largest_tail():
+    cfg = EvolutionConfig("gdnls", UNDER_RESOLVED, dt=2e-5, t_end=0.06, sigma=2.0,
+                          snapshot_stride=100)
+    traj, rep = evolve(gaussian(2.0, UNDER_RESOLVED), cfg)
+    tails = [_band_share(np.fft.fft(v)) for v in traj.values]
+    assert 1e-9 < rep.max_spectral_tail < MAX_SPECTRAL_TAIL
+    assert abs(rep.max_spectral_tail / max(tails) - 1.0) <= 1e-6
+    assert np.isnan(ConservedReport(*[np.zeros(1)] * 4).max_spectral_tail)
 
 
 @pytest.mark.parametrize("equation, sigma", [("gdnls", 2.0), ("gdnls", 1.5), ("dnls", 1.0)])

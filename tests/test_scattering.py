@@ -5,12 +5,15 @@ import pytest
 
 from gdnls import spectral
 from gdnls.evolve import EvolutionConfig, evolve
-from gdnls.grid import ComplexField, GridSpec, Trajectory
+from gdnls.grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from gdnls.scattering import (
+    MAX_EDGE_RATIO,
     ScatterAccumulator,
     ScatterReport,
+    check_dispersion_box,
     decay_exponent,
     decay_tracker,
+    edge_ratio,
     pullback_cauchy,
     xt_accumulate,
 )
@@ -278,3 +281,26 @@ def test_scatter_report_bundle():
     assert rep.pullback_cauchy[1][2] < rep.pullback_cauchy[0][2]
     vals = [v for _, v in rep.xt_norm_curve]
     assert all(np.isfinite(v) for v in vals)
+
+
+def test_the_predicted_edge_ratio_is_the_free_gaussians():
+    # scatter-probe's default box and width: 3.88e-3 at t = 8, 0.419 at t = 16
+    grid = GridSpec(4096, 160.0)
+    u0 = gaussian_field(grid, 1.0)
+    for t, want in ((8.0, 3.885e-3), (16.0, 0.4194)):
+        predicted = edge_ratio(1.0, 160.0, t)
+        assert predicted == pytest.approx(want, rel=1e-3)
+        u = np.abs(free_propagate(u0, t).values)
+        assert u[0] / np.max(u) == pytest.approx(predicted, rel=1e-2)
+
+
+def test_the_dispersion_box_check_names_box_length():
+    check_dispersion_box(1.0, 160.0, 20.0)  # ratio 0.736: the exponent is within 0.01 of -1/2
+    # the last two spread past the floats: a wide Gaussian, and one on a box near the top
+    for width, box_length, t_end in ((1.0, 160.0, 21.0), (1.0, 160.0, 32.0),
+                                     (1e300, 160.0, 1e300), (1.0, 1e300, 1e300)):
+        assert edge_ratio(width, box_length, t_end) > MAX_EDGE_RATIO
+        with pytest.raises(ParameterError, match="edge-to-peak ratio") as exc:
+            check_dispersion_box(width, box_length, t_end)
+        assert exc.value.name == "box_length"
+    assert edge_ratio(1e-300, 1e300, 1.0) == 0.0  # a box far wider than the spread

@@ -35,7 +35,7 @@ from .solitons import (
     soliton_grid,
     virial_ratio,
 )
-from .evolve import ConservedReport, EvolutionConfig, StabilityError, evolve
+from .evolve import ConservedReport, EvolutionConfig, StabilityError
 from .scattering import (
     ScatterAccumulator,
     ScatterReport,

@@ -22,9 +22,9 @@ from .grid import ComplexField, GridSpec, ParameterError, ResolutionError, Traje
 MAX_STEPS = 10**7
 
 # Ceiling on the stored trajectory, n_snapshots * n_points * 16 bytes.  The
-# largest in the docs is the scattering demo's, 26 MB.  scatter-probe hands
-# its snapshots to its diagnostics and stores none, but is held to the same
-# snapshot count.
+# largest in the docs is criterion 10's delta-sweep, 401 x 4096 x 16 B = 26 MB.
+# scatter-probe hands its snapshots to its diagnostics and stores none, but is
+# held to the same snapshot count.
 MAX_TRAJECTORY_BYTES = 2**30
 
 # Ceiling on a snapshot's share of sum |vhat|^2 in N/6 <= |k| < N/3.  Up to tails

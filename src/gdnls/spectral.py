@@ -63,18 +63,16 @@ def spatial_derivative(f: ComplexField) -> ComplexField:
     return apply_multiplier(f, 1j * f.grid.xi)
 
 
-def free_group(grid: GridSpec, values: np.ndarray, times, order: float = 0.0,
-               out: np.ndarray | None = None) -> np.ndarray:
+def free_group(grid: GridSpec, values: np.ndarray, times, order: float = 0.0) -> np.ndarray:
     """D^order e^{i t_k Laplacian} applied row by row, row k at times[k].
 
     values is one datum of shape (N,), propagated to every time, or one
     row per time, shape (len(times), N).  order >= 0 multiplies the
-    transform by |xi|^order.  The phase product and the inverse transform
-    run in out, a complex array of the result's shape, when one is given.
-    For order 0 the rows at t = 0 are the datum itself, so the group is
-    exact there.  This is _free_blocks with the whole result as one block.
+    transform by |xi|^order.  For order 0 the rows at t = 0 are the datum
+    itself, so the group is exact there.  This is _free_blocks with the
+    whole result as one block.
     """
-    (_, result), = _free_blocks(grid, values, times, order, out)
+    (_, result), = _free_blocks(grid, values, times, order)
     return result
 
 
@@ -141,11 +139,6 @@ def l2_norm(f: ComplexField) -> float:
 
 # Terms of the shifted Taylor sum; see _shifted_taylor for the bound.
 TAYLOR_TERMS = 24
-# Taylor terms transformed per call: pocketfft transforms the rows of one
-# call about twice as fast per row as one-row calls at N = 1024 to 2048,
-# each row equal to its one-row transform bit for bit.  A larger block is
-# no faster per row and holds more memory.
-TAYLOR_BLOCK = 8
 
 
 def _shifted_taylor(transform, g: np.ndarray, y: np.ndarray, index: np.ndarray,
@@ -160,30 +153,15 @@ def _shifted_taylor(transform, g: np.ndarray, y: np.ndarray, index: np.ndarray,
     |z| <= pi/2, so term p is at most (pi/2)^p / p! times sum|g| (over N
     for ifft), and the tail from p = K = 24 is below (pi/2)^24 / 24! < 1e-19
     of that: past double precision for every target.  The cost is K
-    transforms of length N, made TAYLOR_BLOCK rows to a call in one
-    reused buffer, and K gathers, against the N exponentials per target
-    of a direct sum.  The terms are formed and added in the order of a
-    one-row-per-call loop, so the sum equals that loop's bit for bit.
+    transforms of length N and K gathers, against the N exponentials per
+    target of a direct sum.
     """
-    block = np.empty((TAYLOR_BLOCK, g.size), dtype=complex)
-    power, out, coef = g, None, 1.0
-    for start in range(0, TAYLOR_TERMS, TAYLOR_BLOCK):
-        rows = block[:TAYLOR_TERMS - start]
-        for p, row in enumerate(rows, start):
-            if p:
-                np.multiply(power, y, out=row)
-            else:
-                np.copyto(row, g)
-            power = row
-        if start + len(rows) < TAYLOR_TERMS:
-            power = power.copy()  # the next block's seed: the transform overwrites rows
-        transform(rows, axis=-1, out=rows)
-        for p, row in enumerate(rows, start):
-            if p:
-                coef = coef * z / p
-                out += coef * row[index]
-            else:
-                out = row[index]
+    out = transform(g)[index]
+    coef = 1.0
+    for p in range(1, TAYLOR_TERMS):
+        g = g * y
+        coef = coef * z / p
+        out += coef * transform(g)[index]
     return out
 
 

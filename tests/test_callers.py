@@ -2,11 +2,10 @@
 
 Each demo directory is a set of `gdnls sweep` configs: every config
 validates, and their sweep reproduces the checks the demos show.  The
-scattering demo's imports are read by AST, and the tracer module imports
-only the standard library.
+tracer module imports only the standard library.
 """
 
-import ast
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -17,27 +16,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_CONFIGS = sorted((ROOT / "demos").glob("*/*.cfg"))
 
 
-def gdnls_imports(path):
-    """(module, name) for every `from gdnls[.x] import name` in the file."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return [(node.module, alias.name)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module
-            and node.module.split(".")[0] == "gdnls"
-            for alias in node.names]
+def test_the_package_leaves_each_submodule_reachable_by_its_name():
+    # a package re-export named like its module would shadow the module
+    import gdnls.evolve as m
 
-
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_imports_resolve(path):
-    names = gdnls_imports(path)
-    assert names
-    missing = [f"{mod}.{name}" for mod, name in names
-               if not hasattr(importlib.import_module(mod), name)]
-    assert missing == []
+    assert m.ConservedReport.__module__ == "gdnls.evolve"
+    assert callable(m.evolve)
 
 
 def test_the_demo_sweeps_show_the_endpoint_and_gauge_checks(tmp_path):
@@ -46,7 +33,8 @@ def test_the_demo_sweeps_show_the_endpoint_and_gauge_checks(tmp_path):
     # and each config's output_path names its own CSV and manifest.
     from gdnls.cli import EXIT_OK, main
 
-    assert {p.parent.name for p in DEMO_CONFIGS} == {"soliton_atlas", "gauge_equivalence"}
+    assert {p.parent.name for p in DEMO_CONFIGS} == {"soliton_atlas", "gauge_equivalence",
+                                                     "scattering_dichotomy"}
     out = tmp_path / "o"
     assert main(["sweep", "--config", *map(str, DEMO_CONFIGS), "--out", str(out)]) == EXIT_OK
     assert len(list(out.glob("*.csv"))) == len(DEMO_CONFIGS)
@@ -59,6 +47,15 @@ def test_the_demo_sweeps_show_the_endpoint_and_gauge_checks(tmp_path):
     assert checks("atlas")["virial_max_rel_err"] < 1e-12
     gauge = [checks(p.stem)["l2_difference"] for p in out.glob("gauge-*.json")]
     assert len(gauge) == 3 and max(gauge) < 1e-10
+    # the dichotomy: the Gaussian's sup norm decays like t^-1/2 and its pull-back
+    # converges, while the small soliton's sup norm stays flat
+    gaussian = checks("dichotomy-gaussian")
+    assert gaussian["decay_exponent"] == pytest.approx(-0.5, abs=0.01)
+    assert gaussian["cauchy_decreasing"] is True
+    assert checks("dichotomy-soliton")["linf_flag"] is False
+    with open(out / "dichotomy-soliton.csv", newline="") as fh:
+        linf = [float(row["linf"]) for row in csv.DictReader(fh)]
+    assert max(linf) / min(linf) < 1 + 1e-4
 
     atlas = [str(p) for p in DEMO_CONFIGS if p.parent.name == "soliton_atlas"]
     again = tmp_path / "again"

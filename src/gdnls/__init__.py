@@ -55,4 +55,8 @@ from .probes import (
     strichartz_probe,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the re-exported names; the relative imports above also bind each submodule, which stays out
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -303,7 +303,7 @@ class _Dropped:
     def __call__(self, t: float, v: np.ndarray) -> None:
         self._taken += 1
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the benchmark's tracer counts stored snapshots by it
         return self._taken
 
 

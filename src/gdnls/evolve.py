@@ -102,11 +102,10 @@ class ConservedReport:
     mass: np.ndarray
     energy: np.ndarray
     linf: np.ndarray
-    # min over the run's states of 1 - dt * max|u|^{2 sigma} * xi_max; NaN when not recorded
-    min_cfl_margin: float = math.nan
-    # max over the snapshots of the share of sum |vhat|^2 in N/6 <= |k| < N/3; NaN when
-    # not recorded
-    max_spectral_tail: float = math.nan
+    # min over the run's states of 1 - dt * max|u|^{2 sigma} * xi_max
+    min_cfl_margin: float
+    # max over the snapshots of the share of sum |vhat|^2 in N/6 <= |k| < N/3
+    max_spectral_tail: float
 
     @property
     def mass_drift(self) -> float:

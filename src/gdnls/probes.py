@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (ComplexField, GridSpec, ParameterError, Trajectory, check_edge_magnitude,
-                   gaussian_field)
+from .grid import ComplexField, GridSpec, ParameterError, Trajectory, gaussian_field
 from .spectral import (
     SOBOLEV_ORDER_RANGE,
     MixedNormSpec,
@@ -72,17 +71,17 @@ class _DefaultMembers(Sequence):
 
     Gaussians come first, then smooth random fields drawn from one generator
     seeded with `seed`; each member's edge decay is checked as it is formed.
-    An index, a slice or a reversal takes one whole pass.
+    An index or a slice takes one whole pass.
 
     The Gaussians form mirror pairs, (a, v, x0) <-> (a, -v, -x0): MIRRORS
     maps each later member to the earlier one it reflects, x -> -x.  The
     free group and every probe norm commute with that reflection.  On
     DEFAULT_PROBE_GRID each mirror's samples are its partner's at index
-    (-i) mod N, bit for bit; on a box where the members do not vanish at
-    x = -L/2, that one sample differs, by less than the edge threshold
-    both pass.  The random members have no partner.
+    (-i) mod N, bit for bit, and every member's edge_magnitude is 0.0: the
+    widest Gaussian there is exp(-0.5 * 121^2) and the random envelope
+    exp(-0.1 * 127^2), and both underflow to 0.  The random members
+    have no partner.
     """
-    grid: GridSpec
     seed: int
     GAUSSIANS = tuple((a, v, x0) for a in (0.5, 1.0, 2.0, 4.0, 8.0)
                       for v in (-4.0, -2.0, 0.0, 2.0, 4.0) for x0 in (-6.0, -2.0, 2.0, 6.0))
@@ -98,9 +97,6 @@ class _DefaultMembers(Sequence):
     def __getitem__(self, k):
         return tuple(self)[k]
 
-    def __reversed__(self):  # Sequence's would take one whole pass per index
-        return reversed(tuple(self))
-
     def __iter__(self):
         return self._pass(form_mirrors=True)
 
@@ -108,22 +104,16 @@ class _DefaultMembers(Sequence):
         """Each member in order, its edge decay checked at its place in the pass.
 
         With form_mirrors false a mirror is not formed: its place yields its
-        partner's index, once its edge check has run on the partner's
-        samples reflected, so a pass stops at the same first member.
+        partner's index.  Its edge would pass, as its partner's did.
         """
-        grid = self.grid
-        reflected_edge = -np.r_[:8, -8:0] % grid.n_points  # the mirror's edge_magnitude samples
-        mirror_edge = {}
+        grid = DEFAULT_PROBE_GRID
         for k, (a, v, x0) in enumerate(self.GAUSSIANS):
             partner = None if form_mirrors else self.MIRRORS.get(k)
             if partner is not None:
-                check_edge_magnitude(mirror_edge.pop(partner))
                 yield partner
                 continue
             f = gaussian_field(grid, a, v, x0)
             f.check_edge_decay()
-            if not form_mirrors:
-                mirror_edge[k] = float(np.abs(f.values[reflected_edge]).max())
             yield f
         rng = np.random.default_rng(self.seed)
         envelope = np.exp(-0.1 * grid.x**2)
@@ -148,7 +138,7 @@ class ProbeEnsemble:
 
     def __post_init__(self):
         if isinstance(self.members, _DefaultMembers):
-            grid = self.members.grid
+            grid = DEFAULT_PROBE_GRID
         else:
             grids = {m.grid for m in self.members}
             if len(grids) != 1:
@@ -172,13 +162,13 @@ class ProbeReport:
             raise ValueError(f"worst_ratio must be finite and >= 0, got {self.worst_ratio}")
 
 
-def default_ensemble(grid: GridSpec = DEFAULT_PROBE_GRID, seed: int = 0) -> ProbeEnsemble:
+def default_ensemble(seed: int = 0) -> ProbeEnsemble:
     """5 widths x 5 velocities x 4 centers Gaussians plus 20 seeded random fields.
 
-    The members are formed one at a time on each pass and never stored, so
-    a probe holds one of them.
+    The members, on DEFAULT_PROBE_GRID, are formed one at a time on each
+    pass and never stored, so a probe holds one of them.
     """
-    return ProbeEnsemble(_DefaultMembers(grid, seed), seed)
+    return ProbeEnsemble(_DefaultMembers(seed), seed)
 
 
 def check_horizon(t_end: float) -> None:

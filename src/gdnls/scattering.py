@@ -17,8 +17,6 @@ from .quadrature import least_squares_slope
 from .spectral import _fed, _XtReducer, free_group, sobolev_norm
 from .spectral import xt_norm  # noqa: F401  the benchmark's tracer wraps gdnls.scattering.xt_norm
 
-CHECKPOINTS = (1.0, 2.0, 4.0, 8.0)  # pull-back comparison times, those <= t_end used
-
 # Ceiling on the free Gaussian's predicted edge-to-peak ratio at t_end.  On the
 # default box (L = 160, width 1) the decay exponent reads -0.4965 at t_end = 18
 # (ratio 0.58), -0.4904 at 20 (0.74), -0.479 at 22 (0.88), -0.459 at 24 (1.00)
@@ -147,8 +145,10 @@ class ScatterAccumulator:
     exists, so a bad s or s_prime, or a horizon too short for the decay
     fit, is refused up front with a ParameterError naming it.  Call it
     with each (t, v) in time order, as evolve's sink: the working-space
-    reducer takes every row, the rows nearest the checkpoints are copied,
-    and nothing else of the trajectory is kept.
+    reducer takes every row, the checkpoint rows are copied, and nothing
+    else of the trajectory is kept.  The checkpoints are the last rows of
+    the working-space prefixes [0, T], T = t_end/8, t_end/4, t_end/2,
+    t_end, so the pull-back pairs double in time up to any horizon.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, s: float = 0.5,
@@ -165,11 +165,10 @@ class ScatterAccumulator:
                 "t_end", f"the decay fit over [t_end/4, t_end] needs >= 4 snapshots, "
                 f"t_end = {t_end:g} gives {in_fit}")
         self._grid, self._s_prime = grid, s_prime
-        self._checkpoints = np.array(
-            _nearest(self._times, [t for t in CHECKPOINTS if t <= t_end + 1e-12]), dtype=int)
+        self._checkpoints = np.array(self._lengths) - 1  # the last row of each xt prefix
         self._rows = np.empty((len(self._checkpoints), grid.n_points), dtype=complex)
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the benchmark's tracer counts stored snapshots by it
         return len(self._xt)
 
     def __call__(self, t: float, v: np.ndarray) -> None:

@@ -289,25 +289,6 @@ def _cusp_depth(window: int, s: float) -> int:
     return min(53, math.ceil(math.log2(window) + 60.0 / (2.0 * s + 1.0)))
 
 
-def _cusp_panels(a: float, delta: float, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss panels on (a 2^-depth, a], one per dyadic interval, graded toward 0.
-
-    The interval (a 2^-(k+1), a 2^-k], k < depth, is one Gauss-Legendre
-    panel of _panel_order(its width / delta) points: 38, 26, 18 and 14
-    points on the four outer intervals of a = 40 delta, 12 on every other.
-    """
-    lows = a * 2.0 ** -np.arange(1, depth + 1)  # each interval is as long as its left end
-    orders = [_panel_order(lo / delta) for lo in lows]
-    distinct = tuple(sorted(set(orders), reverse=True))
-    rules = dict(zip(distinct, _gauss_legendre(distinct)))
-    pts, wts = [], []
-    for lo, n in zip(lows, orders):
-        nodes, weights = rules[n]
-        pts.append(lo * (1.5 + 0.5 * nodes))
-        wts.append(0.5 * lo * weights)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
 def _cutoff(u: np.ndarray, reach: float = 27.0) -> np.ndarray:
     """erfc((u - 20) / 4) / 2 at u = |xi| / delta >= 0 lattice spacings from the cusp.
 
@@ -325,12 +306,24 @@ def _cutoff(u: np.ndarray, reach: float = 27.0) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _unit_cusp_panels(spacings: int, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_cusp_panels(spacings, 1, depth) and _cutoff there, built once per key; read-only.
+    """Gauss panels on (a 2^-depth, a], a = spacings, and _cutoff there; once per key, read-only.
 
-    The panels depend only on a / delta, so delta times these points and
-    weights are _cusp_panels(spacings * delta, delta, depth) up to rounding.
+    Points and weights are in lattice spacings: delta times them are the
+    panels of a window of spacings * delta, up to rounding.  The interval
+    (a 2^-(k+1), a 2^-k], k < depth, is one Gauss-Legendre panel of
+    _panel_order(its width) points: 38, 26, 18 and 14 points on the four
+    outer intervals of a = 40, 12 on every other.
     """
-    pts, wts = _cusp_panels(float(spacings), 1.0, depth)
+    lows = spacings * 2.0 ** -np.arange(1, depth + 1)  # each interval is as long as its left end
+    orders = [_panel_order(lo) for lo in lows]
+    distinct = tuple(sorted(set(orders), reverse=True))
+    rules = dict(zip(distinct, _gauss_legendre(distinct)))
+    pts, wts = [], []
+    for lo, n in zip(lows, orders):
+        nodes, weights = rules[n]
+        pts.append(lo * (1.5 + 0.5 * nodes))
+        wts.append(0.5 * lo * weights)
+    pts, wts = np.concatenate(pts), np.concatenate(wts)
     return _read_only(pts), _read_only(wts), _read_only(_cutoff(pts))
 
 

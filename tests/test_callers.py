@@ -27,6 +27,15 @@ def test_the_package_leaves_each_submodule_reachable_by_its_name():
     assert callable(m.evolve)
 
 
+def test_the_star_import_binds_the_re_exports_and_no_module():
+    # the relative imports bind each submodule in the package namespace; star-importing
+    # them would rebind names such as `evolve` to a module
+    namespace = {}
+    exec("from gdnls import *", namespace)
+    assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+    assert callable(namespace["default_ensemble"]) and "evolve" not in namespace
+
+
 def test_the_demo_sweeps_show_the_endpoint_and_gauge_checks(tmp_path):
     # `gdnls sweep --config demos/<name>/*.cfg` as the README runs it, the shell's
     # glob handed to one --config.  Exit 0 means every config validated and ran,
@@ -153,18 +162,33 @@ def test_the_tracer_sees_the_norms_and_probes_the_cli_looks_up_by_name(tmp_path)
     assert names.count("cli.run") == 2
 
 
+def traced_snapshots(experiment, t_end, out):
+    """evolve.snapshots_stored and the evolve spans of one traced cli.run."""
+    from gdnls import cli
+
+    config = cli.validate_config(experiment, {"t_end": t_end})
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        cli.run(config, out)
+    return (tracer.counts[0]["evolve.snapshots_stored"],
+            [s.name for s in tracer.spans].count("evolve.evolve"))
+
+
 def test_the_tracer_runs_a_streamed_scatter_probe(tmp_path):
     # scatter-probe hands its snapshots to the diagnostics and stores no trajectory; the
     # tracer's step counter still reads len() of what evolve returns first
-    from gdnls import cli
-
-    config = cli.validate_config("scatter-probe", {"t_end": "1"})
-    tracer = load_tracing().Tracer()
-    with tracer.installed():
-        cli.run(config, tmp_path)
-    stored = tracer.counts[0]["evolve.snapshots_stored"]
+    stored, runs = traced_snapshots("scatter-probe", "1", tmp_path)
     assert isinstance(stored, int) and stored == 51
-    assert [s.name for s in tracer.spans].count("evolve.evolve") == 1
+    assert runs == 1
+
+
+@pytest.mark.parametrize("experiment, stored, runs", [("evolve", 11, 1), ("gauge-check", 4, 2)])
+def test_the_tracer_counts_the_snapshots_of_every_evolve_sink(experiment, stored, runs, tmp_path):
+    # evolve hands its 11 snapshots to a sink that keeps none (cli._Dropped), and the
+    # count is that sink's len(); gauge-check's two runs each store a trajectory of
+    # its first and final states
+    got = traced_snapshots(experiment, "0.1", tmp_path)
+    assert isinstance(got[0], int) and got == (stored, runs)
 
 
 def test_a_traced_probe_ensemble_iteration_forms_each_member_once(tmp_path):

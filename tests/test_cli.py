@@ -608,9 +608,11 @@ def test_scatter_probe_cauchy_rate_is_one_minus_sigma(sigma):
 
 
 def test_scatter_probe_cauchy_rate_needs_two_pairs():
-    record = run(validate_config("scatter-probe", {"t_end": "2"}))  # checkpoints 1 and 2
-    assert len(record.checks["cauchy_diffs"]) == 1
-    assert record.checks["cauchy_rate"] is None
+    # the checkpoints follow t_end: 0.25, 0.5, 1 and 2 give 3 pairs and a rate; the
+    # one-pair case is test_cauchy_rate_is_the_log2_slope_over_the_earlier_times
+    record = run(validate_config("scatter-probe", {"t_end": "2"}))
+    assert len(record.checks["cauchy_diffs"]) == 3
+    assert record.checks["cauchy_rate"] < 0
 
 
 def scatter_probe_peak_bytes(**overrides):

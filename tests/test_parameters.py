@@ -87,7 +87,7 @@ CASES = [
     ("t_end", {"t_end"}, lambda v: _checked(check_horizon, v)),
     # the seed is checked when the ensemble is built, before a pass creates its generator
     ("seed", {"seed"},
-     lambda v: [f.values.view(float) for f in default_ensemble(GRID, seed=v).members]),
+     lambda v: [f.values.view(float) for f in default_ensemble(seed=v).members]),
 ]
 
 

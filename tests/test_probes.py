@@ -89,40 +89,43 @@ def test_lazy_members_are_the_eager_ones_bit_for_bit(seed):
         assert_same_fields(got, expect[k])
 
 
-def test_a_reversal_takes_one_pass(monkeypatch):
-    # Sequence's __reversed__ indexes once per member, and each index is a whole pass
+def refuse_at(monkeypatch, refused):
+    """Make default member `refused`, a Gaussian, fail its edge check when it is formed.
+
+    Returns the (a, v, x0) of each Gaussian formed since.
+    """
+    target, built = probes._DefaultMembers.GAUSSIANS[refused], []
+
+    def build(grid, a, v, x0):
+        built.append((a, v, x0))
+        f = gaussian_field(grid, a, v, x0)
+        return ComplexField(grid, f.values + 1.0) if (a, v, x0) == target else f
+
+    monkeypatch.setattr(probes, "gaussian_field", build)
+    return built
+
+
+def test_a_lazy_member_checks_its_edge_when_it_is_formed(monkeypatch):
+    # the ensemble is still built, and a pass stops with ResolutionError at the
+    # member that fails, having formed every member before it
+    expect = eager_default_members(DEFAULT_PROBE_GRID, 0)
+    refuse_at(monkeypatch, 21)
     ens = default_ensemble(seed=0)
-    expect = tuple(ens.members)[::-1]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return gaussian_field(*args, **kwargs)
-
-    monkeypatch.setattr(probes, "gaussian_field", counted)
-    got = list(reversed(ens.members))
-    assert len(calls) == 100
-    assert_same_fields(got, expect)
-
-
-def test_a_lazy_member_checks_its_edge_when_it_is_formed():
-    # on a box of 16 some members do not decay at the edge: the ensemble is still
-    # built, and a pass stops with ResolutionError at the first of them
-    grid = GridSpec(64, 16.0)
-    ens = default_ensemble(grid, seed=0)
-    expect = eager_default_members(grid, 0)
-    offending = []
-    for k, f in enumerate(expect):
-        try:
-            f.check_edge_decay()
-        except ResolutionError:
-            offending.append(k)
-    assert 0 < len(offending) < len(expect)
     formed = []
     with pytest.raises(ResolutionError):
         for f in ens.members:
             formed.append(f)
-    assert_same_fields(formed, expect[:offending[0]])
+    assert_same_fields(formed, expect[:21])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123456, 2**31 - 1])
+def test_every_default_member_vanishes_at_the_box_edge(seed):
+    # with each mirror its partner reflected bit for bit, this is why a mirror that a
+    # probe does not form would pass its edge check: it has the 9 outermost samples
+    # of its partner's on each side, all of them 0
+    for f in default_ensemble(seed=seed).members:
+        assert f.edge_magnitude() == 0.0
+        assert not np.any(f.values[:9]) and not np.any(f.values[-9:])
 
 
 @pytest.mark.parametrize("seed", [-3, -1, 1.5, 0.0, float("nan"), "0", None])
@@ -308,30 +311,24 @@ def test_the_default_ensemble_reports_what_its_members_in_a_tuple_report(seed, t
         assert probe(ens, t_end) == reports[name], name
 
 
-# on a box of 16 member 0 does not decay at the edge.  On a box of 32 every
-# Gaussian does, each mirror's check reads its partner's reflected samples,
-# and the first random field, member 100, does not
-@pytest.mark.parametrize("grid, refused", [(GridSpec(64, 16.0), 0), (GridSpec(128, 32.0), 100)])
-def test_a_probe_refuses_the_member_a_pass_refuses(grid, refused, monkeypatch):
-    ens, checked = default_ensemble(grid, seed=0), []
-    check = probes.check_edge_magnitude
+# a probe forms no mirror, so the member that fails is one it forms: the first,
+# and member 29, the partner of member 30
+@pytest.mark.parametrize("refused", [0, 29])
+def test_a_probe_refuses_the_member_a_pass_refuses(refused, monkeypatch):
+    ens = default_ensemble(seed=0)
+    built = refuse_at(monkeypatch, refused)
+    target = probes._DefaultMembers.GAUSSIANS[refused]
 
-    def recording(m):
-        checked.append(m)
-        check(m)
-
-    monkeypatch.setattr("gdnls.grid.check_edge_magnitude", recording)
-    monkeypatch.setattr(probes, "check_edge_magnitude", recording)
-
-    def checks_until_refused(run):
-        checked.clear()
+    def refusal(run):
+        built.clear()
         with pytest.raises(ResolutionError) as exc:
             run()
-        return list(checked), str(exc.value)
+        assert built[-1] == target  # it stopped at the member that fails
+        return str(exc.value)
 
-    direct = checks_until_refused(lambda: list(ens.members))  # forms every member
-    assert len(direct[0]) == refused + 1
-    assert checks_until_refused(lambda: strichartz_probe(ens, 4.0, np.inf, 1.0)) == direct
+    direct = refusal(lambda: list(ens.members))  # forms every member
+    assert len(built) == refused + 1
+    assert refusal(lambda: strichartz_probe(ens, 4.0, np.inf, 1.0)) == direct
 
 
 @pytest.mark.parametrize("a", [0.25, 1.0])

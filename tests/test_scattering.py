@@ -275,10 +275,10 @@ def test_scatter_report_bundle():
     cfg = EvolutionConfig("gdnls", GRID, dt=2e-3, t_end=4.0, sigma=2.0,
                           snapshot_stride=10)
     traj, _ = evolve(gaussian(0.05), cfg)
-    diagnostics = ScatterAccumulator(GRID, traj.times)  # checkpoints 1, 2, 4 up to t_end = 4
+    diagnostics = ScatterAccumulator(GRID, traj.times)  # checkpoints t_end/8, /4, /2 and t_end
     rep = spectral._fed(diagnostics, traj.times, traj.values).report()
-    assert len(rep.pullback_cauchy) == 2
-    assert rep.pullback_cauchy[1][2] < rep.pullback_cauchy[0][2]
+    assert [(t1, t2) for t1, t2, _ in rep.pullback_cauchy] == [(0.5, 1.0), (1.0, 2.0), (2.0, 4.0)]
+    assert rep.cauchy_decreasing
     vals = [v for _, v in rep.xt_norm_curve]
     assert all(np.isfinite(v) for v in vals)
 

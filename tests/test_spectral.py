@@ -380,9 +380,8 @@ def test_fourier_transform_samples_match_the_direct_sum(grid, peak):
     # [-a, a] ends at 40 of them.  The targets are the panels of the deepest
     # grading, 53 levels, as s -> 0 takes them
     delta = 2.0 * np.pi / grid.box_length
-    a = 40.0 * delta
     f = box_filling_gaussian(grid, peak * delta)
-    pts, _ = spectral._cusp_panels(a, delta, 53)
+    pts = delta * spectral._unit_cusp_panels(40, 53)[0]
     targets = np.concatenate([pts, -pts])
     got = fourier_transform_samples(f, targets)
     # every target on the small grid; every 4th on the large one
@@ -418,24 +417,6 @@ def test_fourier_transform_samples_reject_targets_past_the_band():
         fourier_transform_samples(f, np.array([0.0, -past]))
 
 
-@pytest.mark.parametrize("length", [80.0, 3968.0, 124.0 * 2**10, 980836.2970092912])
-def test_cached_cusp_panels_scale_to_the_direct_build(length):
-    # at the last length, rounding put (a/2) / delta just past 20 and, before
-    # the panel count took a slack, gave the direct build three more panels;
-    # the depths are those of s = 3.5, 1/4 and s -> 0
-    delta = 2.0 * np.pi / length
-    for depth in (13, 46, 53):
-        pts, wts, chi = spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)
-        direct_pts, direct_wts = spectral._cusp_panels(spectral.CUSP_WINDOW * delta, delta,
-                                                       depth)
-        for scaled, direct in ((delta * pts, direct_pts), (delta * wts, direct_wts)):
-            assert scaled.shape == direct.shape
-            assert np.max(np.abs(scaled - direct)) <= 2.0 * np.spacing(np.max(direct))
-        assert np.array_equal(chi, spectral._cutoff(pts))
-        assert not any(a.flags.writeable for a in (pts, wts, chi))
-        assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)[0] is pts  # built once
-
-
 def test_cutoff_is_the_erfc_of_scipy():
     # scipy's erfc differs from math.erfc only by rounding, and only in its
     # far tail; past 128 spacings the cutoff is 0 exactly
@@ -443,6 +424,11 @@ def test_cutoff_is_the_erfc_of_scipy():
     chi = spectral._cutoff(u)
     np.testing.assert_allclose(chi, 0.5 * erfc((u - 20.0) / 4.0), rtol=1e-13, atol=1e-300)
     assert np.all(chi[u >= 128.0] == 0.0)
+    for depth in (13, 46, 53):  # the depths of s = 3.5, 1/4 and s -> 0
+        pts, wts, chi = spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)
+        assert np.array_equal(chi, spectral._cutoff(pts))
+        assert not any(a.flags.writeable for a in (pts, wts, chi))
+        assert spectral._unit_cusp_panels(spectral.CUSP_WINDOW, depth)[0] is pts  # built once
 
 
 @pytest.mark.parametrize("lam, shift", [
